@@ -470,8 +470,9 @@ def measure_obs_overhead(build, stream, train_size: int, repeats: int):
     minimum — the batched run is around a millisecond, short enough for
     one scheduler blip to fake a 10% "overhead".  The reported ratio is
     the larger of the best paired ratio and the ratio of global best
-    times (capped at 1.0) — noise only ever adds time, so per-mode
-    minima are the cleanest point estimates.
+    times — noise only ever adds time, so per-mode minima are the
+    cleanest point estimates.  ``ratio`` is that value capped at 1.0
+    (what ``--check`` gates); ``ratio_uncapped`` reports it as measured.
     """
     best = {"disabled": float("inf"), "enabled": float("inf")}
     best_ratio = 0.0
@@ -495,6 +496,7 @@ def measure_obs_overhead(build, stream, train_size: int, repeats: int):
         "disabled_tps": round(len(stream) / best["disabled"]),
         "enabled_tps": round(len(stream) / best["enabled"]),
         "ratio": round(min(best_ratio, 1.0), 3),
+        "ratio_uncapped": round(best_ratio, 3),
         "outputs_match": reference["disabled"] == reference["enabled"],
     }
 
@@ -761,7 +763,9 @@ def print_report(report: dict, file=None) -> None:
     if obs:
         print(f"  obs layer  {obs['disabled_tps']:12,d} (off) "
               f"{obs['enabled_tps']:,d} (on)  "
-              f"{obs['ratio'] * 100:.1f}% throughput retained", file=out)
+              f"{obs['ratio'] * 100:.1f}% throughput retained"
+              f" ({obs.get('ratio_uncapped', obs['ratio']) * 100:.1f}% uncapped)",
+              file=out)
     xl = report["results"].get("window_columnar_xl")
     if xl:
         match = "conserved" if xl.get("outputs_match") else "DIVERGED"

@@ -8,7 +8,7 @@ representation (Fragkoulis et al.'s survey calls columnar/vectorized
 execution the defining shift from second- to third-generation stream
 processors): a :class:`ColumnarTrain` stores a train as one NumPy array
 per schema field plus metadata columns (``timestamps``, ``seqs``,
-``origins``, a sparse ``traces`` map), and the declarative operator
+``origins``, a sparse ``traces`` column), and the declarative operator
 constructors compile to :class:`ColumnExpr` column expressions so a
 fused run of N boxes executes as N masked array operations with zero
 per-tuple Python.
@@ -22,8 +22,7 @@ barrier                   where the train is materialized
 join / opaque stateful    engine claim (``Join``, ``XSection``, user operators)
 opaque operator           engine claim (plain-lambda Filter/Map/CaseFilter)
 connection point          emit (history recording is per-tuple)
-shedder                   ingestion (`admit` is a per-tuple decision)
-tracing                   ingestion (span stamps are per-tuple)
+fan-out of sampled rows   emit (a traced tuple shared by several arcs)
 fan-in with mixed queues  claim (plain tuples and segments interleaved)
 the wire                  :meth:`ColumnarTrain.to_tuples` on serialization
 application outputs       lazily, on first read of the output buffer
@@ -33,7 +32,14 @@ Windowed boxes (``Tumble``, ``Slide``, ``WSort``) are *not* barriers:
 they ship ``process_columnar`` window kernels (run-boundary masks,
 grouped segment reductions via :mod:`repro.core.aggregates` segment
 kernels) and fall back to the exact list path per claim only when a
-train carries lineage/trace metadata or ungroupable key columns.
+train carries lineage metadata or ungroupable key columns (``Slide``
+and ``WSort`` also when it carries a sampled row; ``Tumble`` hands each
+closed window the trace of its first row).
+
+Neither a tracer nor a load shedder is a barrier: admission is one
+keep-mask per train, and trace context rides the train as a
+:class:`~repro.obs.trace.TraceColumn` that each box re-stamps for the
+sampled rows only.
 
 Expression semantics: a :class:`ColumnExpr` is *callable on a single
 tuple* (the scalar path evaluates it exactly like the closure it
@@ -60,6 +66,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.tuples import StreamTuple
+from repro.obs.trace import TraceColumn
 
 try:  # optional wire-interchange dependency (see to_arrow)
     import pyarrow as _pyarrow  # type: ignore[import-not-found]
@@ -113,8 +120,10 @@ class ColumnarTrain:
         timestamps: float64 source-timestamp column.
         seqs / origins: HA lineage columns, or None when every tuple's
             is None (the overwhelmingly common in-engine case).
-        traces: sparse row-index -> trace-context map (engines fall back
-            to the list path while tracing, so this is usually empty).
+        traces: the trace contexts of the sampled rows, as a
+            :class:`~repro.obs.trace.TraceColumn`; None when no row is
+            sampled (the common case: every untraced engine, and most
+            trains once a filter has dropped the sampled rows).
         enqueue_clocks: engine-internal enqueue-time column, set when
             the train is queued on an arc; mirrors ``Arc.queue_times``.
 
@@ -135,14 +144,14 @@ class ColumnarTrain:
         timestamps: np.ndarray,
         seqs: np.ndarray | None = None,
         origins: np.ndarray | None = None,
-        traces: dict[int, Any] | None = None,
+        traces: TraceColumn | None = None,
     ):
         self.fields = fields
         self.columns = columns
         self.timestamps = timestamps
         self.seqs = seqs
         self.origins = origins
-        self.traces = traces or {}
+        self.traces = traces
         self.enqueue_clocks: np.ndarray | None = None
         self._tuples: list[StreamTuple] | None = None
 
@@ -170,7 +179,10 @@ class ColumnarTrain:
             seqs = as_column([t.seq for t in tuples])
         if any(t.origin is not None for t in tuples):
             origins = as_column([t.origin for t in tuples])
-        traces = {i: t.trace for i, t in enumerate(tuples) if t.trace is not None}
+        traced = [i for i, t in enumerate(tuples) if t.trace is not None]
+        traces = TraceColumn.of_contexts(
+            traced, [tuples[i].trace for i in traced]
+        ) if traced else None
         return cls(fields, columns, timestamps, seqs=seqs, origins=origins,
                    traces=traces)
 
@@ -221,6 +233,17 @@ class ColumnarTrain:
         out._tuples = self._tuples
         return out
 
+    def with_traces(self, traces: TraceColumn | None) -> "ColumnarTrain":
+        """A shallow twin carrying ``traces`` instead of this train's.
+
+        How a hop re-stamps a train: the columns are shared, the row
+        cache is not (materialized rows have their context baked in).
+        """
+        return ColumnarTrain(
+            self.fields, self.columns, self.timestamps,
+            seqs=self.seqs, origins=self.origins, traces=traces,
+        )
+
     def select(self, mask: np.ndarray) -> "ColumnarTrain":
         """The sub-train of rows where ``mask`` is True (row order kept)."""
         columns = {f: arr[mask] for f, arr in self.columns.items()}
@@ -228,18 +251,9 @@ class ColumnarTrain:
             self.fields, columns, self.timestamps[mask],
             seqs=self.seqs[mask] if self.seqs is not None else None,
             origins=self.origins[mask] if self.origins is not None else None,
-            traces=self._remap_traces(mask),
+            traces=self.traces.select(mask) if self.traces is not None else None,
         )
         return out
-
-    def _remap_traces(self, mask: np.ndarray) -> dict[int, Any]:
-        if not self.traces:
-            return {}
-        positions = np.flatnonzero(mask)
-        lookup = {int(old): new for new, old in enumerate(positions)}
-        return {
-            lookup[i]: ctx for i, ctx in self.traces.items() if i in lookup
-        }
 
     def slice(self, start: int, stop: int) -> "ColumnarTrain":
         """Row range [start, stop) as a train of array views (no copies)."""
@@ -248,10 +262,9 @@ class ColumnarTrain:
             self.fields, columns, self.timestamps[start:stop],
             seqs=self.seqs[start:stop] if self.seqs is not None else None,
             origins=self.origins[start:stop] if self.origins is not None else None,
-            traces={
-                i - start: ctx
-                for i, ctx in self.traces.items() if start <= i < stop
-            },
+            traces=(
+                self.traces.slice(start, stop) if self.traces is not None else None
+            ),
         )
         if self.enqueue_clocks is not None:
             out.enqueue_clocks = self.enqueue_clocks[start:stop]
@@ -285,14 +298,15 @@ class ColumnarTrain:
                 else np.full(len(t), None, dtype=object)
                 for t in trains
             ])
-        traces: dict[int, Any] = {}
+        pieces = []
         offset = 0
         for t in trains:
-            for i, ctx in t.traces.items():
-                traces[i + offset] = ctx
+            if t.traces is not None:
+                pieces.append((t.traces, offset))
             offset += len(t)
         return ColumnarTrain(fields, columns, timestamps, seqs=seqs,
-                             origins=origins, traces=traces)
+                             origins=origins,
+                             traces=TraceColumn.concat(pieces) if pieces else None)
 
     def with_columns(
         self, fields: tuple[str, ...], columns: dict[str, np.ndarray]
@@ -304,7 +318,7 @@ class ColumnarTrain:
         """
         out = ColumnarTrain(
             fields, columns, self.timestamps,
-            seqs=self.seqs, origins=self.origins, traces=dict(self.traces),
+            seqs=self.seqs, origins=self.origins, traces=self.traces,
         )
         return out
 
@@ -323,7 +337,9 @@ class ColumnarTrain:
             timestamps = self.timestamps.tolist()
             seqs = self.seqs.tolist() if self.seqs is not None else None
             origins = self.origins.tolist() if self.origins is not None else None
-            traces = self.traces
+            traces = {} if self.traces is None else dict(
+                zip(self.traces.rows.tolist(), self.traces.contexts())
+            )
             make = StreamTuple.from_parts
             tuples = [
                 make(
@@ -371,7 +387,7 @@ class ColumnarTrain:
             origin = v.item() if isinstance(v, np.generic) else v
         return StreamTuple.from_parts(
             values, float(self.timestamps[index]), seq, origin,
-            self.traces.get(index),
+            self.traces.context_at(index) if self.traces is not None else None,
         )
 
     def __iter__(self) -> Iterator[StreamTuple]:

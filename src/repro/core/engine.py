@@ -36,7 +36,7 @@ from repro.core.shedder import LoadShedder
 from repro.core.storage import StorageManager
 from repro.core.tuples import StreamTuple
 from repro.obs.registry import Counter, MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import TraceColumn, Tracer
 
 
 class AuroraEngine:
@@ -87,14 +87,16 @@ class AuroraEngine:
             (:class:`~repro.core.columnar.ColumnarTrain`) end to end:
             whole segments ride the arcs, compiled operators run as
             masked column kernels, and materialization back to
-            ``StreamTuple`` lists happens only at barriers (stateful or
-            opaque boxes, fan-in, connection points, shedders, tracing,
-            delivery reads).  Accounting stays bit-identical to the
-            list path — clock/latency chains use strictly sequential
-            ``ufunc.accumulate``.  Effective only with
-            ``batch_execution``; a tracer, an attached shedder, or
-            per-tuple ``push`` simply keep those tuples on the classic
-            list path (same results, no columnar speedup).
+            ``StreamTuple`` lists happens only at barriers (opaque
+            boxes, fan-in, connection points, delivery reads).  A
+            tracer and a load shedder are not barriers: admission and
+            sampling are decided once per train, and every box stamps
+            spans for the sampled rows only.  Accounting stays
+            bit-identical to the list path — clock/latency chains use
+            strictly sequential ``ufunc.accumulate``.  Effective only
+            with ``batch_execution``; per-tuple ``push`` simply keeps
+            those tuples on the classic list path (same results, no
+            columnar speedup).
     """
 
     def __init__(
@@ -155,9 +157,8 @@ class AuroraEngine:
         self.tuples_processed = 0
         self.fusion = fusion
         # Columnar execution rides the batch path (segments are claimed
-        # as batches); tracing stamps per-tuple spans, so traced engines
-        # materialize at ingestion instead.
-        self.columnar = columnar and batch_execution and not self._tracing
+        # as batches).
+        self.columnar = columnar and batch_execution
         self.outputs: dict[str, Union[list[StreamTuple], OutputBuffer]] = {}
         self.box_order: list[str] = []
         # Public scheduler-facing indexes (see the scheduler module):
@@ -310,11 +311,11 @@ class AuroraEngine:
             handle = cache[value] = self.metrics.counter(name, **{label: value})
         return handle
 
-    def record_shed(self, input_name: str) -> None:
-        """Account one shedder drop at an input (called by the shedder)."""
+    def record_shed(self, input_name: str, count: int = 1) -> None:
+        """Account shedder drops at an input (called by the shedder)."""
         self._counter_for(
             self._m_shed, "engine.shed.dropped", "input", input_name
-        ).inc()
+        ).inc(count)
 
     # -- ingestion -------------------------------------------------------------
 
@@ -344,6 +345,41 @@ class AuroraEngine:
             self._enqueue(arc, tup)
         return True
 
+    def _admit(
+        self, input_name: str, timestamps: np.ndarray
+    ) -> tuple[np.ndarray | None, TraceColumn | None]:
+        """Shedder admission and trace sampling for one offered train.
+
+        Both observers decide once per train.  Returns ``(keep,
+        traces)``: the shedder's keep-mask over the offered rows (None
+        when all are admitted) and the root trace contexts of the
+        sampled rows, positioned among the *admitted* rows — only those
+        are offered to the sampler, as on the per-tuple path.
+        """
+        keep = None
+        if self.shedder is not None:
+            keep = self.shedder.admit_train(self, input_name, len(timestamps))
+            if keep is not None:
+                timestamps = timestamps[keep]
+        traces = None
+        if self._tracing:
+            traces = self.tracer.start_train(f"source:{input_name}", timestamps)
+        return keep, traces
+
+    def _note_ingested(self, input_name: str, arc: Arc, n: int) -> None:
+        """Account ``n`` tuples just enqueued on an input arc.  No-op for
+        zero: like per-tuple ``push``, an input whose tuples were all
+        shed (or that was offered none) exports no ingest series."""
+        if not n:
+            return
+        target = arc.target[0]
+        if target != "out":
+            target = str(target)
+            self.queued_counts[target] = self.queued_counts.get(target, 0) + n
+        self._counter_for(
+            self._m_ingest, "engine.ingest.tuples", "input", input_name
+        ).inc(n)
+
     def push_train(self, input_name: str, train: ColumnarTrain) -> int:
         """Admit a whole columnar train on a named input stream.
 
@@ -351,11 +387,14 @@ class AuroraEngine:
         no per-tuple queue traffic at all — with per-tuple enqueue
         clocks computed by a running max (bit-identical to ``push()``'s
         ``clock = max(clock, timestamp)`` chain, since max is exact
-        selection).  Falls back to :meth:`push_many` whenever a barrier
-        applies at ingestion: columnar mode off, a shedder attached
-        (admission is per-tuple), active tracing (span stamps are
-        per-tuple), input fan-out, or a connection point on the arc
-        (history recording is per-tuple).
+        selection).  A shedder drops rows through one keep-mask (the
+        clock still advances over every offered row) and a tracer stamps
+        the sampled rows' root contexts on a twin of the train: the
+        caller's train is never mutated, and contexts it already carries
+        are dropped — ingestion is authoritative.  Falls back to
+        :meth:`push_many` whenever a barrier applies at ingestion:
+        columnar mode off, input fan-out, or a connection point on the
+        arc (history recording is per-tuple).
         """
         if input_name not in self.network.inputs:
             raise KeyError(f"engine network has no input {input_name!r}")
@@ -365,22 +404,23 @@ class AuroraEngine:
         arcs = self.network.inputs[input_name]
         if (
             not self.columnar
-            or self.shedder is not None
             or len(arcs) != 1
             or arcs[0].connection_point is not None
         ):
             return self.push_many(input_name, train.to_tuples())
-        arc = arcs[0]
         clocks = running_max(self.clock, train.timestamps)
-        arc.append_train(train, clocks)
         self.clock = float(clocks[-1])
-        target = arc.target[0]
-        if target != "out":
-            target = str(target)
-            self.queued_counts[target] = self.queued_counts.get(target, 0) + n
-        self._counter_for(
-            self._m_ingest, "engine.ingest.tuples", "input", input_name
-        ).inc(n)
+        keep, traces = self._admit(input_name, train.timestamps)
+        if keep is not None:
+            train = train.select(keep)
+            clocks = clocks[keep]
+            n = len(train)
+            if n == 0:
+                return 0
+        if traces is not None or train.traces is not None:
+            train = train.with_traces(traces)
+        arcs[0].append_train(train, clocks)
+        self._note_ingested(input_name, arcs[0], n)
         return n
 
     def push_many(self, input_name: str, tuples: Iterable[StreamTuple]) -> int:
@@ -390,47 +430,58 @@ class AuroraEngine:
         if input_name not in self.network.inputs:
             raise KeyError(f"engine network has no input {input_name!r}")
         arcs = self.network.inputs[input_name]
-        if (
+        if not (
             self.batch_execution
-            and self.shedder is None
             and len(arcs) == 1
             and arcs[0].connection_point is None
         ):
-            # Fast path: same per-tuple clock/stamp semantics as push(),
-            # with the arc and queue lookups hoisted out of the loop.
-            arc = arcs[0]
-            queue = arc.queue
-            queue_times = arc.queue_times
+            admitted = 0
+            for tup in tuples:
+                if self.push(input_name, tup):
+                    admitted += 1
+            return admitted
+        # Fast path: same per-tuple clock/stamp semantics as push(),
+        # with the arc and queue lookups hoisted out of the loop.
+        arc = arcs[0]
+        queue = arc.queue
+        queue_times = arc.queue_times
+        if self.shedder is not None or self._tracing:
+            tuples = list(tuples)
+            if not tuples:
+                return 0
+            timestamps = np.fromiter(
+                (tup.timestamp for tup in tuples), np.float64, len(tuples)
+            )
+            clocks = running_max(self.clock, timestamps)
+            self.clock = float(clocks[-1])
+            keep, traces = self._admit(input_name, timestamps)
+            if keep is not None:
+                tuples = [tup for tup, kept in zip(tuples, keep.tolist()) if kept]
+                clocks = clocks[keep]
+            if self._tracing:
+                # Ingestion is authoritative: clear any stale context
+                # left over from a prior engine run over the same tuple
+                # objects, then stamp the sampled ones.
+                for tup in tuples:
+                    tup.trace = None
+                if traces is not None:
+                    for row, ctx in zip(traces.rows.tolist(), traces.contexts()):
+                        tuples[row].trace = ctx
+            queue.extend(tuples)
+            queue_times.extend(clocks.tolist())
+            admitted = len(tuples)
+        else:
             clock = self.clock
             admitted = 0
-            tracing = self._tracing
             for tup in tuples:
                 if tup.timestamp > clock:
                     clock = tup.timestamp
-                if tracing:
-                    tup.trace = self.tracer.start_trace(
-                        f"source:{input_name}", at=tup.timestamp
-                    )
                 queue.append(tup)
                 queue_times.append(clock)
                 admitted += 1
-            arc.tuples_transferred += admitted
             self.clock = clock
-            if admitted:
-                target = arc.target[0]
-                if target != "out":
-                    target = str(target)
-                    self.queued_counts[target] = (
-                        self.queued_counts.get(target, 0) + admitted
-                    )
-            self._counter_for(
-                self._m_ingest, "engine.ingest.tuples", "input", input_name
-            ).inc(admitted)
-            return admitted
-        admitted = 0
-        for tup in tuples:
-            if self.push(input_name, tup):
-                admitted += 1
+        arc.tuples_transferred += admitted
+        self._note_ingested(input_name, arc, admitted)
         return admitted
 
     def _enqueue(self, arc: Arc, tup: StreamTuple) -> None:
@@ -703,6 +754,34 @@ class AuroraEngine:
         times = np.concatenate([p.enqueue_clocks for p in parts])
         return train, times
 
+    def _stamp_spans(
+        self,
+        box: Box,
+        batch: ColumnarTrain | list[StreamTuple],
+        ends: np.ndarray,
+        cost: float,
+    ) -> ColumnarTrain | list[StreamTuple]:
+        """Record ``box:<id>`` spans for the sampled rows of one claim.
+
+        ``ends`` is the clock chain the columnar runners already
+        accumulate (row i is done at ``ends[i]`` and started ``cost``
+        earlier — the floats the row loop passes to ``tracer.span``).
+        A train is re-stamped as a twin carrying the child column, so
+        the kernel's emissions inherit it; a row batch (a fused chain
+        past an opaque stage) is re-stamped tuple by tuple.
+        """
+        name = f"box:{box.id}"
+        if isinstance(batch, ColumnarTrain):
+            traces = batch.traces
+            return batch.with_traces(
+                self.tracer.span_block(traces, name, ends[traces.rows], cost)
+            )
+        span = self.tracer.span
+        for tup, end in zip(batch, ends.tolist()):
+            if tup.trace is not None:
+                tup.trace = span(tup.trace, name, start=end - cost, end=end)
+        return batch
+
     def _consume_columnar(
         self, box: Box, arc: Arc, budget: int
     ) -> tuple[int, float]:
@@ -737,6 +816,8 @@ class AuroraEngine:
         np.add.accumulate(deltas, out=deltas)
         latency = float(deltas[-1])
         self.clock = float(chain[-1])
+        if self._tracing and train.traces is not None:
+            train = self._stamp_spans(box, train, chain, cost)
         # The scheduler only needs a positive work signal, not the exact
         # float chain (no contract compares step() returns across paths).
         consumed = n * cost
@@ -835,6 +916,7 @@ class AuroraEngine:
         empty = np.empty
         acc = np.add.accumulate
         capacity = self.cpu_capacity
+        tracing = self._tracing
         box_in = self._m_box_in
         box_out = self._m_box_out
         m_emitted = self._m_emitted
@@ -864,6 +946,8 @@ class AuroraEngine:
             acc(deltas, out=deltas)
             latency = float(deltas[-1])
             clock = float(chain_arr[-1])
+            if tracing and (not columnar or batch.traces is not None):
+                batch = self._stamp_spans(box, batch, chain_arr, cost)
             # step() returns only feed the idle check; the exact float
             # chain is not part of the accounting contract.
             consumed += count * cost
@@ -1217,7 +1301,14 @@ class AuroraEngine:
             n = len(train)
             if n == 0:
                 continue
-            for arc in output_arcs.get(out_port, []):
+            arcs = output_arcs.get(out_port, [])
+            if len(arcs) > 1 and self._tracing and train.traces is not None:
+                # A sampled tuple fanned out to several arcs is ONE
+                # object on the row path, re-stamped by each consumer in
+                # turn; only shared rows reproduce that lineage.
+                self._emit_batch(box, [(out_port, t) for t in train.to_tuples()])
+                continue
+            for arc in arcs:
                 kind, ref = arc.target
                 if arc.connection_point is not None:
                     for tup in train.to_tuples():
@@ -1256,6 +1347,12 @@ class AuroraEngine:
         self._counter_for(
             self._m_delivered, "engine.delivered.tuples", "stream", output_name
         ).inc(len(train))
+        traces = train.traces
+        if traces is not None and self._tracing:
+            # Stamped with the source timestamps, like _deliver's event.
+            self.tracer.event_block(
+                traces, f"deliver:{output_name}", train.timestamps[traces.rows]
+            )
 
     def _deliver(self, output_name: str, tup: StreamTuple) -> None:
         self.outputs[output_name].append(tup)

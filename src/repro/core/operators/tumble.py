@@ -39,6 +39,7 @@ from repro.core.columnar import (
 )
 from repro.core.operators.base import Emission, Operator, TrainEmission
 from repro.core.tuples import StreamTuple, key_getter
+from repro.obs.trace import TraceColumn
 
 
 def _col_pyval(col: np.ndarray, i: int) -> Any:
@@ -136,6 +137,7 @@ class _WindowEmissions:
         key_columns: dict[str, np.ndarray],
         results: Sequence[Any] | np.ndarray,
         timestamps: np.ndarray,
+        traces: TraceColumn | None = None,
     ) -> None:
         self._flush_rows()
         columns = dict(key_columns)
@@ -143,7 +145,9 @@ class _WindowEmissions:
             columns[self._result_attr] = results
         else:
             columns[self._result_attr] = as_column(list(results))
-        self._trains.append(ColumnarTrain(self._fields, columns, timestamps))
+        self._trains.append(
+            ColumnarTrain(self._fields, columns, timestamps, traces=traces)
+        )
 
     def trains(self) -> list[TrainEmission]:
         self._flush_rows()
@@ -321,16 +325,18 @@ class Tumble(Operator):
         rule: the train is split at every inter-arrival gap >= timeout
         and ``_fire_timeouts`` runs between the chunks.
 
-        Trains carrying lineage or trace metadata, and count-mode claims
-        whose key columns cannot be grouped vectorized, take the exact
-        list path internally and re-pack the emissions into trains.
+        A closed window carries the trace context of its first row
+        (what ``first.derive()`` copies on the row path).  Trains
+        carrying lineage metadata, and count-mode claims whose key
+        columns cannot be grouped vectorized, take the exact list path
+        internally and re-pack the emissions into trains.
         """
         if port != 0:
             raise ValueError(f"Tumble has a single input port, got {port}")
         n = len(train)
         if n == 0:
             return []
-        if train.seqs is not None or train.origins is not None or train.traces:
+        if train.seqs is not None or train.origins is not None:
             return emissions_to_trains(self.process_batch(train.to_tuples(), port=port))
         out = _WindowEmissions(self.groupby, self.result_attr)
         ts = train.timestamps
@@ -390,14 +396,20 @@ class Tumble(Operator):
             results = segment_results(agg, vals, c_starts, ends[idx:k - 1])
             key_cols = {g: c[c_starts] for g, c in zip(self.groupby, cols)}
             timestamps = train.timestamps[a:b][c_starts]
+            traces = (
+                train.traces.at_rows(a + c_starts)
+                if train.traces is not None else None
+            )
             if closure is not None:
                 merged = _prepend_row(closure, key_cols, results, timestamps)
                 if merged is None:
                     out.add_tuple(closure)
                 else:
                     key_cols, results, timestamps = merged
+                    if traces is not None:
+                        traces = traces.shifted(1)
                 closure = None
-            out.add_block(key_cols, results, timestamps)
+            out.add_block(key_cols, results, timestamps, traces)
             self.windows_emitted += k - 1 - idx
         elif closure is not None:
             out.add_tuple(closure)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import AuroraEngine
 
@@ -86,3 +88,27 @@ class LoadShedder:
                 engine.qos_monitor.record_shed(output)
             return False
         return True
+
+    def admit_train(
+        self, engine: "AuroraEngine", input_name: str, n: int
+    ) -> np.ndarray | None:
+        """Coin-flip admission for a whole train of ``n`` arriving tuples.
+
+        Returns the keep-mask, or None when every tuple is admitted.
+        Exactly what ``n`` calls of :meth:`admit` decide: no draw at all
+        while the input's drop probability is 0, otherwise the same
+        ``n`` draws in the same order; drops are accounted once, in bulk.
+        """
+        p = self.drop_probability.get(input_name, 0.0)
+        if p <= 0.0:
+            return None
+        draw = self._rng.random
+        keep = np.fromiter((draw() >= p for _ in range(n)), dtype=bool, count=n)
+        dropped = n - int(np.count_nonzero(keep))
+        if dropped == 0:
+            return None
+        self.tuples_dropped += dropped
+        engine.record_shed(input_name, dropped)
+        for output in engine.outputs_reachable_from_input(input_name):
+            engine.qos_monitor.record_shed(output, dropped)
+        return keep

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.columnar import ColumnarTrain, as_column
 from repro.core.tuples import StreamTuple
-from repro.obs.trace import TraceContext
+from repro.obs.trace import TraceColumn, TraceContext
 
 MAGIC = 0xA5
 VERSION = 1
@@ -281,13 +281,17 @@ def _encode_columnar(out: bytearray, train: ColumnarTrain) -> None:
         else:
             out.append(1)
             _encode_column(out, optional)
-    traces = train.traces or {}
+    traces = train.traces
+    if traces is None:
+        out += _U32.pack(0)
+        return
     out += _U32.pack(len(traces))
-    for index in sorted(traces):
-        ctx = traces[index]
+    for index, trace_id, span_id in zip(
+        traces.rows.tolist(), traces.trace_ids.tolist(), traces.span_ids.tolist()
+    ):
         out += _U32.pack(index)
-        out += _I64.pack(ctx.trace_id)
-        out += _I64.pack(ctx.span_id)
+        out += _I64.pack(trace_id)
+        out += _I64.pack(span_id)
 
 
 def _decode_columnar(reader: _Reader) -> ColumnarTrain:
@@ -299,10 +303,15 @@ def _decode_columnar(reader: _Reader) -> ColumnarTrain:
         raise FrameError("timestamp column must decode to float64")
     seqs = _decode_column(reader) if reader.u8() else None
     origins = _decode_column(reader) if reader.u8() else None
-    traces: dict[int, Any] = {}
-    for _ in range(reader.u32()):
-        index = reader.u32()
-        traces[index] = TraceContext(reader.i64(), reader.i64())
+    entries = sorted(
+        (reader.u32(), reader.i64(), reader.i64()) for _ in range(reader.u32())
+    )
+    traces = None
+    if entries:
+        rows, trace_ids, span_ids = (
+            np.asarray(column, dtype=np.int64) for column in zip(*entries)
+        )
+        traces = TraceColumn(rows, trace_ids, span_ids)
     return ColumnarTrain(
         fields, columns, timestamps, seqs=seqs, origins=origins, traces=traces
     )

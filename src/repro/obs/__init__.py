@@ -38,7 +38,7 @@ from repro.obs.registry import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
 )
-from repro.obs.trace import Span, SpanSink, TraceContext, Tracer
+from repro.obs.trace import Span, SpanSink, TraceColumn, TraceContext, Tracer
 
 __all__ = [
     "Counter",
@@ -50,6 +50,7 @@ __all__ = [
     "NULL_HISTOGRAM",
     "Span",
     "SpanSink",
+    "TraceColumn",
     "TraceContext",
     "Tracer",
     "diff_snapshots",

@@ -12,11 +12,24 @@ boundaries.
 Everything is deterministic: trace ids and span ids are sequential,
 sampling is systematic (every ``1/rate``-th source tuple), and the span
 tree serialization sorts children — so a seeded run produces a
-byte-identical trace regardless of execution path (the scalar and
-batched engines record identical spans).
+byte-identical trace regardless of execution path (the scalar, batched
+and columnar engines record identical spans).
+
+The columnar engine moves tuples in struct-of-arrays trains, so the
+same three things exist per *train*: a :class:`TraceColumn` is the
+trace context of a train's sampled rows, :meth:`Tracer.start_train`
+samples a whole train with the accumulator :meth:`Tracer.sample` uses,
+and :meth:`SpanSink.record_block` takes one hop's spans for a whole
+train as arrays — O(sampled rows) array work per box per train, with
+:class:`Span` objects built only when somebody reads them.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from typing import Any
+
+import numpy as np
 
 
 class TraceContext:
@@ -31,6 +44,145 @@ class TraceContext:
 
     def __repr__(self) -> str:
         return f"TraceContext(trace={self.trace_id}, span={self.span_id})"
+
+
+class TraceColumn:
+    """The :class:`TraceContext` of a columnar train's sampled rows.
+
+    ``rows`` holds the sampled row positions, ascending; ``trace_ids``
+    and ``span_ids`` are aligned with it.  Columns are immutable by
+    convention: a hop re-stamps by building a :meth:`child` column, the
+    way the row path assigns a fresh ``TraceContext`` to ``tup.trace``.
+
+    A column encoded from tuples keeps their context *objects* and reads
+    the ids off them only when a hop needs arrays, so a train survives
+    the round trip through rows with whatever a caller put in
+    ``tup.trace``.
+    """
+
+    __slots__ = ("rows", "_trace_ids", "_span_ids", "_contexts")
+
+    def __init__(
+        self,
+        rows: np.ndarray,
+        trace_ids: np.ndarray | None = None,
+        span_ids: np.ndarray | None = None,
+        contexts: np.ndarray | None = None,
+    ):
+        self.rows = rows
+        self._trace_ids = trace_ids
+        self._span_ids = span_ids
+        self._contexts = contexts
+
+    @classmethod
+    def of_contexts(cls, rows: list[int], contexts: list[Any]) -> "TraceColumn":
+        """The column of ``contexts`` carried by the tuples at ``rows``."""
+        boxed = np.empty(len(contexts), dtype=object)
+        boxed[:] = contexts
+        return cls(np.asarray(rows, dtype=np.int64), contexts=boxed)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _ids(self, attr: str) -> np.ndarray:
+        return np.fromiter(
+            (getattr(ctx, attr) for ctx in self._contexts), np.int64, len(self.rows)
+        )
+
+    @property
+    def trace_ids(self) -> np.ndarray:
+        if self._trace_ids is None:
+            self._trace_ids = self._ids("trace_id")
+        return self._trace_ids
+
+    @property
+    def span_ids(self) -> np.ndarray:
+        if self._span_ids is None:
+            self._span_ids = self._ids("span_id")
+        return self._span_ids
+
+    def contexts(self) -> list[Any]:
+        """One context object per sampled row (row materialization)."""
+        if self._contexts is not None:
+            return self._contexts.tolist()
+        return [
+            TraceContext(trace_id, span_id)
+            for trace_id, span_id in zip(
+                self._trace_ids.tolist(), self._span_ids.tolist()
+            )
+        ]
+
+    def context_at(self, row: int) -> Any:
+        """The context carried by ``row``, or None if it is not sampled."""
+        rows = self.rows
+        i = int(np.searchsorted(rows, row))
+        if i == len(rows) or rows[i] != row:
+            return None
+        if self._contexts is not None:
+            return self._contexts[i]
+        return TraceContext(int(self._trace_ids[i]), int(self._span_ids[i]))
+
+    def child(self, span_ids: np.ndarray) -> "TraceColumn":
+        """The same rows of the same traces, last touched under ``span_ids``."""
+        return TraceColumn(self.rows, self.trace_ids, span_ids)
+
+    def _take(self, entries: Any, rows: np.ndarray) -> "TraceColumn":
+        out = TraceColumn(rows)
+        if self._contexts is not None:
+            out._contexts = self._contexts[entries]
+        if self._trace_ids is not None:
+            out._trace_ids = self._trace_ids[entries]
+        if self._span_ids is not None:
+            out._span_ids = self._span_ids[entries]
+        return out
+
+    def select(self, mask: np.ndarray) -> "TraceColumn | None":
+        """The column of the sub-train ``mask`` keeps; None if no sampled
+        row survives."""
+        kept = mask[self.rows]
+        rows = self.rows[kept]
+        if not len(rows):
+            return None
+        # A kept row moves up by the number of dropped rows before it.
+        return self._take(kept, np.add.accumulate(mask, dtype=np.intp)[rows] - 1)
+
+    def slice(self, start: int, stop: int) -> "TraceColumn | None":
+        """The column of train rows [start, stop)."""
+        lo, hi = np.searchsorted(self.rows, (start, stop)).tolist()
+        if lo == hi:
+            return None
+        return self._take(slice(lo, hi), self.rows[lo:hi] - start)
+
+    def shifted(self, offset: int) -> "TraceColumn":
+        """The same contexts with every row moved by ``offset``."""
+        return self._take(slice(None), self.rows + offset)
+
+    def at_rows(self, positions: np.ndarray) -> "TraceColumn | None":
+        """The column of a train built from this train's rows at the
+        ascending ``positions`` (entry j of the result sits at row j's
+        source position); None if none of them is sampled."""
+        rows = self.rows
+        entries = np.minimum(np.searchsorted(rows, positions), len(rows) - 1)
+        hit = rows[entries] == positions
+        if not hit.any():
+            return None
+        return self._take(entries[hit], np.flatnonzero(hit))
+
+    @staticmethod
+    def concat(pieces: "list[tuple[TraceColumn, int]]") -> "TraceColumn":
+        """Join ``(column, row offset)`` pieces of consecutive trains."""
+        rows = np.concatenate([column.rows + offset for column, offset in pieces])
+        if any(column._contexts is not None for column, _offset in pieces):
+            contexts = [ctx for column, _offset in pieces for ctx in column.contexts()]
+            return TraceColumn.of_contexts(rows.tolist(), contexts)
+        return TraceColumn(
+            rows,
+            np.concatenate([column._trace_ids for column, _offset in pieces]),
+            np.concatenate([column._span_ids for column, _offset in pieces]),
+        )
+
+    def __repr__(self) -> str:
+        return f"TraceColumn({len(self.rows)} sampled rows)"
 
 
 class Span:
@@ -75,11 +227,45 @@ class Span:
 
 
 class SpanSink:
-    """Collects finished spans and reconstructs per-tuple lineage trees."""
+    """Collects finished spans and reconstructs per-tuple lineage trees.
+
+    Spans arrive one at a time (:meth:`record`) or as one hop's block
+    for a whole train (:meth:`record_block`).  Blocks are kept as the
+    arrays they came in; the ``Span`` objects behind them are built when
+    :attr:`spans` is first read.
+    """
 
     def __init__(self) -> None:
-        self.spans: list[Span] = []
+        self._spans: list[Span] = []
+        # Recorded since ``_spans`` was last brought up to date, in
+        # record order: blocks as (first span id, trace ids, parent ids
+        # or None, name, node, ends, duration), and the single spans
+        # recorded between them (so one ``record`` does not force every
+        # block before it into objects).
+        self._blocks: list[tuple | Span] = []
         self._next_span_id = 0
+
+    @property
+    def spans(self) -> list[Span]:
+        """Every recorded span, in record (= span id) order."""
+        if self._blocks:
+            spans = self._spans
+            for block in self._blocks:
+                if isinstance(block, Span):
+                    spans.append(block)
+                    continue
+                first, trace_ids, parent_ids, name, node, ends, duration = block
+                parents = (
+                    repeat(None) if parent_ids is None else parent_ids.tolist()
+                )
+                spans.extend(
+                    Span(trace_id, span_id, parent_id, name, node, end - duration, end)
+                    for span_id, (trace_id, parent_id, end) in enumerate(
+                        zip(trace_ids.tolist(), parents, ends.tolist()), first
+                    )
+                )
+            self._blocks.clear()
+        return self._spans
 
     def record(
         self,
@@ -93,8 +279,29 @@ class SpanSink:
         """Append one span; returns its assigned span id."""
         span_id = self._next_span_id
         self._next_span_id += 1
-        self.spans.append(Span(trace_id, span_id, parent_id, name, node, start, end))
+        span = Span(trace_id, span_id, parent_id, name, node, start, end)
+        (self._blocks if self._blocks else self._spans).append(span)
         return span_id
+
+    def record_block(
+        self,
+        trace_ids: np.ndarray,
+        parent_ids: np.ndarray | None,
+        name: str,
+        node: str,
+        ends: np.ndarray,
+        duration: float = 0.0,
+    ) -> np.ndarray:
+        """Append one span per entry of the aligned arrays, all called
+        ``name`` on ``node`` and all ``duration`` long (``parent_ids``
+        None for root spans); returns their span ids.  Equivalent to
+        calling :meth:`record` with ``start=end - duration`` entry by
+        entry, in order."""
+        count = len(trace_ids)
+        first = self._next_span_id
+        self._next_span_id = first + count
+        self._blocks.append((first, trace_ids, parent_ids, name, node, ends, duration))
+        return np.arange(first, first + count)
 
     # -- queries ---------------------------------------------------------------
 
@@ -171,10 +378,10 @@ class SpanSink:
         return {str(tid): self.tree(tid) for tid in self.trace_ids()}
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return self._next_span_id  # ids are sequential; builds no Span
 
     def __repr__(self) -> str:
-        return f"SpanSink({len(self.spans)} spans, {len(self.trace_ids())} traces)"
+        return f"SpanSink({len(self)} spans, {len(self.trace_ids())} traces)"
 
 
 class Tracer:
@@ -217,6 +424,70 @@ class Tracer:
         self._next_trace_id += 1
         self.traces_started += 1
         return trace_id
+
+    def sample_train(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Offer ``n`` source tuples at once.
+
+        Returns the admitted positions and their new trace ids — what
+        ``n`` calls of :meth:`sample` would admit, from the same
+        accumulator (the same float additions in the same order, so
+        per-tuple and per-train offers interleave freely).
+        """
+        self.offers += n
+        rate = self.sample_rate
+        admitted: list[int] = []
+        if rate > 0.0:
+            accumulator = self._accumulator
+            for position in range(n):
+                accumulator += rate
+                if accumulator >= 1.0:
+                    accumulator -= 1.0
+                    admitted.append(position)
+            self._accumulator = accumulator
+        first = self._next_trace_id
+        self._next_trace_id = first + len(admitted)
+        self.traces_started += len(admitted)
+        return (
+            np.asarray(admitted, dtype=np.int64),
+            np.arange(first, first + len(admitted)),
+        )
+
+    def start_train(
+        self, name: str, timestamps: np.ndarray, node: str = ""
+    ) -> TraceColumn | None:
+        """Whole-train :meth:`start_trace`: sample one source train,
+        record the admitted rows' root spans at their timestamps, and
+        return the column to stamp on the train (None if no row was
+        admitted)."""
+        rows, trace_ids = self.sample_train(len(timestamps))
+        if not len(rows):
+            return None
+        span_ids = self.sink.record_block(
+            trace_ids, None, name, node, timestamps[rows]
+        )
+        return TraceColumn(rows, trace_ids, span_ids)
+
+    def span_block(
+        self,
+        column: TraceColumn,
+        name: str,
+        ends: np.ndarray,
+        duration: float,
+        node: str = "",
+    ) -> TraceColumn:
+        """Whole-train :meth:`span`: one hop, ``duration`` long, under
+        every context of ``column``; returns the child column."""
+        return column.child(
+            self.sink.record_block(
+                column.trace_ids, column.span_ids, name, node, ends, duration
+            )
+        )
+
+    def event_block(
+        self, column: TraceColumn, name: str, at: np.ndarray, node: str = ""
+    ) -> None:
+        """Whole-train :meth:`event`: one leaf span under every context."""
+        self.sink.record_block(column.trace_ids, column.span_ids, name, node, at)
 
     def start_trace(
         self, name: str, node: str = "", at: float = 0.0

@@ -4,7 +4,8 @@ The property suite (test_fusion_property.py) establishes the global
 bit-exactness contract; this file pins the mechanisms behind it:
 encode/decode fidelity, dtype fallback, exact vectorized accounting
 folds, queue-entry clock ownership, lazy output buffers, every
-ingestion/claim barrier, and the wire framing helper.
+ingestion/claim barrier (and the two observers that are not barriers:
+tracer and shedder), and the wire framing helper.
 """
 
 import numpy as np
@@ -275,21 +276,59 @@ def test_connection_point_is_an_ingestion_barrier():
     assert len(arc.connection_point.history) == 6
 
 
-def test_shedder_is_an_ingestion_barrier():
-    assert_push_equivalent(
-        pipeline_net,
-        engine_kwargs=lambda: {"shedder": LoadShedder(target_load=0.5, seed=3)},
-    )
-
-
-def test_tracing_disables_columnar_mode():
+def test_shedder_is_not_an_ingestion_barrier():
     def kwargs():
-        return {"tracer": Tracer(sample_rate=1.0)}
+        return {"shedder": LoadShedder(target_load=0.5, seed=3)}
 
     assert_push_equivalent(pipeline_net, engine_kwargs=kwargs)
     net = pipeline_net()
-    engine = AuroraEngine(net, batch_execution=True, tracer=Tracer(sample_rate=1.0))
-    assert engine.columnar is False
+    engine = AuroraEngine(net, batch_execution=True, **kwargs())
+    assert engine.columnar is True
+    train = ColumnarTrain.from_tuples(make_stream(rows(8), spacing=0.01))
+    assert engine.push_train("s", train) == 8
+    arc = next(iter(net.boxes["f"].input_arcs.values()))
+    assert arc.has_segments and len(arc.queue) == 1
+
+
+def test_tracing_keeps_columnar_mode(monkeypatch):
+    def net():
+        network = QueryNetwork()
+        network.add_box("f", Filter(col("A") % 2 == 0, cost_per_tuple=0.001))
+        network.add_box("w", Tumble("sum", groupby=("B",), value_attr="A",
+                                    result_attr="A"))
+        network.connect("in:s", "f")
+        network.connect("f", "w")
+        network.connect("w", "out:o")
+        network.validate()
+        return network
+
+    def traced_run(push):
+        # run_network's snapshot has no span trees; compare those too.
+        tracer = Tracer(sample_rate=1.0)
+        result = run_network(net, push, engine_kwargs=lambda: {"tracer": tracer})
+        return result, dumps(tracer.sink.to_dict())
+
+    assert_push_equivalent(pipeline_net,
+                           engine_kwargs=lambda: {"tracer": Tracer(sample_rate=1.0)})
+    monkeypatch.setattr(
+        Tumble, "process_batch",
+        lambda *args, **kwargs: pytest.fail("Tumble fell to the row kernel"),
+    )
+    train_pushed = traced_run("train")
+    monkeypatch.undo()
+    assert train_pushed == traced_run("many")
+    assert train_pushed[0]["outputs"]["o"]
+
+    network = net()
+    tracer = Tracer(sample_rate=1.0)
+    engine = AuroraEngine(network, batch_execution=True, tracer=tracer)
+    assert engine.columnar is True
+    train = ColumnarTrain.from_tuples(make_stream(rows(8), spacing=0.01))
+    assert engine.push_train("s", train) == 8
+    arc = next(iter(network.boxes["f"].input_arcs.values()))
+    assert arc.has_segments and len(arc.queue) == 1
+    assert train.traces is None and train.enqueue_clocks is None  # caller's untouched
+    assert len(arc.queue[0].traces) == 8 and tracer.sink.count("source:s") == 8
 
 
 def test_mixed_queue_materializes_segments():

@@ -1,8 +1,12 @@
 """Tracer sampling and SpanSink tree reconstruction."""
 
+import json
+import random
+
+import numpy as np
 import pytest
 
-from repro.obs.trace import SpanSink, TraceContext, Tracer
+from repro.obs.trace import SpanSink, TraceColumn, TraceContext, Tracer
 
 
 class TestSampling:
@@ -118,3 +122,145 @@ class TestSink:
         tracer.event(root, "deliver:out")
         dumped = json.dumps(tracer.sink.to_dict(), sort_keys=True)
         assert "source:s" in dumped
+
+
+class TestTrainSampling:
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.1, 0.3, 0.9, 1.0])
+    def test_sample_train_is_n_samples(self, rate):
+        """Same accumulator, bit for bit: per-tuple and per-train offers
+        interleave freely and end in the same state."""
+        rng = random.Random(7)
+        one, train = Tracer(sample_rate=rate), Tracer(sample_rate=rate)
+        for _ in range(40):
+            n = rng.randint(0, 70)
+            expected = [(i, tid) for i in range(n)
+                        if (tid := one.sample()) is not None]
+            if rng.random() < 0.5:
+                rows, trace_ids = train.sample_train(n)
+                got = list(zip(rows.tolist(), trace_ids.tolist()))
+            else:
+                got = [(i, tid) for i in range(n)
+                       if (tid := train.sample()) is not None]
+            assert got == expected
+            assert train._accumulator == one._accumulator
+        assert (train.offers, train.traces_started) == (one.offers, one.traces_started)
+
+    def test_start_train_records_roots_at_timestamps(self):
+        tracer = Tracer(sample_rate=0.5)
+        timestamps = np.arange(6, dtype=np.float64) * 0.25
+        column = tracer.start_train("source:s", timestamps)
+        assert column.rows.tolist() == [1, 3, 5]
+        assert [(s.name, s.parent_id, s.start, s.end) for s in tracer.sink.spans] == [
+            ("source:s", None, t, t) for t in (0.25, 0.75, 1.25)
+        ]
+        assert Tracer(sample_rate=0.01).start_train("source:s", timestamps) is None
+
+
+class TestTraceColumn:
+    def column(self):
+        return TraceColumn(np.array([1, 4, 6]), np.array([10, 11, 12]),
+                           np.array([20, 21, 22]))
+
+    def ids(self, column):
+        if column is None:
+            return None
+        return {row: (ctx.trace_id, ctx.span_id)
+                for row, ctx in zip(column.rows.tolist(), column.contexts())}
+
+    def test_select_slice_shift_follow_the_rows(self):
+        mask = np.array([True, False, True, True, True, False, True, True])
+        assert self.ids(self.column().select(mask)) == {3: (11, 21), 4: (12, 22)}
+        assert self.column().select(~mask).rows.tolist() == [0]
+        assert self.column().select(np.zeros(8, dtype=bool)) is None
+        assert self.ids(self.column().slice(2, 7)) == {2: (11, 21), 4: (12, 22)}
+        assert self.column().slice(2, 4) is None
+        assert self.ids(self.column().shifted(1)) == {2: (10, 20), 5: (11, 21), 7: (12, 22)}
+        picked = self.column().at_rows(np.array([0, 4, 5, 6, 7]))
+        assert self.ids(picked) == {1: (11, 21), 3: (12, 22)}
+        assert self.column().at_rows(np.array([0, 7])) is None
+
+    def test_context_objects_round_trip(self):
+        """A column encoded from tuples hands back the very objects."""
+        foreign = [("span", 0.5), TraceContext(3, 9)]
+        column = TraceColumn.of_contexts([2, 5], foreign)
+        assert column.contexts() == foreign
+        assert column.context_at(2) is foreign[0] and column.context_at(3) is None
+        assert column.select(np.arange(8) != 2).contexts() == [foreign[1]]
+        joined = TraceColumn.concat([(self.column(), 0), (column, 8)])
+        assert joined.rows.tolist() == [1, 4, 6, 10, 13]
+        assert joined.contexts()[3:] == foreign
+        plain = TraceColumn.concat([(self.column(), 0), (self.column(), 8)])
+        assert plain.span_ids.tolist() == [20, 21, 22] * 2
+
+
+class TestBlockRecording:
+    """A block-recorded sink equals a span-at-a-time sink."""
+
+    HOPS = [("source:s", None), ("box:f", 0.002), ("box:w", 0.001), ("deliver:o", 0.0)]
+
+    def record(self, blocks):
+        """Four trains of hops; ``blocks(train, hop)`` says how each hop
+        of each train is recorded."""
+        sink = SpanSink()
+        tracer = Tracer(sink, sample_rate=0.5)
+        for train in range(4):
+            timestamps = train + np.arange(6, dtype=np.float64) * 0.125
+            if blocks(train, 0):
+                column = tracer.start_train("source:s", timestamps, node="n0")
+            else:
+                rows, contexts = [], []
+                for row, at in enumerate(timestamps.tolist()):
+                    ctx = tracer.start_trace("source:s", node="n0", at=at)
+                    if ctx is not None:
+                        rows.append(row)
+                        contexts.append(ctx)
+                column = TraceColumn.of_contexts(rows, contexts)
+            for hop, (name, cost) in enumerate(self.HOPS[1:], 1):
+                ends = timestamps[column.rows] + hop * 0.5
+                if blocks(train, hop):
+                    if name.startswith("deliver"):
+                        tracer.event_block(column, name, ends)
+                    else:
+                        column = tracer.span_block(column, name, ends, cost, node="n1")
+                    continue
+                contexts = []
+                for ctx, end in zip(column.contexts(), ends.tolist()):
+                    if name.startswith("deliver"):
+                        tracer.event(ctx, name, at=end)
+                    else:
+                        contexts.append(
+                            tracer.span(ctx, name, node="n1", start=end - cost, end=end)
+                        )
+                if contexts:
+                    column = TraceColumn.of_contexts(column.rows.tolist(), contexts)
+        return sink
+
+    @pytest.mark.parametrize("blocks", [
+        lambda train, hop: True,
+        lambda train, hop: train % 2 == 0,
+        lambda train, hop: hop % 2 == 1,
+        lambda train, hop: (train + hop) % 3 == 0,
+    ], ids=["all-blocks", "alternate-trains", "alternate-hops", "scattered"])
+    def test_equal_to_span_at_a_time(self, blocks):
+        single = self.record(lambda train, hop: False)
+        block = self.record(blocks)
+        assert len(block) == len(single) == 48
+        for prefix in ("", "box:", "deliver:o", "nope"):
+            assert block.count(prefix) == single.count(prefix)
+        assert block.trace_ids() == single.trace_ids()
+        for trace_id in single.trace_ids():
+            assert block.tree(trace_id) == single.tree(trace_id)
+            assert block.nodes_visited(trace_id) == single.nodes_visited(trace_id)
+        assert block.to_dict() == single.to_dict()
+        assert json.dumps(block.to_dict(), sort_keys=True) == json.dumps(
+            single.to_dict(), sort_keys=True)
+        assert [s.to_dict() for s in block.spans] == [s.to_dict() for s in single.spans]
+
+    def test_len_does_not_build_spans(self):
+        sink = SpanSink()
+        ids = sink.record_block(np.array([0, 1]), None, "source:s", "", np.array([0.5, 1.5]))
+        assert ids.tolist() == [0, 1] and len(sink) == 2 and sink._spans == []
+        assert sink.record(0, 0, "box:f") == 2  # singles keep record order...
+        assert sink._spans == []                # ...and build nothing either
+        assert [s.span_id for s in sink.spans] == [0, 1, 2] and len(sink) == 3
+        assert sink.record(1, 1, "box:f") == 3 and len(sink._spans) == 4
