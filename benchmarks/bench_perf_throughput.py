@@ -303,8 +303,11 @@ def measure_engine(build, stream, train_size: int, repeats: int,
         for mode, batch in (("scalar", False), ("batch", True)):
             elapsed = float("inf")
             for _inner in range(2):
+                # "scalar" is the per-tuple reference: box by box, no
+                # superboxes (fusion rides the batch path only).
                 once, emitted, clock = run_engine_once(
-                    build, stream, batch, train_size, scheduler=scheduler)
+                    build, stream, batch, train_size, scheduler=scheduler,
+                    fusion=batch)
                 elapsed = min(elapsed, once)
             paired[mode] = elapsed
             best[mode] = min(best[mode], elapsed)

@@ -16,19 +16,14 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Any, Callable, Iterable, Union
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
 from repro.core.catalog import LocalCatalog
-from repro.core.columnar import (
-    ColumnarTrain,
-    OutputBuffer,
-    accumulate_chain,
-    running_max,
-    sequential_sum,
-)
-from repro.core.fusion import FusedChain, find_runs
+from repro.core.columnar import ColumnarTrain, OutputBuffer, running_max
+from repro.core.fusion import FusedChain, build_chains, defuse_chains
 from repro.core.qos import QoSMonitor, QoSSpec
 from repro.core.query import Arc, Box, QueryNetwork
 from repro.core.scheduler import RoundRobinScheduler, Scheduler
@@ -80,8 +75,10 @@ class AuroraEngine:
             constituent kernel in a single pass, with no interior queue
             traffic.  Per-constituent statistics, obs counters and trace
             spans are still emitted exactly as the unfused network would
-            emit them.  Effective only with ``push_trains`` (the fused
-            pass is the compiled form of the train push).
+            emit them.  Effective only with ``push_trains`` **and**
+            ``batch_execution`` (the fused pass is the compiled form of
+            the train push; the per-tuple reference path runs box by
+            box).
         columnar: if True (the default), trains admitted via
             :meth:`push_train` stay in struct-of-arrays form
             (:class:`~repro.core.columnar.ColumnarTrain`) end to end:
@@ -169,7 +166,7 @@ class AuroraEngine:
         self.queued_counts: dict[str, int] = {}
         self._reach_cache: dict[str, frozenset[str]] = {}
         self._input_reach_cache: dict[str, frozenset[str]] = {}
-        self._runs: dict[str, list[str]] = {}
+        self._runs: dict[str, FusedChain] = {}
         self._fused: dict[str, FusedChain] = {}
         self._fused_member: dict[str, str] = {}
         self.invalidate_caches()
@@ -214,21 +211,18 @@ class AuroraEngine:
         for cache in (self._m_box_in, self._m_box_out, self._m_decisions):
             for stale in [box_id for box_id in cache if box_id not in live]:
                 del cache[stale]
-        # Superbox compilation (repro.core.fusion).  The run map is kept
-        # even with fusion off: train pushing and flushing visit a run's
-        # members consecutively in both modes, so fused and unfused
-        # execution stay clock-identical tuple for tuple.
-        self._runs = {}
-        self._fused = {}
-        self._fused_member = {}
-        if self.push_trains:
-            for run in find_runs(self.network):
-                self._runs[run[0]] = run
-                if self.fusion:
-                    chain = FusedChain([self.network.boxes[b] for b in run])
-                    self._fused[run[0]] = chain
-                    for member in run:
-                        self._fused_member[member] = run[0]
+        # Superbox compilation (repro.core.fusion).  Every run is
+        # compiled even with fusion off: train pushing and flushing visit
+        # a run's members consecutively in both modes, so fused and
+        # unfused execution stay clock-identical tuple for tuple.
+        # ``_fused`` holds the runs that execute as superboxes: all of
+        # them or none (the fused pass is a train pass).
+        self._runs, members = (
+            build_chains(self.network) if self.push_trains else ({}, {})
+        )
+        fuse = self.fusion and self.batch_execution
+        self._fused = dict(self._runs) if fuse else {}
+        self._fused_member = members if fuse else {}
         hook = getattr(self.scheduler, "network_changed", None)
         if hook is not None:
             hook(self)
@@ -236,25 +230,11 @@ class AuroraEngine:
     def defuse(self, box_id: str | None = None) -> None:
         """Dissolve superboxes — all of them, or the one containing ``box_id``.
 
-        Safe at any scheduling boundary: fusion never removed the
-        constituent boxes or arcs from the network (it only redirects
-        execution), a fused train always runs through every stage so
-        interior arcs are empty, and any queued tuples already sit on
-        the superbox input — the head box's own input arc.  Dropping
-        the overlay therefore restores per-box execution with no state
-        hand-back, and the run is still *pushed* member-by-member in
-        the fused order, so even the virtual clock is unaffected.
+        Safe at any scheduling boundary (see :func:`repro.core.fusion.defuse_chains`),
+        and the run is still *pushed* member-by-member in the fused
+        order, so even the virtual clock is unaffected.
         """
-        if box_id is None:
-            self._fused = {}
-            self._fused_member = {}
-            return
-        head = self._fused_member.get(box_id)
-        if head is None:
-            return
-        chain = self._fused.pop(head)
-        for stage in chain.stages:
-            self._fused_member.pop(stage.id, None)
+        defuse_chains(self._fused, self._fused_member, box_id)
 
     def fused_runs(self) -> list[list[str]]:
         """Box-id runs currently compiled into superboxes."""
@@ -342,8 +322,20 @@ class AuroraEngine:
                 f"source:{input_name}", at=tup.timestamp
             )
         for arc in self.network.inputs[input_name]:
-            self._enqueue(arc, tup)
+            self._hand_off(arc, [tup])
         return True
+
+    def _train_arc(self, input_name: str) -> Arc | None:
+        """The arc a whole train offered on ``input_name`` is enqueued on
+        in one go, or None at an ingestion barrier: input fan-out, a
+        connection point (history recording is per-tuple) or a
+        pass-through stream (delivered at ingestion, tuple by tuple)."""
+        if input_name not in self.network.inputs:
+            raise KeyError(f"engine network has no input {input_name!r}")
+        arcs = self.network.inputs[input_name]
+        if len(arcs) != 1 or arcs[0].connection_point is not None or arcs[0].is_output:
+            return None
+        return arcs[0]
 
     def _admit(
         self, input_name: str, timestamps: np.ndarray
@@ -372,10 +364,8 @@ class AuroraEngine:
         shed (or that was offered none) exports no ingest series."""
         if not n:
             return
-        target = arc.target[0]
-        if target != "out":
-            target = str(target)
-            self.queued_counts[target] = self.queued_counts.get(target, 0) + n
+        counts, target = self.queued_counts, arc.target[0]
+        counts[target] = counts.get(target, 0) + n
         self._counter_for(
             self._m_ingest, "engine.ingest.tuples", "input", input_name
         ).inc(n)
@@ -393,20 +383,14 @@ class AuroraEngine:
         caller's train is never mutated, and contexts it already carries
         are dropped — ingestion is authoritative.  Falls back to
         :meth:`push_many` whenever a barrier applies at ingestion:
-        columnar mode off, input fan-out, or a connection point on the
-        arc (history recording is per-tuple).
+        columnar mode off, or no single arc takes whole trains
+        (:meth:`_train_arc`).
         """
-        if input_name not in self.network.inputs:
-            raise KeyError(f"engine network has no input {input_name!r}")
+        arc = self._train_arc(input_name)
         n = len(train)
         if n == 0:
             return 0
-        arcs = self.network.inputs[input_name]
-        if (
-            not self.columnar
-            or len(arcs) != 1
-            or arcs[0].connection_point is not None
-        ):
+        if arc is None or not self.columnar:
             return self.push_many(input_name, train.to_tuples())
         clocks = running_max(self.clock, train.timestamps)
         self.clock = float(clocks[-1])
@@ -419,30 +403,19 @@ class AuroraEngine:
                 return 0
         if traces is not None or train.traces is not None:
             train = train.with_traces(traces)
-        arcs[0].append_train(train, clocks)
-        self._note_ingested(input_name, arcs[0], n)
+        arc.append_train(train, clocks)
+        self._note_ingested(input_name, arc, n)
         return n
 
     def push_many(self, input_name: str, tuples: Iterable[StreamTuple]) -> int:
         """Admit a batch; returns the number of tuples admitted."""
         if isinstance(tuples, ColumnarTrain):
             return self.push_train(input_name, tuples)
-        if input_name not in self.network.inputs:
-            raise KeyError(f"engine network has no input {input_name!r}")
-        arcs = self.network.inputs[input_name]
-        if not (
-            self.batch_execution
-            and len(arcs) == 1
-            and arcs[0].connection_point is None
-        ):
-            admitted = 0
-            for tup in tuples:
-                if self.push(input_name, tup):
-                    admitted += 1
-            return admitted
+        arc = self._train_arc(input_name)
+        if arc is None or not self.batch_execution:
+            return sum(self.push(input_name, tup) for tup in tuples)
         # Fast path: same per-tuple clock/stamp semantics as push(),
         # with the arc and queue lookups hoisted out of the loop.
-        arc = arcs[0]
         queue = arc.queue
         queue_times = arc.queue_times
         if self.shedder is not None or self._tracing:
@@ -484,14 +457,6 @@ class AuroraEngine:
         self._note_ingested(input_name, arc, admitted)
         return admitted
 
-    def _enqueue(self, arc: Arc, tup: StreamTuple) -> None:
-        if arc.push(tup):
-            arc.queue_times.append(self.clock)
-            target = arc.target[0]
-            if target != "out":
-                target = str(target)
-                self.queued_counts[target] = self.queued_counts.get(target, 0) + 1
-
     def _drop_queued(self, box_id: str, n: int) -> None:
         """Account ``n`` tuples consumed at a box in the queued index."""
         counts = self.queued_counts
@@ -502,6 +467,13 @@ class AuroraEngine:
             counts.pop(box_id, None)
 
     # -- execution ---------------------------------------------------------------
+    #
+    # One mechanism (Section 2.3): claim a train at the scheduled box and
+    # push it toward the output.  A box is a run of one stage and a row
+    # list is the degenerate encoding of a train, so there is one train
+    # runner next to the per-tuple reference; only the accounting fold
+    # (_fold_rows / _fold_train) and the enqueue leaf of _hand_off exist
+    # once per encoding.
 
     def step(self) -> float:
         """One scheduling decision.  Returns virtual seconds consumed (0 if idle)."""
@@ -525,38 +497,54 @@ class AuroraEngine:
         return consumed
 
     def _run_train(self, box_id: str, limit: int | None = None) -> float:
-        """Process up to ``train_size`` tuples at one box (or superbox)."""
+        """Process up to ``train_size`` tuples at one box (or superbox).
+
+        Claims are made at the head stage — more than one when fan-in
+        interleaves arcs — and every claimed batch is threaded through
+        all stages in one pass (:meth:`_thread`).  Obs and the queued
+        index are updated once per train from the per-stage counter
+        deltas, so every execution mode exports identical totals.
+        """
         budget = self.train_size if limit is None else limit
         chain = self._fused.get(box_id)
-        if chain is not None:
-            return self._run_train_fused(chain, budget)
-        box = self.network.boxes[box_id]
-        in_before = box.tuples_in
-        out_before = box.tuples_out
+        stages = chain.stages if chain is not None else (self.network.boxes[box_id],)
+        head = stages[0]
+        before = list(map(_traffic, stages))
         if self.batch_execution:
-            consumed = self._run_train_batched(box, budget)
+            # The scheduler only needs a positive work signal, not the
+            # exact float chain (no contract compares step() returns).
+            start = self.clock
+            fan_in = len(head.input_arcs) > 1
+            while budget > 0:
+                claim = self._claim(head, budget)
+                if claim is None:
+                    break
+                arc, batch, times, first_read = claim
+                budget -= len(batch)
+                port = int(arc.target[1])
+                self._thread(stages, chain, batch, times, first_read, port)
+                if not fan_in:
+                    break  # a lone arc gives all it has in one claim
+            consumed = self.clock - start
         else:
-            consumed = self._run_train_scalar(box, budget)
-        # Batch-aware accounting: one update set per train, identical
-        # totals on the scalar and batched paths.
-        n = box.tuples_in - in_before
-        if n:
-            self._drop_queued(box_id, n)
-            self._train_obs(box_id, n, box.tuples_out - out_before)
-        return consumed
-
-    def _train_obs(self, box_id: str, n: int, emitted: int) -> None:
-        """The per-train obs update set for one (logical) box."""
-        self._counter_for(
-            self._m_box_in, "engine.box.tuples_in", "box", box_id
-        ).inc(n)
-        if emitted:
+            consumed = self._run_train_scalar(head, budget)
+        for box, (seen, emitted) in zip(stages, before):
+            n = box.tuples_in - seen
+            if not n:
+                continue
             self._counter_for(
-                self._m_box_out, "engine.box.tuples_out", "box", box_id
-            ).inc(emitted)
-            self._m_emitted.inc(emitted)
-        self._m_tuples.inc(n)
-        self._m_train_hist.observe(n)
+                self._m_box_in, "engine.box.tuples_in", "box", box.id
+            ).inc(n)
+            emitted = box.tuples_out - emitted
+            if emitted:
+                self._counter_for(
+                    self._m_box_out, "engine.box.tuples_out", "box", box.id
+                ).inc(emitted)
+                self._m_emitted.inc(emitted)
+            self._m_tuples.inc(n)
+            self._m_train_hist.observe(n)
+        self._drop_queued(box_id, head.tuples_in - before[0][0])
+        return consumed
 
     def _run_train_scalar(self, box: Box, budget: int) -> float:
         """The per-tuple reference path: one full engine round per tuple."""
@@ -585,262 +573,13 @@ class AuroraEngine:
                     tup.trace, f"box:{box.id}",
                     start=self.clock - cost, end=self.clock,
                 )
-            for out_port, emitted in box.operator.process(tup, port=port):
-                box.tuples_out += 1
-                self._emit(box, out_port, emitted)
+            emissions = box.operator.process(tup, port=port)
+            box.tuples_out += len(emissions)
+            self._emit(box, [(out_port, [out]) for out_port, out in emissions])
             box.latency_sum += self.clock - enqueued_at
             box.latency_count += 1
             budget -= 1
         return consumed
-
-    def _run_train_batched(self, box: Box, budget: int) -> float:
-        """Process a train as first-class batches.
-
-        Each iteration claims a maximal run of tuples that the scalar
-        path would have consumed from the same arc (so consumption order
-        across input arcs is preserved exactly), dequeues it in one
-        slice, charges storage and cost/latency in one accounting pass
-        (clock and latency chains stay bit-identical to the scalar
-        path's incremental sums), runs ``process_batch`` once and emits
-        whole per-arc lists.  The one granularity change: a train's
-        emissions are enqueued downstream with the train-end clock
-        rather than per-tuple intermediate clocks (see
-        docs/architecture.md).
-        """
-        consumed = 0.0
-        operator = box.operator
-        cost = operator.cost_per_tuple / self.cpu_capacity
-        clock = self.clock
-        while budget > 0:
-            seg_arc = self._normalize_segments(box)
-            if seg_arc is not None:
-                self.clock = clock
-                took, extra = self._consume_columnar(box, seg_arc, budget)
-                clock = self.clock
-                consumed += extra
-                budget -= took
-                continue
-            arc, n = self._claim_run(box, budget)
-            if arc is None:
-                break
-            # Charge storage against the pre-pop queue length: the
-            # scalar path tests ``len(queue) <= spilled`` before each
-            # popleft, so the batch charge must see the same lengths.
-            read_cost, first_read = self.storage.charge_consume_batch(arc, n)
-            queue = arc.queue
-            if n == len(queue):
-                batch = list(queue)
-                queue.clear()
-            else:
-                popleft = queue.popleft
-                batch = [popleft() for _ in range(n)]
-            queue_times = arc.queue_times
-            timed = min(n, len(queue_times))
-            if timed == len(queue_times):
-                times = list(queue_times)
-                queue_times.clear()
-            else:
-                pop_time = queue_times.popleft
-                times = [pop_time() for _ in range(timed)]
-            latency = 0.0
-            tracing = self._tracing
-            if first_read >= n and timed == n and not tracing:
-                # Common case: no spilled reads, timestamps in lockstep.
-                for enqueued_at in times:
-                    clock += cost
-                    consumed += cost
-                    latency += clock - enqueued_at
-            else:
-                per_read = self.storage.read_cost
-                for i in range(n):
-                    if i >= first_read:
-                        clock += per_read
-                        consumed += per_read
-                    enqueued_at = times[i] if i < timed else clock
-                    clock += cost
-                    consumed += cost
-                    latency += clock - enqueued_at
-                    if tracing:
-                        tup = batch[i]
-                        if tup.trace is not None:
-                            # Same span, same clocks, as the scalar path
-                            # records for this tuple; re-stamped before
-                            # process_batch() so emissions inherit it.
-                            tup.trace = self.tracer.span(
-                                tup.trace, f"box:{box.id}",
-                                start=clock - cost, end=clock,
-                            )
-            self.clock = clock
-            box.busy_time += n * cost
-            box.tuples_in += n
-            box.latency_sum += latency
-            box.latency_count += n
-            self.tuples_processed += n
-            emissions = operator.process_batch(batch, port=int(arc.target[1]))
-            box.tuples_out += len(emissions)
-            self._emit_batch(box, emissions)
-            budget -= n
-        self.clock = clock
-        return consumed
-
-    def _claim_run(self, box: Box, budget: int) -> tuple[Arc | None, int]:
-        """The arc the scalar path would consume from next, and how many
-        consecutive head tuples it would take from it before switching
-        arcs (capped by ``budget``).
-
-        Replicates :meth:`_oldest_input_arc`'s selection rule: the first
-        arc (in port order) whose head enqueue time is strictly smaller
-        than any earlier arc's and no larger than any later arc's.
-        Delegates to the backend-agnostic :func:`claim_run`, keyed on
-        enqueue clocks.
-        """
-        return claim_run(box, budget, _enqueue_keys)
-
-    def _normalize_segments(self, box: Box) -> Arc | None:
-        """Prepare ``box``'s arcs for a claim; the columnar arc, if any.
-
-        Returns the single input arc when it holds only columnar
-        segments (the columnar claim path applies).  At barriers —
-        fan-in (multi-arc claims interleave per-tuple) or a queue mixing
-        plain tuples with segments — segments are expanded in place and
-        None is returned, so the classic claim proceeds with identical
-        per-tuple enqueue clocks and train boundaries.
-        """
-        input_arcs = box.input_arcs
-        if len(input_arcs) == 1:
-            arc = next(iter(input_arcs.values()))
-            if not arc._segments:
-                return None
-            if arc._segments == len(arc.queue):
-                return arc
-            arc.materialize_segments()
-            return None
-        for arc in input_arcs.values():
-            if arc._segments:
-                arc.materialize_segments()
-        return None
-
-    def _dequeue_segments(
-        self, arc: Arc, n: int
-    ) -> tuple[ColumnarTrain, np.ndarray]:
-        """Dequeue exactly ``n`` tuples of columnar segments from ``arc``.
-
-        Splits the last segment at the train budget boundary (the
-        unclaimed tail goes back as the new head), so claim sizes — and
-        therefore step counts and the virtual clock — match the list
-        path exactly.  Returns the combined train and its per-tuple
-        enqueue clocks.
-        """
-        head = arc.pop_segment()
-        count = len(head)
-        if count > n:
-            head, tail = head.split(n)
-            arc.replace_head_segment(tail)
-            return head, head.enqueue_clocks  # type: ignore[return-value]
-        if count == n:
-            return head, head.enqueue_clocks  # type: ignore[return-value]
-        parts = [head]
-        while count < n:
-            seg = arc.pop_segment()
-            if count + len(seg) > n:
-                take, rest = seg.split(n - count)
-                arc.replace_head_segment(rest)
-                parts.append(take)
-                count = n
-            else:
-                parts.append(seg)
-                count += len(seg)
-        train = ColumnarTrain.concat(parts)
-        times = np.concatenate([p.enqueue_clocks for p in parts])
-        return train, times
-
-    def _stamp_spans(
-        self,
-        box: Box,
-        batch: ColumnarTrain | list[StreamTuple],
-        ends: np.ndarray,
-        cost: float,
-    ) -> ColumnarTrain | list[StreamTuple]:
-        """Record ``box:<id>`` spans for the sampled rows of one claim.
-
-        ``ends`` is the clock chain the columnar runners already
-        accumulate (row i is done at ``ends[i]`` and started ``cost``
-        earlier — the floats the row loop passes to ``tracer.span``).
-        A train is re-stamped as a twin carrying the child column, so
-        the kernel's emissions inherit it; a row batch (a fused chain
-        past an opaque stage) is re-stamped tuple by tuple.
-        """
-        name = f"box:{box.id}"
-        if isinstance(batch, ColumnarTrain):
-            traces = batch.traces
-            return batch.with_traces(
-                self.tracer.span_block(traces, name, ends[traces.rows], cost)
-            )
-        span = self.tracer.span
-        for tup, end in zip(batch, ends.tolist()):
-            if tup.trace is not None:
-                tup.trace = span(tup.trace, name, start=end - cost, end=end)
-        return batch
-
-    def _consume_columnar(
-        self, box: Box, arc: Arc, budget: int
-    ) -> tuple[int, float]:
-        """One columnar claim at a (non-fused) box.
-
-        The accounting twin of one ``_run_train_batched`` iteration:
-        identical claim size, and clock/latency/consumed advanced by
-        strictly sequential ``add.accumulate`` chains — the same float
-        operations in the same order as the per-tuple Python loop.
-        Returns ``(tuples_taken, virtual_time_consumed)``; taking zero
-        means a spill barrier materialized the arc and the caller should
-        re-claim on the list path.
-        """
-        n = min(budget, arc.queued_tuples())
-        spilled = self.storage.spilled_on(arc)
-        if spilled and arc.queued_tuples() - spilled < n:
-            # Spilled reads interleave per-tuple charges into the clock
-            # chain; that exactness lives on the list path.
-            arc.materialize_segments()
-            return 0, 0.0
-        train, times = self._dequeue_segments(arc, n)
-        operator = box.operator
-        cost = operator.cost_per_tuple / self.cpu_capacity
-        # Inlined accumulate_chain/sequential_sum — bit-identical to the
-        # list path's per-tuple ``clock += cost; latency += delta`` loop.
-        chain = np.empty(n + 1, dtype=np.float64)
-        chain[0] = self.clock
-        chain[1:] = cost
-        np.add.accumulate(chain, out=chain)
-        chain = chain[1:]
-        deltas = chain - times
-        np.add.accumulate(deltas, out=deltas)
-        latency = float(deltas[-1])
-        self.clock = float(chain[-1])
-        if self._tracing and train.traces is not None:
-            train = self._stamp_spans(box, train, chain, cost)
-        # The scheduler only needs a positive work signal, not the exact
-        # float chain (no contract compares step() returns across paths).
-        consumed = n * cost
-        box.busy_time += n * cost
-        box.tuples_in += n
-        box.latency_sum += latency
-        box.latency_count += n
-        self.tuples_processed += n
-        port = int(arc.target[1])
-        if operator.supports_columnar:
-            train_emissions = operator.process_columnar(train, port=port)
-            out_count = 0
-            for _p, out_train in train_emissions:
-                out_count += len(out_train)
-            box.tuples_out += out_count
-            self._emit_columnar(box, train_emissions)
-        else:
-            # Operator barrier (stateful or opaque): materialize at the
-            # claim and run the exact-equivalent list batch kernel.
-            emissions = operator.process_batch(train.to_tuples(), port=port)
-            box.tuples_out += len(emissions)
-            self._emit_batch(box, emissions)
-        return n, consumed
 
     def _oldest_input_arc(self, box: Box) -> Arc | None:
         """The input arc whose head tuple was enqueued earliest."""
@@ -854,344 +593,175 @@ class AuroraEngine:
                 best, best_time = arc, head_time
         return best
 
-    def _run_train_fused(self, chain: FusedChain, budget: int) -> float:
-        """One train through a superbox: claimed once at the head,
-        threaded through every stage, emitted from the tail.
+    def _claim(
+        self, box: Box, budget: int
+    ) -> tuple[Arc, ColumnarTrain | list[StreamTuple], Any, int] | None:
+        """Claim the next batch at ``box``, or None when nothing is queued.
 
-        Interior arcs see no traffic at all — no deque pushes, no
-        ``queue_times`` stamping, no claim bookkeeping, no storage
-        charges (interior arcs are empty by construction, and
-        unspilled-arc charges are no-ops) — while the virtual clock,
-        per-stage statistics, obs counters and trace spans advance in
-        exactly the sums and order the unfused member-by-member train
-        push produces.
+        Returns ``(arc, batch, enqueue clocks, first_read)``.  A lone
+        input arc holding only columnar segments yields a train (clocks
+        as an array).  At the barriers — fan-in (multi-arc claims
+        interleave per tuple), a queue mixing rows with segments, a
+        claim reaching into the spilled tail (spilled reads interleave
+        per-tuple charges into the clock chain) — segments are expanded
+        in place and the claim is the maximal run of rows the per-tuple
+        path would have consumed from one arc before switching
+        (:func:`claim_run`); ``first_read`` is the index of the first
+        row read back from spill (``len(batch)`` if none).
         """
-        head = chain.head
-        arc = self._oldest_input_arc(head)
-        if arc is None or budget <= 0:
-            return 0.0
-        if self.batch_execution:
+        input_arcs = box.input_arcs
+        if len(input_arcs) == 1:
+            (arc,) = input_arcs.values()
             if arc._segments:
                 if arc._segments == len(arc.queue):
-                    n = min(budget, arc.queued_tuples())
-                    spilled = self.storage.spilled_on(arc)
-                    if not spilled or arc.queued_tuples() - spilled >= n:
-                        return self._run_train_fused_columnar(chain, arc, budget)
-                # Mixed queue or spill barrier: expand and take the
-                # list path (identical clocks and train boundaries).
+                    queued = arc.queued_tuples()
+                    n = min(budget, queued)
+                    if queued - self.storage.spilled_on(arc) >= n:
+                        train, times = self._dequeue_segments(arc, n)
+                        return arc, train, times, n
                 arc.materialize_segments()
-            return self._run_train_fused_batched(chain, arc, budget)
-        return self._run_train_fused_scalar(chain, arc, budget)
-
-    def _run_train_fused_columnar(
-        self, chain: FusedChain, arc: Arc, budget: int
-    ) -> float:
-        """One columnar train through a superbox: claimed once, threaded
-        through the compiled column kernels, emitted from the tail.
-
-        Per-stage accounting follows ``_run_train_fused_batched`` with
-        the per-tuple Python loops replaced by sequential
-        ``add.accumulate`` chains (bit-identical clock/latency floats).
-        A stage without a columnar kernel materializes the train once
-        and the remaining stages run their list kernels — transparent
-        per-stage fallback.
-        """
-        consumed = 0.0
-        clock = self.clock
-        stages = chain.stages
-        columnar_kernels = chain.columnar_kernels
-        list_kernels = chain.interior_kernels
-        head = stages[0]
-        last = len(stages) - 1
-        n = min(budget, arc.queued_tuples())
-        train, times = self._dequeue_segments(arc, n)
-        self._drop_queued(head.id, n)
-        batch: ColumnarTrain | list[StreamTuple] = train
-        columnar = True
-        processed = 0
-        stage_start = clock
-        # Hot loop: numpy entry points and engine attributes hoisted to
-        # locals (each stage is a handful of array ops; attribute lookup
-        # is a measurable fraction at small train sizes).
-        empty = np.empty
-        acc = np.add.accumulate
-        capacity = self.cpu_capacity
-        tracing = self._tracing
-        box_in = self._m_box_in
-        box_out = self._m_box_out
-        m_emitted = self._m_emitted
-        m_tuples = self._m_tuples
-        hist_observe = self._m_train_hist.observe
-        new_counter = self.metrics.counter
-        for index, box in enumerate(stages):
-            count = len(batch)
-            if count == 0:
-                break
-            cost = box.operator.cost_per_tuple / capacity
-            # Inlined accumulate_chain/sequential_sum (this loop is the
-            # hottest accounting path): the strictly sequential
-            # ``add.accumulate`` chains stay bit-identical to the
-            # per-tuple ``clock += cost`` / ``latency += delta`` loops.
-            chain_arr = empty(count + 1, dtype=np.float64)
-            chain_arr[0] = clock
-            chain_arr[1:] = cost
-            acc(chain_arr, out=chain_arr)
-            chain_arr = chain_arr[1:]
-            if index == 0:
-                deltas = chain_arr - times
-            else:
-                # Interior stages: logically enqueued at the previous
-                # stage's train-end clock (the _emit_batch stamp).
-                deltas = chain_arr - stage_start
-            acc(deltas, out=deltas)
-            latency = float(deltas[-1])
-            clock = float(chain_arr[-1])
-            if tracing and (not columnar or batch.traces is not None):
-                batch = self._stamp_spans(box, batch, chain_arr, cost)
-            # step() returns only feed the idle check; the exact float
-            # chain is not part of the accounting contract.
-            consumed += count * cost
-            box.busy_time += count * cost
-            box.tuples_in += count
-            box.latency_sum += latency
-            box.latency_count += count
-            processed += count
-            if index == last:
-                self.clock = clock
-                if columnar and chain.tail_columnar:
-                    train_emissions = box.operator.process_columnar(batch, port=0)
-                    out_count = 0
-                    for _p, out_train in train_emissions:
-                        out_count += len(out_train)
-                    box.tuples_out += out_count
-                    self._emit_columnar(box, train_emissions)
-                else:
-                    if columnar:
-                        batch = batch.to_tuples()
-                    emissions = box.operator.process_batch(batch, port=0)
-                    out_count = len(emissions)
-                    box.tuples_out += out_count
-                    self._emit_batch(box, emissions)
-            else:
-                if columnar:
-                    kernel = columnar_kernels[index]
-                    if kernel is not None:
-                        out_batch: ColumnarTrain | list[StreamTuple] = kernel(batch)
-                    else:
-                        out_batch = list_kernels[index](batch.to_tuples())
-                        columnar = False
-                else:
-                    out_batch = list_kernels[index](batch)
-                out_count = len(out_batch)
-                box.tuples_out += out_count
-                batch = out_batch
-                stage_start = clock
-            # _train_obs inlined with hoisted handles (same update set,
-            # same counters — only the dispatch overhead is gone).
-            box_id = box.id
-            in_c = box_in.get(box_id)
-            if in_c is None:
-                in_c = box_in[box_id] = new_counter(
-                    "engine.box.tuples_in", box=box_id
-                )
-            in_c.inc(count)
-            if out_count:
-                out_c = box_out.get(box_id)
-                if out_c is None:
-                    out_c = box_out[box_id] = new_counter(
-                        "engine.box.tuples_out", box=box_id
-                    )
-                out_c.inc(out_count)
-                m_emitted.inc(out_count)
-            m_tuples.inc(count)
-            hist_observe(count)
-        self.tuples_processed += processed
-        self.clock = clock
-        return consumed
-
-    def _run_train_fused_batched(
-        self, chain: FusedChain, arc: Arc, budget: int
-    ) -> float:
-        consumed = 0.0
-        clock = self.clock
-        tracing = self._tracing
-        stages = chain.stages
-        kernels = chain.interior_kernels
-        head = stages[0]
-        last = len(stages) - 1
-        n = min(budget, len(arc.queue))
-        # Same claim/charge protocol as _run_train_batched's first (and,
-        # for a single-arc box, only) iteration.
+            n = min(budget, len(arc.queue))  # claim_run's lone-arc rule
+        else:
+            for arc in input_arcs.values():
+                arc.materialize_segments()
+            arc, n = claim_run(box, budget, _enqueue_keys)
+        if not n:
+            return None
+        # Charge storage against the pre-pop queue length: the per-tuple
+        # path tests ``len(queue) <= spilled`` before each popleft, so
+        # the batch charge must see the same lengths.
         _read_cost, first_read = self.storage.charge_consume_batch(arc, n)
-        queue = arc.queue
-        if n == len(queue):
-            batch = list(queue)
-            queue.clear()
-        else:
-            popleft = queue.popleft
-            batch = [popleft() for _ in range(n)]
-        queue_times = arc.queue_times
-        timed = min(n, len(queue_times))
-        if timed == len(queue_times):
-            times = list(queue_times)
-            queue_times.clear()
-        else:
-            pop_time = queue_times.popleft
-            times = [pop_time() for _ in range(timed)]
-        self._drop_queued(head.id, n)
-        per_read = self.storage.read_cost
-        stage_start = clock
+        batch = pop_head(arc.queue, n)
+        times = pop_head(arc.queue_times, min(n, len(arc.queue_times)))
+        return arc, batch, times, first_read
+
+    def _dequeue_segments(
+        self, arc: Arc, n: int
+    ) -> tuple[ColumnarTrain, np.ndarray]:
+        """Dequeue exactly ``n`` tuples of columnar segments from ``arc``.
+
+        Splits the last segment at the train budget boundary (the
+        unclaimed tail goes back as the new head), so claim sizes — and
+        therefore step counts and the virtual clock — match the list
+        path exactly.  Returns the combined train and its per-tuple
+        enqueue clocks.
+        """
+        parts: list[ColumnarTrain] = []
+        count = 0
+        while count < n:
+            seg = arc.pop_segment()
+            if count + len(seg) > n:
+                seg, rest = seg.split(n - count)
+                arc.replace_head_segment(rest)
+            parts.append(seg)
+            count += len(seg)
+        if len(parts) == 1:
+            return seg, seg.enqueue_clocks  # type: ignore[return-value]
+        times = np.concatenate([p.enqueue_clocks for p in parts])
+        return ColumnarTrain.concat(parts), times
+
+    def _thread(
+        self,
+        stages: Sequence[Box],
+        chain: FusedChain | None,
+        batch: ColumnarTrain | list[StreamTuple],
+        times: Any,
+        first_read: int,
+        port: int,
+    ) -> None:
+        """Thread one claimed batch through every stage; emit from the tail.
+
+        Per stage: fold the clock/latency chain (the encoding's own
+        fold — the same float additions in the same order either way),
+        stamp spans for sampled rows, then run the column kernel, or
+        materialize once and run the row kernel from there on.  Interior
+        arcs of a superbox see no traffic at all (no deque pushes, no
+        ``queue_times`` stamping, no storage charges), while the clock,
+        per-stage statistics and trace spans advance in exactly the sums
+        and order the unfused member-by-member train push produces.
+        ``chain``'s kernel lists are read here, at call time: profilers
+        swap entries after construction.
+        """
+        tracing = self._tracing
+        last = len(stages) - 1
         for index, box in enumerate(stages):
             count = len(batch)
             if count == 0:
-                break
-            cost = box.operator.cost_per_tuple / self.cpu_capacity
-            latency = 0.0
-            if index == 0:
-                if first_read >= count and timed == count and not tracing:
-                    for enqueued_at in times:
-                        clock += cost
-                        consumed += cost
-                        latency += clock - enqueued_at
-                else:
-                    for i in range(count):
-                        if i >= first_read:
-                            clock += per_read
-                            consumed += per_read
-                        enqueued_at = times[i] if i < timed else clock
-                        clock += cost
-                        consumed += cost
-                        latency += clock - enqueued_at
-                        if tracing:
-                            tup = batch[i]
-                            if tup.trace is not None:
-                                tup.trace = self.tracer.span(
-                                    tup.trace, f"box:{box.id}",
-                                    start=clock - cost, end=clock,
-                                )
-            elif not tracing:
-                # Interior stages: every tuple was (logically) enqueued
-                # at the previous stage's train-end clock — the stamp
-                # _emit_batch would have written.
-                enqueued_at = stage_start
-                for _ in range(count):
-                    clock += cost
-                    consumed += cost
-                    latency += clock - enqueued_at
+                return
+            operator = box.operator
+            cost = operator.cost_per_tuple / self.cpu_capacity
+            columnar = isinstance(batch, ColumnarTrain)
+            if columnar:
+                self.clock, latency, ends = _fold_train(self.clock, cost, count, times)
+                if tracing and batch.traces is not None:
+                    batch = self._stamp_spans(box, batch, ends, cost)
             else:
-                enqueued_at = stage_start
-                for i in range(count):
-                    clock += cost
-                    consumed += cost
-                    latency += clock - enqueued_at
-                    tup = batch[i]
-                    if tup.trace is not None:
-                        tup.trace = self.tracer.span(
-                            tup.trace, f"box:{box.id}",
-                            start=clock - cost, end=clock,
-                        )
+                sampled = tracing and any(map(_trace_of, batch))
+                self.clock, latency, ends = _fold_rows(
+                    self.clock, cost, count, times, first_read,
+                    self.storage.read_cost, sampled,
+                )
+                if sampled:
+                    self._stamp_spans(box, batch, ends, cost)
             box.busy_time += count * cost
             box.tuples_in += count
             box.latency_sum += latency
             box.latency_count += count
             self.tuples_processed += count
             if index == last:
-                self.clock = clock
-                emissions = box.operator.process_batch(batch, port=0)
-                out_count = len(emissions)
-                box.tuples_out += out_count
-                self._emit_batch(box, emissions)
-            else:
-                out = kernels[index](batch)
-                out_count = len(out)
-                box.tuples_out += out_count
-                batch = out
-                stage_start = clock
-            self._train_obs(box.id, count, out_count)
-        self.clock = clock
-        return consumed
-
-    def _run_train_fused_scalar(
-        self, chain: FusedChain, arc: Arc, budget: int
-    ) -> float:
-        consumed = 0.0
-        tracing = self._tracing
-        stages = chain.stages
-        last = len(stages) - 1
-        head = stages[0]
-        operator = head.operator
-        cost = operator.cost_per_tuple / self.cpu_capacity
-        # Stage 0 claims from the head's real input arc, exactly like
-        # _run_train_scalar; later stages carry (tuple, emit-clock)
-        # pairs instead of touching the interior arcs.
-        pending: list[tuple[StreamTuple, float]] = []
-        taken = 0
-        emitted_count = 0
-        while budget > 0 and arc.queue:
-            read_cost = self.storage.charge_consume(arc)
-            self.clock += read_cost
-            consumed += read_cost
-            tup = arc.queue.popleft()
-            enqueued_at = (
-                arc.queue_times.popleft() if arc.queue_times else self.clock
-            )
-            self.clock += cost
-            consumed += cost
-            head.busy_time += cost
-            head.tuples_in += 1
-            self.tuples_processed += 1
-            if tracing and tup.trace is not None:
-                tup.trace = self.tracer.span(
-                    tup.trace, f"box:{head.id}",
-                    start=self.clock - cost, end=self.clock,
-                )
-            emitted = operator.process(tup, port=0)
-            for _out_port, out_tup in emitted:
-                head.tuples_out += 1
-                pending.append((out_tup, self.clock))
-            head.latency_sum += self.clock - enqueued_at
-            head.latency_count += 1
-            budget -= 1
-            taken += 1
-            emitted_count += len(emitted)
-        if taken == 0:
-            return consumed
-        self._drop_queued(head.id, taken)
-        self._train_obs(head.id, taken, emitted_count)
-        for index in range(1, last + 1):
-            if not pending:
                 break
-            box = stages[index]
-            operator = box.operator
-            cost = operator.cost_per_tuple / self.cpu_capacity
-            current = pending
-            pending = []
-            emitted_count = 0
-            for tup, enqueued_at in current:
-                self.clock += cost
-                consumed += cost
-                box.busy_time += cost
-                box.tuples_in += 1
-                self.tuples_processed += 1
-                if tracing and tup.trace is not None:
-                    tup.trace = self.tracer.span(
-                        tup.trace, f"box:{box.id}",
-                        start=self.clock - cost, end=self.clock,
-                    )
-                emitted = operator.process(tup, port=0)
-                if index == last:
-                    for out_port, out_tup in emitted:
-                        box.tuples_out += 1
-                        self._emit(box, out_port, out_tup)
-                else:
-                    for _out_port, out_tup in emitted:
-                        box.tuples_out += 1
-                        pending.append((out_tup, self.clock))
-                box.latency_sum += self.clock - enqueued_at
-                box.latency_count += 1
-                emitted_count += len(emitted)
-            self._train_obs(box.id, len(current), emitted_count)
-        return consumed
+            kernel = chain.columnar_kernels[index] if columnar else None
+            if kernel is None:
+                if columnar:
+                    batch = batch.to_tuples()
+                kernel = chain.interior_kernels[index]
+            batch = kernel(batch)
+            box.tuples_out += len(batch)
+            # Interior hand-off: every tuple is logically enqueued at
+            # this stage's train-end clock (the stamp _hand_off would
+            # have written), and nothing spills in between.
+            first_read = len(batch)
+            times = (
+                self.clock if isinstance(batch, ColumnarTrain)
+                else [self.clock] * first_read
+            )
+        if columnar and operator.supports_columnar:
+            emissions = operator.process_columnar(batch, port=port)
+            box.tuples_out += sum(len(train) for _port, train in emissions)
+        else:
+            # Operator barrier (stateful or opaque): materialize and run
+            # the exact-equivalent row kernel.
+            if columnar:
+                batch = batch.to_tuples()
+            rows = operator.process_batch(batch, port=port)
+            box.tuples_out += len(rows)
+            emissions = _by_port(rows)
+        self._emit(box, emissions)
+
+    def _stamp_spans(
+        self, box: Box, batch: ColumnarTrain | list[StreamTuple], ends: Any, cost: float
+    ) -> ColumnarTrain | list[StreamTuple]:
+        """Record ``box:<id>`` spans for the sampled rows of one claim.
+
+        ``ends`` is the clock chain the fold already accumulated (row i
+        is done at ``ends[i]`` and started ``cost`` earlier — the floats
+        the reference path passes to ``tracer.span``): an array for a
+        train, a list for rows.  A train is re-stamped as a twin
+        carrying the child column, so the kernel's emissions inherit it;
+        rows are re-stamped tuple by tuple, before the kernel runs, for
+        the same reason.
+        """
+        name = f"box:{box.id}"
+        if isinstance(batch, ColumnarTrain):
+            traces = batch.traces
+            return batch.with_traces(
+                self.tracer.span_block(traces, name, ends[traces.rows], cost)
+            )
+        span = self.tracer.span
+        for tup, end in zip(batch, ends):
+            if tup.trace is not None:
+                tup.trace = span(tup.trace, name, start=end - cost, end=end)
+        return batch
 
     def _advance_run(self, box_id: str) -> tuple[str, float]:
         """After running ``box_id``, bring the rest of its run current.
@@ -1207,11 +777,10 @@ class AuroraEngine:
             return box_id, 0.0
         consumed = 0.0
         if box_id not in self._fused:
-            boxes = self.network.boxes
-            for member in run[1:]:
-                if boxes[member].queued():
-                    consumed += self._run_train(member)
-        return run[-1], consumed
+            for member in run.stages[1:]:
+                if member.queued():
+                    consumed += self._run_train(member.id)
+        return run.tail.id, consumed
 
     def _push_downstream(self, box_id: str) -> float:
         """Push a train's outputs through downstream boxes (train scheduling)."""
@@ -1232,156 +801,110 @@ class AuroraEngine:
                     frontier.append(succ)
         return consumed
 
-    def _emit(self, box: Box, out_port: int, tup: StreamTuple) -> None:
-        for arc in box.output_arcs.get(out_port, []):
-            kind, ref = arc.target
-            if kind == "out":
-                if arc.push(tup):
-                    arc.queue.popleft()
-                    self._deliver(str(ref), tup)
-            else:
-                self._enqueue(arc, tup)
-
-    def _emit_batch(self, box: Box, emissions: list[tuple[int, StreamTuple]]) -> None:
-        """Route a whole train's emissions, appending per-arc lists.
+    def _emit(
+        self,
+        box: Box,
+        emissions: Iterable[tuple[int, ColumnarTrain | list[StreamTuple]]],
+    ) -> None:
+        """Route ``(port, batch)`` emissions to every arc on their ports.
 
         Per-port emission order is preserved (each arc is fed from a
-        single source port, so per-arc queue order matches the scalar
-        path).  Arcs with connection points fall back to per-tuple
-        pushes — history recording, subscribers and choking are
-        per-tuple affairs.
+        single source port, so per-arc queue order matches the per-tuple
+        path).
         """
-        if not emissions:
-            return
-        groups: dict[int, list[StreamTuple]] = {}
-        for out_port, tup in emissions:
-            group = groups.get(out_port)
-            if group is None:
-                groups[out_port] = group = [tup]
-            else:
-                group.append(tup)
         output_arcs = box.output_arcs
-        for out_port, tuples in groups.items():
-            for arc in output_arcs.get(out_port, []):
-                kind, ref = arc.target
-                if arc.connection_point is not None:
-                    for tup in tuples:
-                        if kind == "out":
-                            if arc.push(tup):
-                                arc.queue.popleft()
-                                self._deliver(str(ref), tup)
-                        else:
-                            self._enqueue(arc, tup)
-                elif kind == "out":
-                    arc.tuples_transferred += len(tuples)
-                    self._deliver_batch(str(ref), tuples)
-                else:
-                    arc.queue.extend(tuples)
-                    arc.tuples_transferred += len(tuples)
-                    arc.queue_times.extend([self.clock] * len(tuples))
-                    target = str(kind)
-                    self.queued_counts[target] = (
-                        self.queued_counts.get(target, 0) + len(tuples)
-                    )
-
-    def _emit_columnar(
-        self, box: Box, emissions: list[tuple[int, ColumnarTrain]]
-    ) -> None:
-        """Route whole per-port sub-trains downstream as segments.
-
-        The columnar twin of :meth:`_emit_batch`: each non-empty
-        sub-train is appended to its arcs as ONE queue entry stamped
-        with the train-end clock.  Connection-point arcs materialize
-        here (history recording, subscribers and choking are per-tuple
-        affairs); delivery to applications stays columnar and lazy.
-        """
-        clock = self.clock
-        output_arcs = box.output_arcs
-        for out_port, train in emissions:
-            n = len(train)
-            if n == 0:
+        for out_port, batch in emissions:
+            if not batch:
                 continue
-            arcs = output_arcs.get(out_port, [])
-            if len(arcs) > 1 and self._tracing and train.traces is not None:
+            arcs = output_arcs.get(out_port, ())
+            if (
+                len(arcs) > 1
+                and self._tracing
+                and isinstance(batch, ColumnarTrain)
+                and batch.traces is not None
+            ):
                 # A sampled tuple fanned out to several arcs is ONE
                 # object on the row path, re-stamped by each consumer in
                 # turn; only shared rows reproduce that lineage.
-                self._emit_batch(box, [(out_port, t) for t in train.to_tuples()])
-                continue
+                batch = batch.to_tuples()
             for arc in arcs:
-                kind, ref = arc.target
-                if arc.connection_point is not None:
-                    for tup in train.to_tuples():
-                        if kind == "out":
-                            if arc.push(tup):
-                                arc.queue.popleft()
-                                self._deliver(str(ref), tup)
-                        else:
-                            self._enqueue(arc, tup)
-                elif kind == "out":
-                    arc.tuples_transferred += n
-                    self._deliver_train(str(ref), train)
+                self._hand_off(arc, batch)
+
+    def _hand_off(self, arc: Arc, batch: ColumnarTrain | list[StreamTuple]) -> None:
+        """Hand a row list or a whole train to one arc, stamped with the
+        current clock (for a train's emissions: the train-end clock).
+
+        Connection-point arcs take tuples one by one — history
+        recording, subscribers and choking are per-tuple affairs — so a
+        train materializes here; ``out`` arcs deliver; every other arc
+        enqueues the batch whole: rows extend the queue, a train is ONE
+        queue entry.
+        """
+        n = len(batch)
+        kind, ref = arc.target
+        counts = self.queued_counts
+        if arc.connection_point is not None:
+            if isinstance(batch, ColumnarTrain):
+                batch = batch.to_tuples()
+            for tup in batch:
+                if not arc.push(tup):
+                    continue  # held at a choked connection point
+                if kind == "out":
+                    arc.queue.popleft()
+                    self._deliver(ref, [tup])
                 else:
-                    # Read-only broadcast: every tuple in the segment is
-                    # stamped with the same train-end clock.
-                    arc.append_train(train, np.broadcast_to(clock, (n,)))
-                    target = str(kind)
-                    self.queued_counts[target] = (
-                        self.queued_counts.get(target, 0) + n
-                    )
+                    arc.queue_times.append(self.clock)
+                    counts[kind] = counts.get(kind, 0) + 1
+            return
+        if kind == "out":
+            arc.tuples_transferred += n
+            self._deliver(ref, batch)
+            return
+        if isinstance(batch, ColumnarTrain):
+            # Read-only broadcast: every tuple in the segment is stamped
+            # with the same clock.
+            arc.append_train(batch, np.broadcast_to(self.clock, (n,)))
+        else:
+            arc.queue.extend(batch)
+            arc.queue_times.extend([self.clock] * n)
+            arc.tuples_transferred += n
+        counts[kind] = counts.get(kind, 0) + n
 
-    def _deliver_train(self, output_name: str, train: ColumnarTrain) -> None:
-        """Deliver a whole columnar segment to an application output.
+    def _deliver(
+        self, output_name: str, batch: ColumnarTrain | list[StreamTuple]
+    ) -> None:
+        """Deliver a row list or a whole train to an application output.
 
-        The segment lands in the lazy :class:`OutputBuffer` unmaterialized;
-        QoS latency samples are the vectorized ``clock - timestamp``
-        column (elementwise — the same floats the per-tuple path records).
+        A train lands in the lazy :class:`OutputBuffer` unmaterialized
+        (only columnar engines carry trains, and all their buffers are
+        lazy), with QoS latency samples taken from the vectorized
+        ``clock - timestamp`` column — elementwise, the same floats the
+        row loop records.  Trace events are stamped with the tuples'
+        source timestamps, not the engine clock: a train delivers at its
+        train-end clock, so only the timestamp is path-invariant.
         """
         buffer = self.outputs[output_name]
-        if isinstance(buffer, OutputBuffer):
-            buffer.extend_train(train)
+        clock = self.clock
+        if isinstance(batch, ColumnarTrain):
+            buffer.extend_train(batch)  # type: ignore[union-attr]
+            latencies = (clock - batch.timestamps).tolist()
+            traces = batch.traces
+            if traces is not None and self._tracing:
+                self.tracer.event_block(
+                    traces, f"deliver:{output_name}", batch.timestamps[traces.rows]
+                )
         else:
-            buffer.extend(train.to_tuples())
-        latencies = (self.clock - train.timestamps).tolist()
+            buffer.extend(batch)
+            latencies = [clock - tup.timestamp for tup in batch]
+            if self._tracing:
+                event = self.tracer.event
+                for tup in batch:
+                    if tup.trace is not None:
+                        event(tup.trace, f"deliver:{output_name}", at=tup.timestamp)
         self.qos_monitor.record_output_batch(output_name, latencies)
         self._counter_for(
             self._m_delivered, "engine.delivered.tuples", "stream", output_name
-        ).inc(len(train))
-        traces = train.traces
-        if traces is not None and self._tracing:
-            # Stamped with the source timestamps, like _deliver's event.
-            self.tracer.event_block(
-                traces, f"deliver:{output_name}", train.timestamps[traces.rows]
-            )
-
-    def _deliver(self, output_name: str, tup: StreamTuple) -> None:
-        self.outputs[output_name].append(tup)
-        self.qos_monitor.record_output(output_name, self.clock - tup.timestamp)
-        self._counter_for(
-            self._m_delivered, "engine.delivered.tuples", "stream", output_name
-        ).inc()
-        if self._tracing and tup.trace is not None:
-            # Stamped with the tuple's source timestamp, not the engine
-            # clock: the batched path delivers at train-end clock, so
-            # only the timestamp is path-invariant.
-            self.tracer.event(tup.trace, f"deliver:{output_name}", at=tup.timestamp)
-
-    def _deliver_batch(self, output_name: str, tuples: list[StreamTuple]) -> None:
-        self.outputs[output_name].extend(tuples)
-        record = self.qos_monitor.record_output
-        clock = self.clock
-        for tup in tuples:
-            record(output_name, clock - tup.timestamp)
-        self._counter_for(
-            self._m_delivered, "engine.delivered.tuples", "stream", output_name
-        ).inc(len(tuples))
-        if self._tracing:
-            tracer = self.tracer
-            for tup in tuples:
-                if tup.trace is not None:
-                    tracer.event(
-                        tup.trace, f"deliver:{output_name}", at=tup.timestamp
-                    )
+        ).inc(len(batch))
 
     def drain_boxes(self, box_ids: Iterable[str], max_rounds: int = 1_000_000) -> int:
         """Synchronously run the given boxes until their queues are empty.
@@ -1430,31 +953,30 @@ class AuroraEngine:
         so a flushed aggregate still flows through its merge network.
         A fused run drains and flushes as one group (members back to
         back — the same schedule whether or not fusion is active), and
-        flush emissions travel the same batched or scalar emit path as
-        steady-state traffic, so end-of-stream accounting matches.
+        flush emissions are handed off as steady-state traffic is — as
+        one train per port, or tuple by tuple on the per-tuple path — so
+        end-of-stream accounting matches.
         """
         visited: set[str] = set()
         for box_id in self.network.topological_order():
             if box_id in visited:
                 continue
-            group = self._runs.get(box_id, (box_id,))
-            for member in group:
-                visited.add(member)
-                box = self.network.boxes[member]
+            run = self._runs.get(box_id)
+            group = run.stages if run is not None else (self.network.boxes[box_id],)
+            for box in group:
+                visited.add(box.id)
                 # Drain anything still queued at this box first.
                 while box.queued() > 0:
-                    self._run_train(member, limit=box.queued())
-            for member in group:
-                box = self.network.boxes[member]
+                    self._run_train(box.id, limit=box.queued())
+            for box in group:
                 emissions = box.operator.flush()
                 if not emissions:
                     continue
                 box.tuples_out += len(emissions)
                 if self.batch_execution:
-                    self._emit_batch(box, emissions)
+                    self._emit(box, _by_port(emissions))
                 else:
-                    for out_port, emitted in emissions:
-                        self._emit(box, out_port, emitted)
+                    self._emit(box, [(port, [tup]) for port, tup in emissions])
         self.run_until_idle()
 
     # -- load signals -------------------------------------------------------------
@@ -1497,6 +1019,81 @@ class AuroraEngine:
             f"AuroraEngine({self.network.name!r}, clock={self.clock:.4f}, "
             f"scheduler={self.scheduler.name})"
         )
+
+
+# -- the two encodings of a train -----------------------------------------------
+#
+# The accounting contract is bit-identical virtual clocks and latency
+# sums whichever way a train is encoded, so each fold performs the same
+# float additions in the same order: the row fold as a Python loop that
+# can interleave spilled-read charges, the train fold as strictly
+# sequential ``ufunc.accumulate`` chains (repro.core.columnar).
+
+
+_traffic = attrgetter("tuples_in", "tuples_out")
+_trace_of = attrgetter("trace")  # a TraceContext (truthy) or None
+
+
+def _fold_rows(
+    clock: float, cost: float, n: int, times: list[float],
+    first_read: int, per_read: float, want_ends: bool,
+) -> tuple[float, float, list[float] | None]:
+    """Advance ``clock`` over ``n`` rows: ``(clock, latency sum, ends)``.
+
+    ``times`` are the rows' enqueue clocks (rows past its end — tuples
+    enqueued outside the engine — count from their own start), rows from
+    ``first_read`` on are charged a spill read first, and ``ends`` (the
+    clock after each row) is collected only when spans will be stamped.
+    """
+    latency = 0.0
+    timed = len(times)
+    if first_read >= n and timed == n and not want_ends:
+        # Common case: no spilled reads, timestamps in lockstep.
+        for enqueued_at in times:
+            clock += cost
+            latency += clock - enqueued_at
+        return clock, latency, None
+    ends = []
+    for i in range(n):
+        if i >= first_read:
+            clock += per_read
+        enqueued_at = times[i] if i < timed else clock
+        clock += cost
+        latency += clock - enqueued_at
+        ends.append(clock)
+    return clock, latency, ends
+
+
+def _fold_train(
+    clock: float, cost: float, n: int, times: np.ndarray | float
+) -> tuple[float, float, np.ndarray]:
+    """:func:`_fold_rows` for a columnar claim (never spilled, always
+    timed): ``times`` is the per-tuple enqueue-clock column, or the one
+    clock a whole interior batch was handed over at."""
+    # accumulate_chain / sequential_sum (repro.core.columnar), inlined
+    # to fold in place: this is the hottest accounting path.
+    chain = np.empty(n + 1, dtype=np.float64)
+    chain[0] = clock
+    chain[1:] = cost
+    np.add.accumulate(chain, out=chain)
+    ends = chain[1:]
+    deltas = ends - times
+    np.add.accumulate(deltas, out=deltas)
+    return float(ends[-1]), float(deltas[-1]), ends
+
+
+def _by_port(
+    emissions: list[tuple[int, StreamTuple]]
+) -> Iterable[tuple[int, list[StreamTuple]]]:
+    """A row kernel's emissions as one whole list per output port."""
+    groups: dict[int, list[StreamTuple]] = {}
+    for out_port, tup in emissions:
+        group = groups.get(out_port)
+        if group is None:
+            groups[out_port] = [tup]
+        else:
+            group.append(tup)
+    return groups.items()
 
 
 # -- backend-agnostic claim loop ---------------------------------------------
@@ -1587,3 +1184,13 @@ def claim_run(
         # arc keeps winning for the whole run.
         n = limit
     return best, n
+
+
+def pop_head(queue: deque, n: int) -> list:
+    """Dequeue the first ``n`` entries of ``queue`` as a list."""
+    if n == len(queue):
+        head = list(queue)
+        queue.clear()
+        return head
+    popleft = queue.popleft
+    return [popleft() for _ in range(n)]

@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.columnar import ColumnarTrain
-from repro.core.operators.base import Emission, Operator
+from repro.core.operators.base import Operator
 from repro.core.operators.filter import Filter
 from repro.core.operators.map import Map
 from repro.core.query import Arc, Box, QueryNetwork
@@ -110,7 +110,7 @@ def _interior_columnar_kernel(operator: Operator) -> Optional[ColumnarKernel]:
     (no emission boxing at all); other columnar-capable single-output
     operators (e.g. a one-predicate CaseFilter, whose routing counters
     must advance) go through their own ``process_columnar``.  A None
-    return makes the fused runner materialize the train before this
+    return makes the train runner materialize the train before this
     stage and continue on the list kernels.
     """
     if not operator.supports_columnar:
@@ -143,34 +143,28 @@ def _interior_columnar_kernel(operator: Operator) -> Optional[ColumnarKernel]:
     return generic_kernel
 
 
-class FusedChain(Operator):
+class FusedChain:
     """One superbox: a linear run of boxes compiled into a single unit.
 
     Holds the original :class:`~repro.core.query.Box` objects (the
     *stages*) — never copies of them — so all statistics accumulated
     while fused are attributed to the constituents, and defusion needs
-    no state hand-back.  ``cost_per_tuple`` is the summed chain cost
-    (the superbox's cost model); the scheduler-facing backlog signal
-    stays the head's, since only the head's arc ever holds tuples.
+    no state hand-back.  The execution planes drive ``stages`` and the
+    two kernel lists directly; the lists are public and read at call
+    time, so a profiler may swap entries after construction.
     """
-
-    fusable = False
 
     def __init__(self, boxes: list[Box]):
         stages = list(boxes)
         if len(stages) < 2:
             raise ValueError("a fused chain needs at least two stages")
-        super().__init__(
-            cost_per_tuple=sum(b.operator.cost_per_tuple for b in stages)
-        )
         self.stages = stages
-        self.n_outputs = stages[-1].operator.n_outputs
         self.interior_kernels = [
             _interior_kernel(b.operator) for b in stages[:-1]
         ]
         # Columnar overlays: None entries mark the first stage at which
         # a columnar train must materialize back to a tuple list (the
-        # engine's fused runner then falls through to interior_kernels).
+        # train runner then falls through to interior_kernels).
         self.columnar_kernels: list[Optional[ColumnarKernel]] = [
             _interior_columnar_kernel(b.operator) for b in stages[:-1]
         ]
@@ -191,84 +185,36 @@ class FusedChain(Operator):
         """The (inert while fused) arcs between consecutive stages."""
         return [box.input_arcs[0] for box in self.stages[1:]]
 
-    # -- Operator interface ------------------------------------------------
-
-    def process(self, tup: StreamTuple, port: int = 0) -> list[Emission]:
-        """Thread one tuple through every stage, updating stage stats."""
-        current = [tup]
-        for box in self.stages[:-1]:
-            next_batch: list[StreamTuple] = []
-            for item in current:
-                box.tuples_in += 1
-                emitted = box.operator.process(item, port=0)
-                box.tuples_out += len(emitted)
-                next_batch.extend(t for _p, t in emitted)
-            current = next_batch
-            if not current:
-                return []
-        tail = self.stages[-1]
-        emissions: list[Emission] = []
-        for item in current:
-            tail.tuples_in += 1
-            emitted = tail.operator.process(item, port=0)
-            tail.tuples_out += len(emitted)
-            emissions.extend(emitted)
-        return emissions
-
-    def process_batch(
-        self, tuples: list[StreamTuple], port: int = 0
-    ) -> list[Emission]:
-        """Thread a whole train through the constituent kernels once."""
-        batch = list(tuples)
-        for box, kernel in zip(self.stages[:-1], self.interior_kernels):
-            if not batch:
-                return []
-            box.tuples_in += len(batch)
-            batch = kernel(batch)
-            box.tuples_out += len(batch)
-        if not batch:
-            return []
-        tail = self.stages[-1]
-        tail.tuples_in += len(batch)
-        emissions = tail.operator.process_batch(batch, port=0)
-        tail.tuples_out += len(emissions)
-        return emissions
-
-    def flush(self) -> list[Emission]:
-        """Thread each stage's flush output through the rest of the chain.
-
-        Members are stateless by eligibility, so this is empty in
-        practice; kept correct for completeness.
-        """
-        emissions: list[Emission] = []
-        for index, box in enumerate(self.stages):
-            for _port, tup in box.operator.flush():
-                box.tuples_out += 1
-                current = [tup]
-                for succ in self.stages[index + 1:-1]:
-                    next_batch: list[StreamTuple] = []
-                    for item in current:
-                        succ.tuples_in += 1
-                        emitted = succ.operator.process(item, port=0)
-                        succ.tuples_out += len(emitted)
-                        next_batch.extend(t for _p, t in emitted)
-                    current = next_batch
-                if index == len(self.stages) - 1:
-                    emissions.append((_port, tup))
-                    continue
-                tail = self.stages[-1]
-                for item in current:
-                    tail.tuples_in += 1
-                    emitted = tail.operator.process(item, port=0)
-                    tail.tuples_out += len(emitted)
-                    emissions.extend(emitted)
-        return emissions
-
-    def describe(self) -> str:
-        return "FusedChain(" + " -> ".join(b.id for b in self.stages) + ")"
-
 
 SameNode = Callable[[str, str], bool]
+
+
+def _sole_successor(
+    network: QueryNetwork,
+    box: Box,
+    same_node: SameNode | None,
+    protect: frozenset[str],
+) -> Box | None:
+    """The one box a run could extend to from ``box``, by the arc rules:
+    a single output arc, no connection point, no queued backlog, a box
+    (not an output) on the same node that is not protected."""
+    if box.operator.n_outputs != 1:
+        return None
+    arcs = box.output_arcs.get(0, [])
+    if len(arcs) != 1:
+        return None
+    arc = arcs[0]
+    if arc.connection_point is not None or arc.queue:
+        return None
+    kind, _ref = arc.target
+    if kind == "out":
+        return None
+    succ = network.boxes[str(kind)]
+    if succ.id in protect:
+        return None
+    if same_node is not None and not same_node(box.id, succ.id):
+        return None
+    return succ
 
 
 def _fusable_link(
@@ -278,23 +224,8 @@ def _fusable_link(
     protect: frozenset[str],
 ) -> Box | None:
     """The next member of ``box``'s run, or None if the run ends here."""
-    if box.operator.n_outputs != 1:
-        return None
-    arcs = box.output_arcs.get(0, [])
-    if len(arcs) != 1:
-        return None
-    arc = arcs[0]
-    if arc.connection_point is not None or arc.queue:
-        return None
-    kind, _ref = arc.target
-    if kind == "out":
-        return None
-    succ = network.boxes[str(kind)]
-    if not chainable(succ) or succ.id in protect:
-        return None
-    if same_node is not None and not same_node(box.id, succ.id):
-        return None
-    return succ
+    succ = _sole_successor(network, box, same_node, protect)
+    return succ if succ is not None and chainable(succ) else None
 
 
 def _window_tail(
@@ -303,36 +234,16 @@ def _window_tail(
     same_node: SameNode | None,
     protect: frozenset[str],
 ) -> Box | None:
-    """A stateful windowed-kernel successor that may terminate the run.
-
-    Mirrors :func:`_fusable_link`'s arc checks (single output arc, no
-    connection point, no queued backlog, same node) but accepts a
-    stateful single-input successor that ships its own columnar window
-    kernel — it becomes the run's tail and the run stops there.
-    """
-    if box.operator.n_outputs != 1:
+    """A stateful windowed-kernel successor that may terminate the run:
+    single-input, shipping its own columnar window kernel — it becomes
+    the run's tail and the run stops there."""
+    succ = _sole_successor(network, box, same_node, protect)
+    if succ is None:
         return None
-    arcs = box.output_arcs.get(0, [])
-    if len(arcs) != 1:
-        return None
-    arc = arcs[0]
-    if arc.connection_point is not None or arc.queue:
-        return None
-    kind, _ref = arc.target
-    if kind == "out":
-        return None
-    succ = network.boxes[str(kind)]
     operator = succ.operator
-    if (
-        not operator.stateful
-        or operator.arity != 1
-        or not operator.supports_columnar
-        or succ.id in protect
-    ):
-        return None
-    if same_node is not None and not same_node(box.id, succ.id):
-        return None
-    return succ
+    if operator.stateful and operator.arity == 1 and operator.supports_columnar:
+        return succ
+    return None
 
 
 def _upstream_member(
@@ -409,3 +320,29 @@ def build_chains(
         for member in run:
             members[member] = run[0]
     return chains, members
+
+
+def defuse_chains(
+    chains: dict[str, FusedChain],
+    members: dict[str, str],
+    box_id: str | None = None,
+) -> None:
+    """Dissolve superboxes in a :func:`build_chains` overlay, in place —
+    all of them, or the one containing ``box_id``.
+
+    Safe at any scheduling boundary: fusion never removed the
+    constituent boxes or arcs from the network (it only redirects
+    execution), a fused train always runs through every stage so
+    interior arcs are empty, and any queued tuples already sit on the
+    superbox input — the head box's own input arc.  Dropping the overlay
+    therefore restores per-box execution with no state hand-back.
+    """
+    if box_id is None:
+        chains.clear()
+        members.clear()
+        return
+    head = members.get(box_id)
+    if head is None:
+        return
+    for stage in chains.pop(head).stages:
+        members.pop(stage.id, None)

@@ -156,10 +156,12 @@ class StorageManager:
             self._spilled.pop(arc.id, None)
         self.tuples_unspilled += reads
         self._m_unspilled.inc(reads)
-        cost = reads * self.read_cost
-        self.io_time += cost
+        # Accumulated read by read, as the per-tuple charges do: the
+        # gauge is part of the bit-identical obs snapshot.
+        for _ in range(reads):
+            self.io_time += self.read_cost
         self._m_io_time.set(self.io_time)
-        return cost, first_read
+        return reads * self.read_cost, first_read
 
     def charge_consume(self, arc: Arc) -> float:
         """Account for a box consuming one tuple from ``arc``.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.engine import claim_run, timestamp_keys
+from repro.core.engine import claim_run, pop_head, timestamp_keys
 from repro.core.query import Arc, Box
 from repro.core.tuples import StreamTuple
 from repro.network.overlay import Message
@@ -171,13 +171,7 @@ class AuroraNode:
             arc, n = self._claim_input(box, budget)
             if arc is None:
                 break
-            queue = arc.queue
-            if n == len(queue):
-                batch = list(queue)
-                queue.clear()
-            else:
-                popleft = queue.popleft
-                batch = [popleft() for _ in range(n)]
+            batch = pop_head(arc.queue, n)
             for _ in range(n):
                 consumed += cost
             if tracing:
@@ -236,13 +230,7 @@ class AuroraNode:
             arc, n = self._claim_input(head, budget)
             if arc is None:
                 break
-            queue = arc.queue
-            if n == len(queue):
-                batch = list(queue)
-                queue.clear()
-            else:
-                popleft = queue.popleft
-                batch = [popleft() for _ in range(n)]
+            batch = pop_head(arc.queue, n)
             for index, box in enumerate(stages):
                 count = len(batch)
                 if count == 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.fusion import FusedChain, find_runs
+from repro.core.fusion import FusedChain, build_chains, defuse_chains
 from repro.core.query import Arc, QueryNetwork
 from repro.core.tuples import StreamTuple
 from repro.distributed.node import AuroraNode
@@ -175,8 +175,7 @@ class AuroraStarSystem:
         local.  Like the engine's pass, this is defuse + refuse: the
         network is the ground truth and the overlay is derived state.
         """
-        self._fused = {}
-        self._fused_member = {}
+        self.defuse()
         if not self.fusion_enabled or not self.placement:
             return
         placement = self.placement
@@ -185,32 +184,18 @@ class AuroraStarSystem:
             node = placement.get(a)
             return node is not None and node == placement.get(b)
 
-        for run in find_runs(
+        self._fused, self._fused_member = build_chains(
             self.network, same_node=same_node, protect=frozenset(self.migrating)
-        ):
-            chain = FusedChain([self.network.boxes[b] for b in run])
-            self._fused[run[0]] = chain
-            for member in run:
-                self._fused_member[member] = run[0]
+        )
 
     def defuse(self, box_id: str | None = None) -> None:
         """Dissolve superboxes — all, or the one containing ``box_id``.
 
         Called before any run-time network rewrite (sliding, splitting)
-        touches a fused box.  Constituents and arcs were never removed,
-        and interior arcs are empty (fused trains always run through
-        every stage), so dropping the overlay is all there is to it.
+        touches a fused box; dropping the overlay is all there is to it
+        (see :func:`repro.core.fusion.defuse_chains`).
         """
-        if box_id is None:
-            self._fused = {}
-            self._fused_member = {}
-            return
-        head = self._fused_member.get(box_id)
-        if head is None:
-            return
-        chain = self._fused.pop(head)
-        for stage in chain.stages:
-            self._fused_member.pop(stage.id, None)
+        defuse_chains(self._fused, self._fused_member, box_id)
 
     def fused_chain(self, box_id: str) -> FusedChain | None:
         """The superbox headed by ``box_id``, if one is compiled."""

@@ -30,7 +30,7 @@ import time
 import traceback
 from typing import Any, TYPE_CHECKING
 
-from repro.core.engine import claim_run, timestamp_keys
+from repro.core.engine import claim_run, pop_head, timestamp_keys
 from repro.network.framing import (
     KIND_CONTROL,
     decode_frame,
@@ -140,8 +140,7 @@ class _WorkerState:
                     arc, n = claim_run(box, self.train_size, timestamp_keys)
                     if arc is None:
                         break
-                    pop = arc.queue.popleft
-                    batch = [pop() for _ in range(n)]
+                    batch = pop_head(arc.queue, n)
                     box.tuples_in += n
                     self.processed += n
                     emissions = box.operator.process_batch(

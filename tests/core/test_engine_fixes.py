@@ -1,13 +1,14 @@
 """Regression tests for engine fixes that ride with superbox fusion.
 
-Covers: flush() emissions taking the batched emit path when
-batch_execution is on; invalidate_caches() pruning output buffers for
+Covers: flush() emissions landing downstream as one train when
+batch_execution is on (and tuple by tuple when it is off); invalidate_caches() pruning output buffers for
 removed output streams and re-clamping the round-robin cursor; and the
 engine's sparse queued-count index staying consistent with a full scan
 of the network (the structure LongestQueue/QoS scheduling now reads).
 """
 
 import random
+from collections import deque
 
 from repro.core.engine import AuroraEngine
 from repro.core.operators.filter import Filter
@@ -33,37 +34,53 @@ def tumble_net():
     return net
 
 
+class RecordingDeque(deque):
+    """A queue that remembers every batch handed to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def append(self, item):
+        self.batches.append([item])
+        super().append(item)
+
+    def extend(self, items):
+        items = list(items)
+        self.batches.append(items)
+        super().extend(items)
+
+
 class TestFlushBatchPath:
-    def test_flush_emissions_use_emit_batch(self):
-        engine = AuroraEngine(tumble_net(), batch_execution=True)
-        calls = {"batch": 0, "scalar": 0}
-        original_batch, original_scalar = engine._emit_batch, engine._emit
-
-        def spy_batch(box, emissions):
-            calls["batch"] += 1
-            return original_batch(box, emissions)
-
-        def spy_scalar(box, out_port, tup):
-            calls["scalar"] += 1
-            return original_scalar(box, out_port, tup)
-
-        engine._emit_batch, engine._emit = spy_batch, spy_scalar
-        # 5 tuples never close the 100-tuple window: only flush emits.
-        engine.push_many("src", make_stream([{"G": 0, "A": i} for i in range(5)]))
+    def flushed(self, batch_execution):
+        """Three open windows (one per group) that only flush() closes,
+        with the t -> m arc recording what is enqueued on it."""
+        net = tumble_net()
+        arc = net.boxes["m"].input_arcs[0]
+        arc.queue, arc.queue_times = RecordingDeque(), RecordingDeque()
+        engine = AuroraEngine(net, batch_execution=batch_execution)
+        engine.push_many("src", make_stream([{"G": i % 3, "A": i} for i in range(6)]))
         engine.run_until_idle()
         assert not engine.outputs["sink"]
+        assert not arc.queue.batches
         engine.flush()
-        assert len(engine.outputs["sink"]) == 1
-        assert calls["batch"] > 0
-        assert calls["scalar"] == 0
+        assert sorted(t["result"] for t in engine.outputs["sink"]) == [2, 2, 2]
+        return engine, arc
 
-    def test_flush_emissions_use_scalar_path_when_batch_off(self):
-        engine = AuroraEngine(tumble_net(), batch_execution=False)
-        engine.push_many("src", make_stream([{"G": 0, "A": i} for i in range(5)]))
-        engine.run_until_idle()
-        engine.flush()
-        assert len(engine.outputs["sink"]) == 1
-        assert engine.outputs["sink"][0]["result"] == 5
+    def test_flush_emissions_land_downstream_as_one_train(self):
+        engine, arc = self.flushed(batch_execution=True)
+        # One hand-off of the whole flush, stamped with one clock ...
+        assert [len(batch) for batch in arc.queue.batches] == [3]
+        (stamps,) = arc.queue_times.batches
+        assert len(stamps) == 3 and len(set(stamps)) == 1
+        # ... and consumed downstream as one train: t's 6, then m's 3.
+        trains = engine.metrics.histogram("engine.train.tuples")
+        assert (trains.count, trains.sum) == (2, 9.0)
+
+    def test_flush_emissions_enqueue_one_by_one_when_batch_off(self):
+        _engine, arc = self.flushed(batch_execution=False)
+        assert [len(batch) for batch in arc.queue.batches] == [1, 1, 1]
+        assert [len(batch) for batch in arc.queue_times.batches] == [1, 1, 1]
 
     def test_flush_results_identical_across_modes(self):
         results = {}

@@ -2,15 +2,17 @@
 
 import pytest
 
+from repro.core.columnar import ColumnarTrain, col
 from repro.core.engine import AuroraEngine
 from repro.core.fusion import FusedChain, build_chains, chainable, find_runs
 from repro.core.operators.case_filter import CaseFilter
 from repro.core.operators.filter import Filter
-from repro.core.operators.map import Map
+from repro.core.operators.map import Map, columnar_map
 from repro.core.operators.tumble import Tumble
 from repro.core.operators.union import Union
 from repro.core.query import QueryNetwork
 from repro.core.tuples import StreamTuple, make_stream
+from repro.obs.export import dumps, snapshot
 
 
 def pipeline(n_stages=3):
@@ -164,28 +166,17 @@ class TestFusedChain:
     def test_cost_and_shape(self):
         net = pipeline(3)
         chain = FusedChain([net.boxes[b] for b in ("f0", "f1", "f2")])
-        expected = sum(net.boxes[b].operator.cost_per_tuple for b in ("f0", "f1", "f2"))
-        assert chain.cost_per_tuple == pytest.approx(expected)
         assert chain.head.id == "f0"
         assert chain.tail.id == "f2"
         assert chain.member_ids() == ["f0", "f1", "f2"]
-        assert not chain.fusable  # no fusing of fusions
-        assert "f0 -> f1 -> f2" in chain.describe()
-
-    def test_process_batch_matches_sequential(self):
-        net_a, net_b = pipeline(3), pipeline(3)
-        tuples = [StreamTuple({"A": i}) for i in range(20)]
-        chain = FusedChain([net_a.boxes[b] for b in ("f0", "f1", "f2")])
-        fused = chain.process_batch(list(tuples), port=0)
-
-        batch = list(tuples)
-        for box_id in ("f0", "f1", "f2"):
-            batch = [t for _p, t in net_b.boxes[box_id].operator.process_batch(batch, port=0)]
-        assert [t.values for _p, t in fused] == [t.values for t in batch]
-        # Logical attribution: every stage saw its own traffic.
-        assert net_a.boxes["f0"].tuples_in == len(tuples)
-        assert net_a.boxes["f1"].tuples_in == net_a.boxes["f0"].tuples_out
-        assert net_a.boxes["f2"].tuples_in == net_a.boxes["f1"].tuples_out
+        assert chain.interior_arcs() == [
+            net.boxes[b].input_arcs[0] for b in ("f1", "f2")
+        ]
+        # One kernel per interior stage; opaque lambdas have no column
+        # kernel, so a train materializes at the first of them.
+        assert len(chain.interior_kernels) == 2
+        assert chain.columnar_kernels == [None, None]
+        assert not chain.tail_columnar
 
     def test_build_chains_maps_members_to_heads(self):
         net = pipeline(4)
@@ -214,6 +205,69 @@ class TestEngineFusion:
     def test_no_fusion_without_push_trains(self):
         engine = AuroraEngine(pipeline(3), push_trains=False)
         assert engine.fused_runs() == []
+
+    def test_no_fusion_without_batch_execution(self):
+        """The fused pass is a train pass: on the per-tuple reference
+        path the flag is inert, down to the snapshot."""
+
+        def run(fusion):
+            net = pipeline(3)
+            engine = AuroraEngine(
+                net, train_size=5, batch_execution=False, fusion=fusion
+            )
+            assert engine.fused_runs() == []
+            engine.push_many("src", make_stream([{"A": i} for i in range(40)]))
+            engine.run_until_idle()
+            engine.flush()
+            stats = {
+                box_id: (box.tuples_in, box.tuples_out, box.busy_time,
+                         box.latency_sum, box.latency_count)
+                for box_id, box in net.boxes.items()
+            }
+            outputs = [(t.values, t.timestamp) for t in engine.outputs["sink"]]
+            return outputs, engine.clock, stats, dumps(snapshot(engine.metrics))
+
+        assert run(fusion=True) == run(fusion=False)
+
+    def test_kernel_lists_are_read_at_call_time(self):
+        """Profilers swap entries of a chain's public kernel lists after
+        the engine is built; the replacement is what must run."""
+        net = QueryNetwork()
+        net.add_box("f", Filter(col("A") % 7 != 0))
+        net.add_box("m", columnar_map({"A": col("A") + 1}))
+        net.add_box("g", Filter(lambda t: True))
+        net.connect("in:src", "f")
+        net.connect("f", "m")
+        net.connect("m", "g")
+        net.connect("g", "out:sink")
+        engine = AuroraEngine(net, train_size=8)
+        (chain,) = engine._fused.values()
+        seen = {"row": 0, "columnar": 0}
+
+        def counting(kind, kernel):
+            def wrapped(batch):
+                seen[kind] += len(batch)
+                return kernel(batch)
+            return wrapped
+
+        chain.interior_kernels = [
+            counting("row", k) for k in chain.interior_kernels
+        ]
+        chain.columnar_kernels = [
+            counting("columnar", k) for k in chain.columnar_kernels
+        ]
+        rows = make_stream([{"A": i} for i in range(16)])
+        engine.push_many("src", rows[:8])
+        engine.run_until_idle()
+        # 8 rows into f, the 6 survivors into m.
+        assert seen == {"row": 14, "columnar": 0}
+        engine.push_train("src", ColumnarTrain.from_tuples(rows[8:]))
+        engine.run_until_idle()
+        # 8 more into f, 7 survivors into m — through the column kernels.
+        assert seen == {"row": 14, "columnar": 15}
+        assert [t["A"] for t in engine.outputs["sink"]] == [
+            i + 1 for i in range(16) if i % 7 != 0
+        ]
 
     def test_defuse_all_and_one(self):
         net = pipeline(2)
