@@ -7,9 +7,9 @@ performs (box costs scaled by CPU capacity, scheduling overhead, spill
 I/O), so latency measurements are deterministic.
 
 The engine runs standalone (these semantics are exercised directly by
-tests and example applications) and embedded in a simulated distributed
-node (:mod:`repro.distributed.node`), where the surrounding simulator
-owns the clock.
+tests and example applications) and embedded in a worker process of the
+parallel plane (:mod:`repro.parallel.worker`), which runs one engine
+over its cut of the network and keeps only the routing.
 """
 
 from __future__ import annotations
@@ -55,7 +55,17 @@ class AuroraEngine:
             as one batch, amortizing the per-tuple interpreter overhead
             the same way train scheduling amortizes decision overhead.
             False keeps the per-tuple scalar path (same semantics; the
-            perf benchmark compares the two).
+            perf benchmark compares the two).  The encoding of a train
+            is chosen by what the caller pushes: a
+            :class:`~repro.core.columnar.ColumnarTrain` admitted via
+            :meth:`push_train` stays in struct-of-arrays form end to end
+            (whole segments ride the arcs, compiled operators run as
+            masked column kernels) and materializes back to
+            ``StreamTuple`` lists only at barriers — opaque boxes,
+            fan-in, connection points, delivery reads; a tracer and a
+            load shedder are not barriers.  Accounting stays
+            bit-identical to the list path (strictly sequential
+            ``ufunc.accumulate`` chains).
         qos_specs: per-output-stream QoS specifications.
         storage: storage manager (buffer/spill accounting).
         shedder: load shedder; None disables shedding.
@@ -79,21 +89,6 @@ class AuroraEngine:
             ``batch_execution`` (the fused pass is the compiled form of
             the train push; the per-tuple reference path runs box by
             box).
-        columnar: if True (the default), trains admitted via
-            :meth:`push_train` stay in struct-of-arrays form
-            (:class:`~repro.core.columnar.ColumnarTrain`) end to end:
-            whole segments ride the arcs, compiled operators run as
-            masked column kernels, and materialization back to
-            ``StreamTuple`` lists happens only at barriers (opaque
-            boxes, fan-in, connection points, delivery reads).  A
-            tracer and a load shedder are not barriers: admission and
-            sampling are decided once per train, and every box stamps
-            spans for the sampled rows only.  Accounting stays
-            bit-identical to the list path — clock/latency chains use
-            strictly sequential ``ufunc.accumulate``.  Effective only
-            with ``batch_execution``; per-tuple ``push`` simply keeps
-            those tuples on the classic list path (same results, no
-            columnar speedup).
     """
 
     def __init__(
@@ -112,7 +107,6 @@ class AuroraEngine:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         fusion: bool = True,
-        columnar: bool = True,
     ):
         network.validate()
         if train_size < 1:
@@ -153,9 +147,6 @@ class AuroraEngine:
         self.steps = 0
         self.tuples_processed = 0
         self.fusion = fusion
-        # Columnar execution rides the batch path (segments are claimed
-        # as batches).
-        self.columnar = columnar and batch_execution
         self.outputs: dict[str, Union[list[StreamTuple], OutputBuffer]] = {}
         self.box_order: list[str] = []
         # Public scheduler-facing indexes (see the scheduler module):
@@ -170,6 +161,12 @@ class AuroraEngine:
         self._fused: dict[str, FusedChain] = {}
         self._fused_member: dict[str, str] = {}
         self.invalidate_caches()
+
+    @property
+    def columnar(self) -> bool:
+        """Whether pushed trains stay columnar: they ride the batch path
+        (segments are claimed as batches)."""
+        return self.batch_execution
 
     # -- topology caches -----------------------------------------------------
 
@@ -383,7 +380,7 @@ class AuroraEngine:
         caller's train is never mutated, and contexts it already carries
         are dropped — ingestion is authoritative.  Falls back to
         :meth:`push_many` whenever a barrier applies at ingestion:
-        columnar mode off, or no single arc takes whole trains
+        ``batch_execution`` off, or no single arc takes whole trains
         (:meth:`_train_arc`).
         """
         arc = self._train_arc(input_name)
@@ -952,10 +949,7 @@ class AuroraEngine:
         Flush emissions are enqueued and processed like normal tuples,
         so a flushed aggregate still flows through its merge network.
         A fused run drains and flushes as one group (members back to
-        back — the same schedule whether or not fusion is active), and
-        flush emissions are handed off as steady-state traffic is — as
-        one train per port, or tuple by tuple on the per-tuple path — so
-        end-of-stream accounting matches.
+        back — the same schedule whether or not fusion is active).
         """
         visited: set[str] = set()
         for box_id in self.network.topological_order():
@@ -963,21 +957,35 @@ class AuroraEngine:
                 continue
             run = self._runs.get(box_id)
             group = run.stages if run is not None else (self.network.boxes[box_id],)
-            for box in group:
-                visited.add(box.id)
-                # Drain anything still queued at this box first.
-                while box.queued() > 0:
-                    self._run_train(box.id, limit=box.queued())
-            for box in group:
-                emissions = box.operator.flush()
-                if not emissions:
-                    continue
-                box.tuples_out += len(emissions)
-                if self.batch_execution:
-                    self._emit(box, _by_port(emissions))
-                else:
-                    self._emit(box, [(port, [tup]) for port, tup in emissions])
+            visited.update(box.id for box in group)
+            self._flush_group(group)
         self.run_until_idle()
+
+    def flush_box(self, box_id: str) -> None:
+        """End-of-stream for ONE box: :meth:`flush`'s step for a group of
+        one, then run until idle.  For a host that sequences the flush
+        order itself because it sees only a cut of the network (the
+        parallel plane's worker)."""
+        self._flush_group((self.network.boxes[box_id],))
+        self.run_until_idle()
+
+    def _flush_group(self, group: Sequence[Box]) -> None:
+        """Drain what is still queued at each box, then flush the
+        operators.  Emissions are handed off as steady-state traffic is
+        — one train per port, or tuple by tuple on the per-tuple path —
+        so end-of-stream accounting matches."""
+        for box in group:
+            while box.queued() > 0:
+                self._run_train(box.id, limit=box.queued())
+        for box in group:
+            emissions = box.operator.flush()
+            if not emissions:
+                continue
+            box.tuples_out += len(emissions)
+            if self.batch_execution:
+                self._emit(box, _by_port(emissions))
+            else:
+                self._emit(box, [(port, [tup]) for port, tup in emissions])
 
     # -- load signals -------------------------------------------------------------
 
@@ -1096,44 +1104,20 @@ def _by_port(
     return groups.items()
 
 
-# -- backend-agnostic claim loop ---------------------------------------------
+# -- the claim rule ------------------------------------------------------------
 #
-# Every execution backend — the virtual-time engine above, the Aurora*
-# node simulation, and the real multiprocessing workers (repro.parallel)
-# — consumes input arcs with the same selection rule: pick the arc whose
-# head carries the smallest order key (ties to the earlier port), and
-# take the maximal run of consecutive head tuples that keep winning.
-# The backends differ only in what the order key *is* (the engine keys
-# on enqueue clocks, the distributed planes key on source timestamps),
-# so the rule lives here once, parameterized by a key view.
+# A box with several input arcs consumes them by one selection rule:
+# pick the arc whose head carries the smallest order key (ties to the
+# earlier port), and take the maximal run of consecutive head tuples
+# that keep winning.  What the order key *is* belongs to the caller —
+# the engine (and with it every parallel-plane worker) keys on enqueue
+# clocks, the simulated Aurora* node (repro.distributed.node) on source
+# timestamps — so the rule is parameterized by a key view.
 
 
 def _enqueue_keys(arc: Arc):
     """The engine's order keys: per-entry enqueue clocks."""
     return arc.queue_times
-
-
-class timestamp_keys:
-    """Sequence view of a queue's source timestamps, for :func:`claim_run`.
-
-    Used by the backends that order claims by tuple timestamp rather
-    than enqueue clock (Aurora* nodes, parallel workers).
-    """
-
-    __slots__ = ("_queue",)
-
-    def __init__(self, arc: Arc):
-        self._queue = arc.queue
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __getitem__(self, index: int) -> float:
-        return self._queue[index].timestamp
-
-    def __iter__(self):
-        for tup in self._queue:
-            yield tup.timestamp
 
 
 def claim_run(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.engine import claim_run, pop_head, timestamp_keys
+from repro.core.engine import claim_run, pop_head
 from repro.core.query import Arc, Box
 from repro.core.tuples import StreamTuple
 from repro.network.overlay import Message
@@ -22,6 +22,27 @@ from repro.network.transport import train_frame_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.distributed.system import AuroraStarSystem
+
+
+class timestamp_keys:
+    """Sequence view of a queue's source timestamps, for
+    :func:`~repro.core.engine.claim_run`: a node orders its claims by
+    tuple timestamp (the engine orders by enqueue clock)."""
+
+    __slots__ = ("_queue",)
+
+    def __init__(self, arc: Arc):
+        self._queue = arc.queue
+
+    def __len__(self) -> int:
+        return len(self._queue)
+
+    def __getitem__(self, index: int) -> float:
+        return self._queue[index].timestamp
+
+    def __iter__(self):
+        for tup in self._queue:
+            yield tup.timestamp
 
 
 class AuroraNode:
@@ -134,165 +155,99 @@ class AuroraNode:
         box = self._choose_box()
         if box is None:
             return
-        chain = self.system.fused_chain(box.id)
-        if chain is not None:
-            # The whole superbox runs as one schedulable unit; its
-            # emissions leave from the tail box's output arcs.
-            consumed, emissions = self._process_chain_train(chain)
-            box = chain.tail
-        else:
-            consumed, emissions = self._process_train(box)
-        now = self.system.sim.now
-        self.busy_until = now + consumed
-        self.busy_time += consumed
+        consumed, tail, emissions = self._run_train(box)
+        self.busy_until = self.system.sim.now + consumed
         # Emissions appear when the train finishes.
-        self.system.sim.schedule_at(self.busy_until, self._complete, box, emissions)
+        self.system.sim.schedule_at(self.busy_until, self._complete, tail, emissions)
 
-    def _process_train(
-        self, box: Box
-    ) -> tuple[float, list[tuple[int, StreamTuple]]]:
-        """Run one train through ``box`` as first-class batches.
+    def _run_train(self, box: Box) -> tuple[float, Box, list[tuple[int, StreamTuple]]]:
+        """Run one train at ``box``: ``(CPU time, emitting box, emissions)``.
 
-        Tuples are claimed in maximal per-arc runs that preserve the
-        scalar oldest-timestamp-first consumption order across input
-        arcs, then processed with one ``process_batch`` call per run.
-        The per-tuple cost chain is accumulated incrementally so virtual
-        times are bit-identical to the per-tuple path.
+        The stages are the superbox ``box`` heads (threaded through its
+        interior kernels with no interior arc traffic, emitted by the
+        tail) or, a box being a run of one, just ``box``.  Tuples are
+        claimed at the head in maximal per-arc runs that preserve the
+        scalar oldest-timestamp-first order across input arcs.  The cost
+        chain is ONE running sum — ``consumed += cost`` per tuple, stage
+        after stage — so virtual times are bit-identical to the
+        per-tuple path, and each stage is attributed its delta of that
+        sum for the load-share daemon and the box-sliding cost model.
+        The head's delta counts from ``0.0`` (it absorbs the scheduling
+        overhead) and is booked once per train, however many claims
+        fan-in took; a later stage is booked where the train reaches it
+        (a superbox head has one input arc, hence one claim per train),
+        and a stage it never reaches gets no share.
         """
-        consumed = self.scheduling_overhead
+        chain = self.system.fused_chain(box.id)
+        stages, kernels = (
+            ((box,), ()) if chain is None else (chain.stages, chain.interior_kernels)
+        )
+        consumed = head_share = self.scheduling_overhead
         emissions: list[tuple[int, StreamTuple]] = []
-        budget = self.train_size
-        operator = box.operator
-        cost = operator.cost_per_tuple / self.cpu_capacity
-        system = self.system
-        tracing = system._tracing
-        processed = 0
-        while budget > 0:
-            arc, n = self._claim_input(box, budget)
-            if arc is None:
-                break
-            batch = pop_head(arc.queue, n)
-            for _ in range(n):
-                consumed += cost
-            if tracing:
-                # Coarse sim-time spans: the event-driven node charges
-                # the whole train as one busy interval, so every tuple's
-                # box span covers it.  Re-stamped before process_batch()
-                # so emissions inherit the child context.
-                tracer = system.tracer
-                now = system.sim.now
-                for tup in batch:
-                    if tup.trace is not None:
-                        tup.trace = tracer.span(
-                            tup.trace, f"box:{box.id}", node=self.name,
-                            start=now, end=now + consumed,
-                        )
-            box.tuples_in += n
-            self.tuples_processed += n
-            processed += n
-            out = operator.process_batch(batch, port=int(arc.target[1]))
-            box.tuples_out += len(out)
-            emissions.extend(out)
-            budget -= n
-        if processed:
-            self._m_tuples.inc(processed)
-            self._m_trains.inc()
-        box.busy_time += consumed
-        box.latency_sum += consumed  # coarse T_B contribution per train
-        box.latency_count += 1
-        return consumed, emissions
-
-    def _process_chain_train(
-        self, chain
-    ) -> tuple[float, list[tuple[int, StreamTuple]]]:
-        """One train through a superbox (:class:`repro.core.fusion.FusedChain`).
-
-        Claimed once at the head's real input arc, threaded through
-        every stage kernel with no interior arc traffic, emitted from
-        the tail.  Logical attribution is per stage: each constituent
-        box accrues its own ``tuples_in/out``, ``busy_time`` and coarse
-        per-train T_B contribution, so the load-share daemon and
-        box-sliding cost model keep seeing per-box signals.  One
-        scheduling overhead covers the whole chain — that amortization
-        is the superbox's contribution to node throughput.
-        """
-        consumed = self.scheduling_overhead
-        emissions: list[tuple[int, StreamTuple]] = []
-        head = chain.head
-        stages = chain.stages
-        kernels = chain.interior_kernels
         last = len(stages) - 1
         budget = self.train_size
-        system = self.system
-        tracing = system._tracing
+        tracing = self.system._tracing
         processed = 0
         while budget > 0:
-            arc, n = self._claim_input(head, budget)
+            arc, n = claim_run(box, budget, timestamp_keys)
             if arc is None:
                 break
             batch = pop_head(arc.queue, n)
-            for index, box in enumerate(stages):
+            port = int(arc.target[1])
+            for index, stage in enumerate(stages):
                 count = len(batch)
                 if count == 0:
                     break
-                cost = box.operator.cost_per_tuple / self.cpu_capacity
-                stage_consumed = 0.0
+                reached = consumed
+                cost = stage.operator.cost_per_tuple / self.cpu_capacity
                 for _ in range(count):
-                    stage_consumed += cost
-                consumed += stage_consumed
+                    consumed += cost
                 if tracing:
-                    tracer = system.tracer
-                    now = system.sim.now
-                    for tup in batch:
-                        if tup.trace is not None:
-                            tup.trace = tracer.span(
-                                tup.trace, f"box:{box.id}", node=self.name,
-                                start=now, end=now + consumed,
-                            )
-                box.tuples_in += count
-                self.tuples_processed += count
+                    # Coarse sim-time spans: the event-driven node charges
+                    # the whole train as one busy interval, so every tuple's
+                    # box span covers it.  Re-stamped before the kernel runs
+                    # so emissions inherit the child context.
+                    now = self.system.sim.now
+                    self._stamp(batch, f"box:{stage.id}", now, now + consumed)
+                stage.tuples_in += count
                 processed += count
                 if index == last:
-                    out = box.operator.process_batch(batch, port=0)
-                    box.tuples_out += len(out)
+                    out = stage.operator.process_batch(batch, port=port)
                     emissions.extend(out)
                 else:
-                    out = kernels[index](batch)
-                    box.tuples_out += len(out)
-                    batch = out
-                box.busy_time += stage_consumed
-                box.latency_sum += stage_consumed
-                box.latency_count += 1
+                    batch = out = kernels[index](batch)
+                stage.tuples_out += len(out)
+                if index == 0:
+                    head_share = consumed
+                else:
+                    share = consumed - reached
+                    stage.busy_time += share
+                    stage.latency_sum += share
+                    stage.latency_count += 1
             budget -= n
         if processed:
+            self.tuples_processed += processed
             self._m_tuples.inc(processed)
             self._m_trains.inc()
-        return consumed, emissions
+        box.busy_time += head_share
+        box.latency_sum += head_share  # coarse T_B contribution per train
+        box.latency_count += 1
+        self.busy_time += consumed
+        return consumed, stages[-1], emissions
 
-    @staticmethod
-    def _nonempty_input(box: Box) -> Arc | None:
-        oldest: Arc | None = None
-        oldest_ts = float("inf")
-        for arc in box.input_arcs.values():
-            if arc.queue and arc.queue[0].timestamp < oldest_ts:
-                oldest, oldest_ts = arc, arc.queue[0].timestamp
-        return oldest
-
-    @staticmethod
-    def _claim_input(box: Box, budget: int) -> tuple[Arc | None, int]:
-        """The arc :meth:`_nonempty_input` would pick, and the maximal
-        run of its head tuples the per-tuple loop would consume from it
-        before another arc's head grew older (capped by ``budget``).
-        Delegates to the backend-agnostic :func:`~repro.core.engine.claim_run`,
-        keyed on source timestamps."""
-        return claim_run(box, budget, timestamp_keys)
+    def _stamp(
+        self, tuples: list[StreamTuple], name: str, start: float, end: float
+    ) -> None:
+        """Re-stamp the sampled tuples with a child span on this node."""
+        span = self.system.tracer.span
+        for tup in tuples:
+            if tup.trace is not None:
+                tup.trace = span(tup.trace, name, node=self.name, start=start, end=end)
 
     def _complete(self, box: Box, emissions: list[tuple[int, StreamTuple]]) -> None:
         if self.failed:
             return
-        self.route_emissions(box, emissions)
-        if box.queued() > 0 or self._choose_box() is not None:
-            self.kick()
+        self.route_emissions(box, emissions)  # kicks the next work event
 
     # -- egress -----------------------------------------------------------------
 
@@ -333,14 +288,8 @@ class AuroraNode:
             handles[1].inc(len(tuples))
             handles[2].inc(size)
             if tracing:
-                tracer = system.tracer
                 now = system.sim.now
-                for tup in tuples:
-                    if tup.trace is not None:
-                        tup.trace = tracer.span(
-                            tup.trace, f"transport:{self.name}->{owner}",
-                            node=self.name, start=now, end=now,
-                        )
+                self._stamp(tuples, f"transport:{self.name}->{owner}", now, now)
             message = Message("tuples", {"arc": arc_id, "tuples": tuples}, size=size)
             system.overlay.send(self.name, owner, message)
 
@@ -352,15 +301,9 @@ class AuroraNode:
         ("any tuples that are queued within S are allowed to drain off").
         """
         box = self.system.network.boxes[box_id]
-        chain = self.system.fused_chain(box_id)
         while box.queued() > 0:
-            if chain is not None:
-                consumed, emissions = self._process_chain_train(chain)
-                self.route_emissions(chain.tail, emissions)
-            else:
-                consumed, emissions = self._process_train(box)
-                self.route_emissions(box, emissions)
-            self.busy_time += consumed
+            _consumed, tail, emissions = self._run_train(box)
+            self.route_emissions(tail, emissions)
 
     def _on_load_probe(self, message: Message) -> None:
         """Answer a neighbor's load probe with this node's backlog."""

@@ -246,7 +246,13 @@ class ParallelSystem:
         if kind != KIND_CONTROL:
             self._received_data += 1
             assert route is not None and route.startswith("out:")
-            self.outputs[route[4:]].extend(payload)
+            stream = route[4:]
+            self.outputs[stream].extend(payload)
+            # An output frame names its sender: the owner of the box
+            # that feeds the stream.  A worker busy streaming outputs
+            # never idles into a heartbeat, so this is its sign of life.
+            producer = str(self.network.outputs[stream].source[0])
+            self._last_seen[self.placement[producer]] = time.monotonic()
             return None
         worker = payload.get("worker")
         if worker:
@@ -293,14 +299,13 @@ class ParallelSystem:
                 )
 
     def _diagnose(self) -> str:
-        now = time.monotonic()
         parts = []
-        for worker, proc in self._procs.items():
-            seen = self._last_seen.get(worker)
-            age = f"{now - seen:.1f}s ago" if seen is not None else "never"
+        for worker, entry in self.liveness().items():
+            age = entry["last_seen_age"]
+            seen = f"{age:.1f}s ago" if age is not None else "never"
             parts.append(
-                f"{worker}(alive={proc.is_alive()}, exitcode={proc.exitcode}, "
-                f"last_seen={age})"
+                f"{worker}(alive={entry['alive']}, exitcode={entry['exitcode']}, "
+                f"last_seen={seen})"
             )
         return "workers: " + ", ".join(parts)
 
@@ -376,7 +381,8 @@ class ParallelSystem:
     # -- observability --------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Per-box tuples_in/out plus per-worker frame counters."""
+        """Per-box tuples_in/out plus per-worker frame counters and each
+        worker engine's metrics registry snapshot."""
         if not self._started:
             raise ParallelError("system not started")
         deadline = time.monotonic() + self.control_timeout
@@ -396,6 +402,7 @@ class ParallelSystem:
                     "frames_out": replies[worker]["frames_out"],
                     "bytes_out": replies[worker]["bytes_out"],
                     "processed": replies[worker]["processed"],
+                    "metrics": replies[worker]["metrics"],
                 }
                 for worker in self.workers
             },

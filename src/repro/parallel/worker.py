@@ -2,15 +2,14 @@
 
 One worker owns a subset of a query network's boxes.  It rebuilds its
 own private copy of the network from a spawn-safe blueprint (see
-:mod:`repro.parallel.blueprints`), then loops on its inbox queue:
+:mod:`repro.parallel.blueprints`), cuts it down to the boxes it owns
+(:func:`cut_network`) and runs an ordinary
+:class:`~repro.core.engine.AuroraEngine` over the cut.  The worker
+itself only routes, looping on its inbox queue:
 
 - **data frames** (``TupleTrainMessage`` wire bytes, pickle-free) are
-  enqueued on the addressed arc and drained through the owned boxes —
-  the same claim rule every backend uses
-  (:func:`repro.core.engine.claim_run` keyed on source timestamps);
-- emissions whose consumer lives on another worker are framed and sent
-  to that worker's inbox; emissions to output streams go to the
-  coordinator;
+  pushed into the engine, which runs until idle; what it then holds in
+  its output buffers is shipped on, one frame per stream;
 - **control frames** drive the fence-based termination protocol,
   end-of-stream operator flushes, stats collection, and shutdown;
 - an inbox timeout doubles as the heartbeat tick (and as the orphan
@@ -28,9 +27,10 @@ import os
 import queue as queue_module
 import time
 import traceback
-from typing import Any, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
-from repro.core.engine import claim_run, pop_head, timestamp_keys
+from repro.core.engine import AuroraEngine
+from repro.core.query import QueryNetwork
 from repro.network.framing import (
     KIND_CONTROL,
     decode_frame,
@@ -49,9 +49,49 @@ TUPLE_BYTES = 32
 
 COORD = "coord"
 
+# Stream-name prefix of an arc cut at the worker boundary.  A real
+# output stream of that very name would fail the cut loudly
+# (``rewire_target`` rejects duplicate output streams).
+BOUNDARY = "arc:"
+
+
+def cut_network(
+    network: QueryNetwork, placement: dict[str, str], worker_id: str
+) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """Rewrite ``network`` in place into the sub-network ``worker_id`` owns.
+
+    An arc fed from outside the worker — by a remote box or a network
+    input — becomes the input stream ``BOUNDARY + arc.id``, an arc
+    feeding a remote box the output stream of the same name; real
+    output arcs keep their name, arcs and boxes the worker has no end
+    of are removed.  Returns ``(ingress, egress)``: wire route -> input
+    stream, and output stream -> ``(destination, wire route)``.  Routes
+    are the uncut network's: arc ids, ``out:<stream>`` to the coordinator.
+    """
+    ingress: dict[str, str] = {}
+    egress: dict[str, tuple[str, str]] = {}
+    for arc in list(network.arcs.values()):
+        # "in" / "out" endpoints are nobody's: no box may carry those ids.
+        produced = placement.get(arc.source[0]) == worker_id
+        consumed = placement.get(arc.target[0]) == worker_id
+        stream = BOUNDARY + arc.id
+        if not produced and not consumed:
+            network.remove_arc(arc.id)
+        elif not produced:
+            ingress[arc.id] = stream
+            network.rewire_source(arc, "in:" + stream)
+        elif arc.is_output:
+            egress[str(arc.target[1])] = (COORD, f"out:{arc.target[1]}")
+        elif not consumed:
+            egress[stream] = (placement[str(arc.target[0])], arc.id)
+            network.rewire_target(arc, "out:" + stream)
+    for box_id in [b for b in network.boxes if placement[b] != worker_id]:
+        network.remove_box(box_id)
+    return ingress, egress
+
 
 class _WorkerState:
-    """Mutable run state of one worker process."""
+    """One worker's engine over its cut, and the routing around it."""
 
     def __init__(
         self,
@@ -63,113 +103,56 @@ class _WorkerState:
         train_size: int,
     ):
         self.worker_id = worker_id
-        self.network = build_network(spec)
-        self.placement = placement
-        self.peer_inboxes = peer_inboxes
-        self.coord_inbox = coord_inbox
-        self.train_size = max(1, train_size)
-        self.owned = [
-            box_id
-            for box_id in self.network.topological_order()
-            if placement.get(box_id) == worker_id
-        ]
-        self.owned_set = set(self.owned)
+        network = build_network(spec)
+        self.ingress, self.egress = cut_network(network, placement, worker_id)
+        self.engine = AuroraEngine(network, train_size=max(1, train_size))
+        self.inboxes = {**peer_inboxes, COORD: coord_inbox}
         # Termination-detection counters (fence protocol): data frames
         # only — control traffic is not counted.
         self.sent: dict[str, int] = {}
         self.received = 0
-        self.processed = 0  # tuples through owned boxes
-        self.frames_out = 0
         self.bytes_out = 0
 
     # -- egress ---------------------------------------------------------
 
     def send_control(self, payload: dict) -> None:
-        self.coord_inbox.put(encode_control(payload))
+        self.inboxes[COORD].put(encode_control(payload))
 
     def send_data(self, dest: str, route: str, train: list) -> None:
         """Frame a train as TupleTrainMessage wire bytes and ship it."""
         message = TupleTrainMessage.from_train(route, train, tuple_bytes=TUPLE_BYTES)
         wire = message.to_wire(train)
-        inbox = self.coord_inbox if dest == COORD else self.peer_inboxes[dest]
-        inbox.put(wire)
+        self.inboxes[dest].put(wire)
         self.sent[dest] = self.sent.get(dest, 0) + 1
-        self.frames_out += 1
         self.bytes_out += len(wire)
 
-    def route_emissions(self, box, emissions: list) -> None:
-        """Deliver a processed train's outputs: locally, remotely, or out.
-
-        Emission order is preserved per destination arc, so every arc
-        stays FIFO end to end (each arc has a single producer box and a
-        single producer process — the per-arc order every backend
-        agrees on).
-        """
-        if not emissions:
-            return
-        per_arc: dict[str, list] = {}
-        arcs: dict[str, Any] = {}
-        for out_port, tup in emissions:
-            for arc in box.output_arcs.get(out_port, []):
-                per_arc.setdefault(arc.id, []).append(tup)
-                arcs[arc.id] = arc
-        for arc_id, train in per_arc.items():
-            arc = arcs[arc_id]
-            kind, ref = arc.target
-            if kind == "out":
-                self.send_data(COORD, f"out:{ref}", train)
-            else:
-                owner = self.placement[str(kind)]
-                if owner == self.worker_id:
-                    arc.queue.extend(train)
-                    arc.tuples_transferred += len(train)
-                else:
-                    self.send_data(owner, arc.id, train)
-
-    # -- processing -----------------------------------------------------
-
-    def drain(self) -> None:
-        """Process owned boxes until none has queued input."""
-        boxes = self.network.boxes
-        progress = True
-        while progress:
-            progress = False
-            for box_id in self.owned:
-                box = boxes[box_id]
-                while box.queued() > 0:
-                    arc, n = claim_run(box, self.train_size, timestamp_keys)
-                    if arc is None:
-                        break
-                    batch = pop_head(arc.queue, n)
-                    box.tuples_in += n
-                    self.processed += n
-                    emissions = box.operator.process_batch(
-                        batch, port=int(arc.target[1])
-                    )
-                    box.tuples_out += len(emissions)
-                    self.route_emissions(box, emissions)
-                    progress = True
+    # -- the three verbs ------------------------------------------------
 
     def accept(self, route: str, train: list) -> None:
-        """Enqueue an incoming data frame's train on the addressed arc."""
+        """Push an incoming data frame's train on its arc's boundary stream."""
         self.received += 1
-        arc = self.network.arcs.get(route)
-        if arc is None:
-            raise KeyError(f"worker {self.worker_id}: no arc {route!r}")
-        arc.queue.extend(train)
-        arc.tuples_transferred += len(train)
+        self.engine.push_many(self.ingress[route], train)
+
+    def pump(self) -> None:
+        """Run the engine until idle, then ship what it delivered: ONE
+        frame per non-empty output stream, so every arc stays FIFO end
+        to end.  A shipped stream is released — buffer and per-delivery
+        QoS latency samples — so a long-lived worker holds no
+        per-delivered-tuple state between pumps."""
+        engine = self.engine
+        engine.run_until_idle()
+        for stream, buffer in engine.outputs.items():
+            if buffer:
+                self.send_data(*self.egress[stream], list(buffer))
+                buffer.clear()
+                engine.qos_monitor.latencies[stream].clear()
 
     def flush_box(self, box_id: str) -> None:
-        """End-of-stream flush of one owned box (engine.flush's per-box
-        step; the coordinator quiesces the plane between boxes so topo
-        order is respected globally)."""
-        box = self.network.boxes[box_id]
-        self.drain()  # anything still queued at this box goes first
-        emissions = box.operator.flush()
-        if emissions:
-            box.tuples_out += len(emissions)
-            self.route_emissions(box, emissions)
-            self.drain()
+        """End-of-stream flush of one owned box.  The coordinator walks
+        the boxes in *global* topological order (a worker's boxes need
+        not be contiguous in it) and quiesces the plane in between."""
+        self.engine.flush_box(box_id)  # drains the box first, then runs idle
+        self.pump()
 
     # -- snapshots ------------------------------------------------------
 
@@ -180,7 +163,7 @@ class _WorkerState:
             "round": fence_round,
             "sent": dict(self.sent),
             "received": self.received,
-            "processed": self.processed,
+            "processed": self.engine.tuples_processed,
         }
 
     def stats_snapshot(self) -> dict:
@@ -188,15 +171,13 @@ class _WorkerState:
             "type": "stats_reply",
             "worker": self.worker_id,
             "boxes": {
-                box_id: {
-                    "tuples_in": self.network.boxes[box_id].tuples_in,
-                    "tuples_out": self.network.boxes[box_id].tuples_out,
-                }
-                for box_id in self.owned
+                box.id: {"tuples_in": box.tuples_in, "tuples_out": box.tuples_out}
+                for box in self.engine.network.boxes.values()
             },
-            "frames_out": self.frames_out,
+            "frames_out": sum(self.sent.values()),
             "bytes_out": self.bytes_out,
-            "processed": self.processed,
+            "processed": self.engine.tuples_processed,
+            "metrics": self.engine.metrics.snapshot(),
         }
 
 
@@ -231,18 +212,17 @@ def worker_main(
         if log is not None:
             log.write(f"[{time.monotonic():.3f}] {line}\n")
 
-    state = None
     try:
         state = _WorkerState(
             worker_id, spec, placement, peer_inboxes, coord_inbox, train_size
         )
-        say(f"worker {worker_id} up: pid={os.getpid()} boxes={state.owned}")
+        say(f"worker {worker_id} up: pid={os.getpid()} boxes={state.engine.box_order}")
         state.send_control(
             {
                 "type": "hello",
                 "worker": worker_id,
                 "pid": os.getpid(),
-                "boxes": state.owned,
+                "boxes": state.engine.box_order,
             }
         )
         while True:
@@ -257,23 +237,19 @@ def worker_main(
             kind, route, payload = decode_frame(frame)
             if kind != KIND_CONTROL:
                 state.accept(route, payload)
-                state.drain()
+                state.pump()
                 continue
             msg_type = payload.get("type")
             if msg_type == "stop":
-                say(f"stop: processed={state.processed}")
+                say(f"stop: processed={state.engine.tuples_processed}")
                 state.send_control({"type": "bye", "worker": worker_id})
                 return
             elif msg_type == "fence":
-                state.drain()
+                state.pump()
                 state.send_control(state.fence_snapshot(int(payload["round"])))
             elif msg_type == "flush_box":
                 box_id = str(payload["box"])
-                if box_id not in state.owned_set:
-                    raise KeyError(
-                        f"worker {worker_id} asked to flush unowned box {box_id!r}"
-                    )
-                state.flush_box(box_id)
+                state.flush_box(box_id)  # KeyError for a box outside the cut
                 state.send_control(
                     {"type": "flush_ack", "worker": worker_id, "box": box_id}
                 )

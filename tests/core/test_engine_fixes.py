@@ -93,6 +93,46 @@ class TestFlushBatchPath:
         assert results[False] == results[True]
 
 
+class TestFlushBox:
+    @staticmethod
+    def two_windows_net():
+        """in:src -> f -> m -> t1(count 4) -> t2(count 3) -> out:sink:
+        a fusable run feeding two windowed boxes in series, so t1's
+        flushed windows must flow through t2 before t2 is flushed."""
+        net = QueryNetwork()
+        net.add_box("f", Filter(lambda t: t["A"] % 7 != 0))
+        net.add_box("m", Map(lambda v: {"G": v["G"], "A": v["A"] + 1}))
+        net.add_box("t1", Tumble("sum", groupby=("G",), value_attr="A", mode="count", window_size=4))
+        net.add_box("t2", Tumble("max", groupby=("G",), value_attr="result", mode="count", window_size=3))
+        net.connect("in:src", "f")
+        net.connect("f", "m")
+        net.connect("m", "t1")
+        net.connect("t1", "t2")
+        net.connect("t2", "out:sink")
+        return net
+
+    def test_per_box_flush_in_topological_order_equals_flush(self):
+        stream = [{"G": i % 3, "A": i} for i in range(50)]
+        for batch in (True, False):
+            delivered = {}
+            for per_box in (False, True):
+                engine = AuroraEngine(self.two_windows_net(), batch_execution=batch)
+                engine.push_many("src", make_stream(stream))
+                engine.run_until_idle()
+                before = len(engine.outputs["sink"])
+                if per_box:
+                    for box_id in engine.network.topological_order():
+                        engine.flush_box(box_id)
+                else:
+                    engine.flush()
+                assert len(engine.outputs["sink"]) > before
+                assert engine.network.total_queued() == 0
+                delivered[per_box] = [
+                    (t.timestamp, t.values) for t in engine.outputs["sink"]
+                ]
+            assert delivered[True] == delivered[False]
+
+
 class TestInvalidateCaches:
     def test_removed_output_stream_is_pruned(self):
         net = QueryNetwork()

@@ -5,6 +5,8 @@ transparently before run-time rewrites (box sliding and splitting), and
 never change delivered outputs or per-box logical statistics.
 """
 
+import pytest
+
 from repro.core.operators.filter import Filter
 from repro.core.operators.map import Map
 from repro.core.query import QueryNetwork
@@ -81,6 +83,18 @@ class TestFusionEquivalence:
                 a = plain.network.boxes[box_id]
                 b = fused.network.boxes[box_id]
                 assert (a.tuples_in, a.tuples_out) == (b.tuples_in, b.tuples_out), box_id
+
+    def test_box_busy_time_sums_to_node_busy_time(self):
+        # The load-share daemon reads per-box busy time: every second a
+        # node was busy — scheduling overhead included — is some box's.
+        for fusion in (False, True):
+            system = deploy(ALL_ON_N1, fusion=fusion)
+            drive(system)
+            node = system.nodes["n1"]
+            boxes = system.network.boxes.values()
+            assert node.busy_time > 0
+            assert sum(b.busy_time for b in boxes) == pytest.approx(node.busy_time)
+            assert all(b.busy_time > 0 and b.latency_count > 0 for b in boxes)
 
     def test_interior_arcs_carry_no_traffic(self):
         system = deploy(ALL_ON_N1, fusion=True)

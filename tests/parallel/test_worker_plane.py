@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.tuples import StreamTuple
+from repro.network.framing import encode_data
 from repro.parallel import (
     ParallelError,
     ParallelSystem,
@@ -12,6 +13,13 @@ from repro.parallel import (
     partition_boxes,
 )
 from repro.parallel.blueprints import scenario_network, sleep_pipeline
+from repro.parallel.oracle import stream_multisets
+from tests.parallel.test_worker_cut import (
+    SANDWICH_PLACEMENT,
+    SANDWICH_SPEC,
+    sandwich_traffic,
+    single_engine,
+)
 
 PIPELINE_SPEC = blueprint(
     "repro.parallel.blueprints:sleep_pipeline", stages=3, service_us=1.0
@@ -124,6 +132,17 @@ class TestParallelSystem:
         for stage in ("stage0", "stage1", "stage2"):
             assert stats["boxes"][stage] == {"tuples_in": 60, "tuples_out": 60}
         assert sum(w["processed"] for w in stats["workers"].values()) == 180
+        # Each worker's engine registry rides along and tells the same story.
+        counters = {}
+        for worker in stats["workers"].values():
+            counters.update(worker["metrics"]["counters"])
+        assert stats["boxes"] == {
+            stage: {
+                "tuples_in": counters[f"engine.box.tuples_in{{box={stage}}}"],
+                "tuples_out": counters[f"engine.box.tuples_out{{box={stage}}}"],
+            }
+            for stage in stats["boxes"]
+        }
 
     def test_liveness_reports_every_worker(self):
         with ParallelSystem(PIPELINE_SPEC, n_workers=2) as system:
@@ -135,12 +154,43 @@ class TestParallelSystem:
                 assert entry["alive"]
                 assert entry["last_seen_age"] is not None
 
+    def test_output_frame_refreshes_its_senders_last_seen(self):
+        # A worker that streams outputs never idles into a heartbeat;
+        # its data frames must count as signs of life.  No processes
+        # needed: feed the coordinator's inbox handler directly.
+        system = ParallelSystem(PIPELINE_SPEC, n_workers=2)
+        owner = system.placement["stage2"]  # feeds out:sink
+        assert system._last_seen == {}
+        assert system._absorb(encode_data("out:sink", source_tuples(3))) is None
+        assert set(system._last_seen) == {owner}
+        assert len(system.outputs["sink"]) == 3
+
     def test_explicit_placement(self):
-        placement = {"stage0": "w0", "stage1": "w1", "stage2": "w0"}
-        with ParallelSystem(PIPELINE_SPEC, placement=placement) as system:
-            system.push("source", source_tuples(30))
-            outputs = system.drain()
-        assert [t.values["v"] for t in outputs["sink"]] == [i + 3 for i in range(30)]
+        # Non-contiguous placements (a worker's boxes need not be
+        # neighbours in topological order) equal ONE engine over the
+        # uncut network; streams with a single producer chain keep full
+        # FIFO order as well.
+        cases = [
+            (
+                PIPELINE_SPEC,
+                {"stage0": "w0", "stage1": "w1", "stage2": "w0"},
+                {"source": source_tuples(30)},
+                "sink",
+            ),
+            (SANDWICH_SPEC, SANDWICH_PLACEMENT, sandwich_traffic(), "mapped"),
+        ]
+        for spec, placement, traffic, chain_stream in cases:
+            want_outputs, want_boxes = single_engine(spec, traffic)
+            with ParallelSystem(spec, placement=placement) as system:
+                for name, tuples in traffic.items():
+                    system.push(name, tuples)
+                outputs = system.drain()
+                boxes = system.stats()["boxes"]
+            assert stream_multisets(outputs) == stream_multisets(want_outputs)
+            assert boxes == want_boxes
+            assert [t.values for t in outputs[chain_stream]] == [
+                t.values for t in want_outputs[chain_stream]
+            ]
 
     def test_placement_must_cover_network(self):
         with pytest.raises(ValueError):
