@@ -26,11 +26,12 @@ indirection, so adding/removing one replica moves only the keys owned
 by that replica's vnodes (bounded-movement repartitioning) and never
 renames surviving slots.
 
-Every rewrite is bracketed exactly like the reoptimize path: engine
-plane — ``engine.defuse()`` → mutate → ``engine.invalidate_caches()``
-(which refuses superboxes and fires the scheduler's ``network_changed``
-hook); system plane — ``system.defuse(box)`` → mutate →
-``control_messages += 1`` → ``system.refresh_fusion()`` → kick.
+No rewrite is bracketed: the ``QueryNetwork`` mutators bump
+``network.revision``, and the engine and the Aurora* system revalidate
+everything they derive from the network's shape (superboxes, scheduling
+order, ``boxes_on``) on their next call.  The engine's forced resync is
+only for edits that bypass the mutators, and its derived public views
+(``queued_counts``, ``box_order``, ...) are current as of its last call.
 
 Two rewrite executors ("planes") share the structural transformations:
 
@@ -307,8 +308,8 @@ def resolve_partition_fields(
 # ---------------------------------------------------------------------------
 # Structural transformations (shared by both planes)
 #
-# These mutate the QueryNetwork only; the calling plane brackets them
-# with defuse/refuse and does any quiescing (drain) first.
+# These mutate the QueryNetwork only; the calling plane does any
+# quiescing (drain) first.
 
 
 def _install_skeleton(network: "QueryNetwork", group: ElasticGroup) -> None:
@@ -468,9 +469,8 @@ class EnginePlane:
 
     supports_stateful = True
 
-    def __init__(self, engine: "AuroraEngine", capacity_per_replica: float = 0.0):
+    def __init__(self, engine: "AuroraEngine"):
         self.engine = engine
-        self.capacity_per_replica = capacity_per_replica
 
     @property
     def network(self) -> "QueryNetwork":
@@ -496,8 +496,6 @@ class EnginePlane:
 
     def split(self, group: ElasticGroup, controller: "ElasticityController") -> bool:
         """1 -> 2 replicas.  Synchronous; queued tuples simply reroute."""
-        engine = self.engine
-        engine.defuse()
         ring = PartitionRing(group.fields)
         ring.add()
         group.ring = ring
@@ -506,23 +504,19 @@ class EnginePlane:
         ring.add()
         if group.stateful:
             _migrate_windows(self.network, group)
-        engine.cpu_capacity += self.capacity_per_replica
-        engine.invalidate_caches()
+        self.engine.cpu_capacity += controller.policy.capacity_per_replica
         return True
 
     def scale_out(self, group: ElasticGroup, controller: "ElasticityController") -> bool:
         """k -> k+1.  Stateful groups quiesce first so no in-flight tuple
         of a moving key can reach its old owner after the ring flips."""
-        engine = self.engine
-        engine.defuse()
         if group.stateful:
-            engine.drain_boxes([group.router_id, *group.replicas])
+            self.engine.drain_boxes([group.router_id, *group.replicas])
         _attach_replica(self.network, group)
         group.ring.add()
         if group.stateful:
             _migrate_windows(self.network, group)
-        engine.cpu_capacity += self.capacity_per_replica
-        engine.invalidate_caches()
+        self.engine.cpu_capacity += controller.policy.capacity_per_replica
         return True
 
     def scale_in(self, group: ElasticGroup, controller: "ElasticityController") -> bool:
@@ -530,7 +524,6 @@ class EnginePlane:
         plain box.  Quiesce-first makes the victim's arcs empty and its
         windows safe to re-home, so nothing is lost."""
         engine = self.engine
-        engine.defuse()
         engine.drain_boxes([group.router_id, *group.replicas, group.union_id])
         index = len(group.replicas) - 1
         victim = self.network.boxes[group.replicas[index]].operator
@@ -543,22 +536,18 @@ class EnginePlane:
         if orphans:
             _adopt_windows(self.network, group, orphans)
         engine.cpu_capacity = max(
-            1e-9, engine.cpu_capacity - self.capacity_per_replica
+            1e-9, engine.cpu_capacity - controller.policy.capacity_per_replica
         )
         if len(group.replicas) == 1:
             # Arcs are already empty (drained above, nothing ran since).
             _teardown(self.network, group)
-        engine.invalidate_caches()
         return True
 
     def merge(self, group: ElasticGroup, controller: "ElasticityController") -> bool:
         """Tear down a k == 1 skeleton (left by a system-plane rollback
         path; on this plane scale_in reaches it directly)."""
-        engine = self.engine
-        engine.defuse()
-        engine.drain_boxes([group.router_id, group.box_id, group.union_id])
+        self.engine.drain_boxes([group.router_id, group.box_id, group.union_id])
         _teardown(self.network, group)
-        engine.invalidate_caches()
         return True
 
     def repair(self, group: ElasticGroup, index: int, controller) -> bool:
@@ -590,14 +579,10 @@ class SystemPlane:
         system: "AuroraStarSystem",
         nodes: Iterable[str] | None = None,
         load_window: float = 1.0,
-        transfer_delay: float = 0.05,
-        settle_delay: float = 0.05,
     ):
         self.system = system
         self.pool = list(nodes) if nodes is not None else list(system.nodes)
         self.load_window = load_window
-        self.transfer_delay = transfer_delay
-        self.settle_delay = settle_delay
         self._rr = 0
 
     @property
@@ -650,7 +635,6 @@ class SystemPlane:
 
     def _finish_rewrite(self, *touched: str) -> None:
         self.system.control_messages += 1
-        self.system.refresh_fusion()
         for name in touched:
             node = self.system.nodes.get(name)
             if node is not None:
@@ -660,7 +644,6 @@ class SystemPlane:
 
     def split(self, group: ElasticGroup, controller: "ElasticityController") -> bool:
         system = self.system
-        system.defuse(group.box_id)
         ring = PartitionRing(group.fields)
         ring.add()
         group.ring = ring
@@ -674,8 +657,6 @@ class SystemPlane:
         return True
 
     def scale_out(self, group: ElasticGroup, controller: "ElasticityController") -> bool:
-        system = self.system
-        system.defuse(group.box_id)
         self._prepare_replica(group, controller)
         self._finish_rewrite(group.nodes[0])
         return True
@@ -687,7 +668,7 @@ class SystemPlane:
         group.nodes.append(target)
         group.pending = {"kind": "add", "rid": rid, "node": target}
         self.system.sim.schedule(
-            self.transfer_delay, self._commit_replica, group, controller
+            controller.policy.transfer_delay, self._commit_replica, group, controller
         )
 
     def _commit_replica(self, group: ElasticGroup, controller) -> None:
@@ -715,14 +696,24 @@ class SystemPlane:
     def scale_in(self, group: ElasticGroup, controller: "ElasticityController") -> bool:
         if len(group.replicas) == 1:
             return self.merge(group, controller)
-        index = len(group.replicas) - 1
+        return self._stop_routing(
+            group, len(group.replicas) - 1, "retire", self._retire_drain, controller
+        )
+
+    def _stop_routing(
+        self, group: ElasticGroup, index: int, kind: str, then, controller
+    ) -> bool:
+        """Phase 1 of a retire or a repair: remove the slot, so new
+        traffic reroutes at once (the ring's slot->port map keeps
+        surviving slots on their wired ports until the detach), and run
+        ``then`` a settle later."""
         rid = group.replicas[index]
         slot = group.ring.slot_name(index)
-        group.ring.remove(index)  # stop routing; ports detach later
-        group.pending = {"kind": "retire", "rid": rid, "slot": slot}
+        group.ring.remove(index)
+        group.pending = {"kind": kind, "rid": rid, "slot": slot}
         self.system.control_messages += 1
         self.system.sim.schedule(
-            self.settle_delay, self._retire_drain, group, controller
+            controller.policy.settle_delay, then, group, controller
         )
         return True
 
@@ -733,11 +724,14 @@ class SystemPlane:
         if node is not None and not node.failed:
             node.drain_box(rid)
         self.system.sim.schedule(
-            self.settle_delay, self._retire_finish, group, controller
+            controller.policy.settle_delay, self._excise, group, controller
         )
 
-    def _retire_finish(self, group: ElasticGroup, controller) -> None:
-        """Drain emissions have landed; detach the port and the box."""
+    def _excise(self, group: ElasticGroup, controller) -> None:
+        """Last phase of a retire or a repair.  A settle has elapsed, so
+        what the replica emitted (draining, or before dying) has landed:
+        drain the gather union, declare the loss
+        (:meth:`_declared_loss`), detach the port and the box."""
         pending = group.pending
         group.pending = None
         rid, slot = pending["rid"], pending["slot"]
@@ -757,7 +751,6 @@ class SystemPlane:
         system = self.system
         home = group.nodes[0]
         node = system.nodes[home]
-        system.defuse(group.box_id)
         if not node.failed:
             for box_id in (group.router_id, group.box_id, group.union_id):
                 node.drain_box(box_id)
@@ -771,38 +764,9 @@ class SystemPlane:
     # -- crash repair ------------------------------------------------------
 
     def repair(self, group: ElasticGroup, index: int, controller) -> bool:
-        """A committed replica's node died: excise it, declaring the loss.
-
-        Phase 1 removes the slot, so new traffic reroutes at once (the
-        ring's slot->port map keeps surviving slots on their wired ports
-        until the detach).  Phase 2, a settle later — by which time
-        emissions the replica made *before* dying have landed — drains
-        the gather union and declares the loss (:meth:`_declared_loss`),
-        then detaches the port.
-        """
-        rid = group.replicas[index]
-        slot = group.ring.slot_name(index)
-        group.ring.remove(index)
-        group.pending = {"kind": "repair", "rid": rid, "slot": slot}
-        self.system.control_messages += 1
-        self.system.sim.schedule(
-            self.settle_delay, self._repair_finish, group, controller
-        )
-        return True
-
-    def _repair_finish(self, group: ElasticGroup, controller) -> None:
-        pending = group.pending
-        group.pending = None
-        rid, slot = pending["rid"], pending["slot"]
-        index = group.replicas.index(rid)
-        self._drain_gather(group)
-        lost = self._declared_loss(group, slot, rid)
-        _detach_replica(self.network, group, index)
-        self.system.placement.pop(rid, None)
-        group.nodes.pop(index)
-        if lost:
-            controller.note_lost(group, lost)
-        self._finish_rewrite(*self.pool)
+        """A committed replica's node died: excise it, declaring the
+        loss — stop routing to it now, detach it a settle later."""
+        return self._stop_routing(group, index, "repair", self._excise, controller)
 
     def _drain_gather(self, group: ElasticGroup) -> None:
         """Process everything queued at the home-node gather union.

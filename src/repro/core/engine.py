@@ -147,6 +147,9 @@ class AuroraEngine:
         self.steps = 0
         self.tuples_processed = 0
         self.fusion = fusion
+        # Views derived from the network's shape, current as of the
+        # engine's last public call (``_sync``): schedulers read them
+        # inside ``step()``.
         self.outputs: dict[str, Union[list[StreamTuple], OutputBuffer]] = {}
         self.box_order: list[str] = []
         # Public scheduler-facing indexes (see the scheduler module):
@@ -160,7 +163,8 @@ class AuroraEngine:
         self._runs: dict[str, FusedChain] = {}
         self._fused: dict[str, FusedChain] = {}
         self._fused_member: dict[str, str] = {}
-        self.invalidate_caches()
+        self._revision = -1
+        self._sync()
 
     @property
     def columnar(self) -> bool:
@@ -171,19 +175,32 @@ class AuroraEngine:
     # -- topology caches -----------------------------------------------------
 
     def invalidate_caches(self) -> None:
-        """Recompute topology-derived state after a network change.
+        """Force :meth:`_sync` after an edit that bypassed the network's
+        mutators (straight to its ``boxes`` / ``arcs`` dicts).  Nothing
+        that rewrites through the mutators needs to call this."""
+        self.network.touch()
+        self._sync()
+
+    def _sync(self) -> None:
+        """Recompute topology-derived state if the network has changed.
 
         Load management (Section 5) rewrites the network at run time —
-        box sliding and splitting add/remove boxes — so everything
-        derived from topology must be refreshed: reachability,
-        scheduling order, the queued-count index, the output buffers
-        (streams a rewrite removed drop their buffers instead of
-        lingering) and the superbox fusion overlay, which re-runs from
-        scratch (defuse + refuse) so direct network mutations are
-        honored.  The scheduler is notified last, so cursors cannot
+        box sliding and splitting add/remove boxes — and every mutator
+        bumps ``network.revision``.  The public calls that read or
+        change queue state compare it on entry, so a rewrite needs no
+        bracket: everything derived from topology is refreshed before
+        the next tuple moves — reachability, scheduling order, the
+        queued-count index, the output buffers (streams a rewrite
+        removed drop their buffers instead of lingering) and the
+        superbox fusion overlay, which re-runs from scratch (defuse +
+        refuse).  The scheduler is notified last, so cursors cannot
         point past a shrunken ``box_order``.
         """
+        revision = self.network.revision
+        if self._revision == revision:
+            return
         self.box_order = self.network.topological_order()
+        self._revision = revision
         self.topo_position = {b: i for i, b in enumerate(self.box_order)}
         self._reach_cache.clear()
         self._input_reach_cache.clear()
@@ -235,10 +252,12 @@ class AuroraEngine:
 
     def fused_runs(self) -> list[list[str]]:
         """Box-id runs currently compiled into superboxes."""
+        self._sync()
         return [chain.member_ids() for chain in self._fused.values()]
 
     def outputs_reachable_from(self, box_id: str) -> frozenset[str]:
         """Output stream names downstream of ``box_id``."""
+        self._sync()
         cached = self._reach_cache.get(box_id)
         if cached is not None:
             return cached
@@ -264,6 +283,7 @@ class AuroraEngine:
 
     def outputs_reachable_from_input(self, input_name: str) -> frozenset[str]:
         """Output stream names downstream of a network input."""
+        self._sync()
         cached = self._input_reach_cache.get(input_name)
         if cached is not None:
             return cached
@@ -303,6 +323,8 @@ class AuroraEngine:
         future (sources run in real time).  Returns False if the load
         shedder dropped the tuple.
         """
+        if self._revision != self.network.revision:  # _sync's test, inlined
+            self._sync()
         if input_name not in self.network.inputs:
             raise KeyError(f"engine network has no input {input_name!r}")
         self.clock = max(self.clock, tup.timestamp)
@@ -383,6 +405,7 @@ class AuroraEngine:
         ``batch_execution`` off, or no single arc takes whole trains
         (:meth:`_train_arc`).
         """
+        self._sync()
         arc = self._train_arc(input_name)
         n = len(train)
         if n == 0:
@@ -408,6 +431,7 @@ class AuroraEngine:
         """Admit a batch; returns the number of tuples admitted."""
         if isinstance(tuples, ColumnarTrain):
             return self.push_train(input_name, tuples)
+        self._sync()
         arc = self._train_arc(input_name)
         if arc is None or not self.batch_execution:
             return sum(self.push(input_name, tup) for tup in tuples)
@@ -474,6 +498,8 @@ class AuroraEngine:
 
     def step(self) -> float:
         """One scheduling decision.  Returns virtual seconds consumed (0 if idle)."""
+        if self._revision != self.network.revision:  # _sync's test, inlined
+            self._sync()
         box_id = self.scheduler.choose(self)
         if box_id is None:
             return 0.0
@@ -914,6 +940,7 @@ class AuroraEngine:
         counts, busy time and obs accounting stay exact.  Returns the
         number of tuples drained.
         """
+        self._sync()
         drained = 0
         for box_id in sorted(box_ids, key=lambda b: self.topo_position.get(b, 0)):
             self.defuse(box_id)
@@ -951,6 +978,7 @@ class AuroraEngine:
         A fused run drains and flushes as one group (members back to
         back — the same schedule whether or not fusion is active).
         """
+        self._sync()
         visited: set[str] = set()
         for box_id in self.network.topological_order():
             if box_id in visited:
@@ -966,6 +994,7 @@ class AuroraEngine:
         one, then run until idle.  For a host that sequences the flush
         order itself because it sees only a cut of the network (the
         parallel plane's worker)."""
+        self._sync()
         self._flush_group((self.network.boxes[box_id],))
         self.run_until_idle()
 

@@ -16,8 +16,9 @@ Implemented commutativity rewrites, driven by *measured* statistics
   so the Map only processes surviving tuples.
 
 Rewrites swap the *operators* between boxes, leaving arcs and queued
-tuples in place, so they are safe on a live network; callers holding an
-engine must invalidate its caches afterwards.
+tuples in place, and bump ``QueryNetwork.revision``, so they are safe
+on a live network: an engine running it recompiles its superboxes on
+its next call.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ def _swap_operators(network: QueryNetwork, a_id: str, b_id: str) -> None:
     """
     a, b = network.boxes[a_id], network.boxes[b_id]
     a.operator, b.operator = b.operator, a.operator
+    network.touch()  # compiled superbox kernels hold the old operators
     for box in (a, b):
         box.tuples_in = 0
         box.tuples_out = 0
@@ -143,25 +145,13 @@ def mark_commutes_with_map(filter_operator: Filter) -> Filter:
     return filter_operator
 
 
-def reoptimize(network: QueryNetwork, engine=None) -> list[Rewrite]:
-    """Run all rewrite passes; returns the applied rewrites in order.
-
-    Pass the ``engine`` running this network to make the rewrite safe
-    end to end: superboxes covering rewritten runs are defused first
-    (operator swaps would stale their compiled kernels), and
-    ``invalidate_caches()`` re-runs the fusion pass and refreshes the
-    topology indexes afterwards.  Without it, callers holding an engine
-    must invalidate its caches themselves.
-    """
-    if engine is not None:
-        engine.defuse()
+def reoptimize(network: QueryNetwork) -> list[Rewrite]:
+    """Run all rewrite passes; returns the applied rewrites in order."""
     rewrites = reorder_filter_chains(network)
     rewrites += push_filters_before_maps(network)
     # A map-swap can expose a new filter-chain ordering.
     if rewrites:
         rewrites += reorder_filter_chains(network)
-    if engine is not None:
-        engine.invalidate_caches()
     return rewrites
 
 

@@ -286,6 +286,12 @@ class QueryNetwork:
     :meth:`validate` (the engine calls it on load).  Execution lives in
     :mod:`repro.core.engine` (scheduled) and :func:`execute`
     (synchronous, for semantics tests).
+
+    ``revision`` counts the changes to the network's shape: every
+    mutator below bumps it, and whatever is derived from the shape (the
+    memoized :meth:`topological_order`, an engine's caches, an Aurora*
+    system's placement views) revalidates against it instead of waiting
+    to be told.
     """
 
     def __init__(self, name: str = "query"):
@@ -294,12 +300,20 @@ class QueryNetwork:
         self.arcs: dict[str, Arc] = {}
         self.inputs: dict[str, list[Arc]] = {}
         self.outputs: dict[str, Arc] = {}
+        self.revision = 0
         self._arc_counter = 0
+        self._order: tuple[int, list[str]] = (-1, [])
+
+    def touch(self) -> None:
+        """Declare a change the mutators did not see: an operator
+        swapped in place, or an edit made straight to the dicts."""
+        self.revision += 1
 
     # -- construction ------------------------------------------------------
 
     def add_box(self, box_id: str, operator: Operator) -> Box:
         """Add an operator box; ids must be unique within the network."""
+        self.revision += 1
         if box_id in self.boxes:
             raise QueryError(f"duplicate box id {box_id!r}")
         if box_id in ("in", "out"):
@@ -323,6 +337,7 @@ class QueryNetwork:
         ``connection_point=True`` to attach historical storage and make
         the arc a valid stabilization point for load management.
         """
+        self.revision += 1
         src = _parse_endpoint(source)
         dst = _parse_endpoint(target)
         if arc_id is None:
@@ -384,6 +399,7 @@ class QueryNetwork:
         redirected to the router Filter, and so on.  Queued tuples stay
         on the arc and flow to the new consumer.
         """
+        self.revision += 1
         dst = _parse_endpoint(target)
         old_kind, old_ref = arc.target
         if old_kind == "out":
@@ -410,6 +426,7 @@ class QueryNetwork:
 
     def rewire_source(self, arc: Arc, source: str | tuple[str, int]) -> None:
         """Attach an existing arc to a new producer (box port or input)."""
+        self.revision += 1
         src = _parse_endpoint(source)
         old_kind, old_ref = arc.source
         if old_kind == "in":
@@ -436,6 +453,7 @@ class QueryNetwork:
 
     def remove_arc(self, arc_id: str) -> None:
         """Delete an arc entirely (detaching both endpoints)."""
+        self.revision += 1
         arc = self.arcs.pop(arc_id)
         kind, ref = arc.source
         if kind == "in":
@@ -454,6 +472,7 @@ class QueryNetwork:
 
     def remove_box(self, box_id: str) -> Box:
         """Delete a box; all its arcs must have been removed or rewired."""
+        self.revision += 1
         box = self._box(box_id)
         if box.input_arcs or any(box.output_arcs.values()):
             raise QueryError(f"box {box_id!r} still has connected arcs")
@@ -478,13 +497,19 @@ class QueryNetwork:
         return result
 
     def topological_order(self) -> list[str]:
-        """Box ids in dependency order.  Raises :class:`QueryError` on cycles."""
+        """Box ids in dependency order.  Raises :class:`QueryError` on cycles.
+
+        Memoized on :attr:`revision`; every caller gets its own list.
+        """
+        revision, order = self._order
+        if revision == self.revision:
+            return list(order)
         indegree = {box_id: 0 for box_id in self.boxes}
         for arc in self.arcs.values():
             if arc.source[0] not in ("in",) and arc.target[0] not in ("out",):
                 indegree[str(arc.target[0])] += 1
         ready = deque(sorted(b for b, d in indegree.items() if d == 0))
-        order: list[str] = []
+        order = []
         while ready:
             box_id = ready.popleft()
             order.append(box_id)
@@ -495,7 +520,8 @@ class QueryNetwork:
         if len(order) != len(self.boxes):
             cyclic = sorted(set(self.boxes) - set(order))
             raise QueryError(f"query network contains a cycle through {cyclic}")
-        return order
+        self._order = (self.revision, order)
+        return list(order)
 
     def validate(self) -> None:
         """Check the network is well-formed: acyclic, fully wired."""

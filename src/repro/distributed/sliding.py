@@ -74,12 +74,9 @@ def slide_box(
 
     box = system.network.boxes[box_id]
 
-    # 0. defuse: if the box is fused into a superbox (as head, interior
-    # or tail), dissolve that chain before the choke so draining and
-    # per-box scheduling see the real per-box arcs again.
-    system.defuse(box_id)
-
-    # 1. choke: stop scheduling the box; choke upstream connection points.
+    # 1. choke: stop scheduling the box (a migrating box is in no
+    # superbox, so draining and per-box scheduling see its real arcs);
+    # choke upstream connection points.
     system.migrating.add(box_id)
     choked = []
     for arc in box.input_arcs.values():
@@ -89,11 +86,7 @@ def slide_box(
 
     # 2. drain the queued tuples at the old node (charged to its CPU).
     if drain:
-        was_migrating = box_id in system.migrating
-        system.migrating.discard(box_id)  # drain_box must be able to run it
         system.nodes[from_node].drain_box(box_id)
-        if was_migrating:
-            system.migrating.add(box_id)
 
     # 3. ship the state: a control message from old to new owner.
     state_size = estimate_state_size(system, box_id)
@@ -105,9 +98,6 @@ def slide_box(
     def complete() -> None:
         system.set_placement(box_id, to_node)
         system.migrating.discard(box_id)
-        # Re-run the fusion pass: the slide may have broken old
-        # same-node runs and created new ones around the moved box.
-        system.refresh_fusion()
         for arc in choked:
             held = arc.connection_point.unchoke()
             if held:

@@ -217,9 +217,6 @@ def split_box_distributed(
     if to_node not in system.nodes:
         raise SplitError(f"unknown node {to_node!r}")
     home = system.place(box_id)
-    # The split rewires the box's input/output arcs in place; any
-    # superbox containing it must dissolve before the rewrite.
-    system.defuse(box_id)
     result = split_box(
         system.network,
         box_id,
@@ -233,9 +230,6 @@ def split_box_distributed(
     for merge_box in result.merge_boxes:
         system.set_placement(merge_box, merge_node or home)
     system.control_messages += 1  # the pair-wise negotiation (Section 5.1)
-    # Re-run the fusion pass against the rewritten, re-placed network
-    # (e.g. router -> copy may now form a same-node run of its own).
-    system.refresh_fusion()
     for node_name in {system.placement[b] for b in result.new_boxes}:
         system.nodes[node_name].kick()
     return result

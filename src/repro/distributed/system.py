@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.fusion import FusedChain, build_chains, defuse_chains
+from repro.core.fusion import FusedChain, build_chains
 from repro.core.query import Arc, QueryNetwork
 from repro.core.tuples import StreamTuple
 from repro.distributed.node import AuroraNode
@@ -97,8 +97,13 @@ class AuroraStarSystem:
         # which (unlike the single-node engine's train push) coarsens
         # the simulated timing, so callers enable it explicitly.
         self.fusion_enabled = False
-        self._fused: dict[str, FusedChain] = {}
-        self._fused_member: dict[str, str] = {}
+        # Views derived from (network, placement, migrating), each
+        # stored with the key it was computed at and recomputed on the
+        # first read after the key moves; set_placement is the only
+        # writer of a placement that matters to them.
+        self._placement_revision = 0
+        self._hosted: tuple[tuple, dict[str, list[str]]] = ((), {})
+        self._fused: tuple[tuple, dict[str, FusedChain]] = ((), {})
 
     # -- topology ---------------------------------------------------------------
 
@@ -128,7 +133,6 @@ class AuroraStarSystem:
         self.placement = {}
         for box_id, node in placement.items():
             self.set_placement(box_id, node)
-        self.refresh_fusion()
 
     def set_placement(self, box_id: str, node: str) -> None:
         """Record where a box runs, propagating to the catalog.
@@ -137,6 +141,7 @@ class AuroraStarSystem:
         location of each running piece of the query" (Section 4.1).
         """
         self.placement[box_id] = node
+        self._placement_revision += 1
         self.catalog.place_query_piece(self.network.name, box_id, node)
 
     def deploy_all_on(self, node_name: str) -> None:
@@ -152,58 +157,61 @@ class AuroraStarSystem:
 
     def boxes_on(self, node_name: str) -> list[str]:
         """Box ids currently hosted by a node (topological order)."""
-        return [b for b in self.network.topological_order() if self.placement.get(b) == node_name]
+        key = (self.network.revision, self._placement_revision)
+        if self._hosted[0] != key:
+            hosted: dict[str, list[str]] = {}
+            for box_id in self.network.topological_order():
+                hosted.setdefault(self.placement.get(box_id), []).append(box_id)
+            self._hosted = (key, hosted)
+        return list(self._hosted[1].get(node_name, ()))
 
     # -- superbox fusion (Aurora* overlay, opt-in) ---------------------------------
 
     def enable_fusion(self) -> None:
         """Compile same-node linear runs into superboxes from now on."""
         self.fusion_enabled = True
-        self.refresh_fusion()
 
     def disable_fusion(self) -> None:
         """Drop all superboxes and stop compiling new ones."""
         self.fusion_enabled = False
-        self.defuse()
+        # Unfused execution queues tuples on what were interior arcs;
+        # a later enable_fusion() must not resume the old chains past them.
+        self._fused = ((), {})
 
-    def refresh_fusion(self) -> None:
-        """Re-run the fusion pass against the current network/placement.
+    def _chains(self) -> dict[str, FusedChain]:
+        """The fusion overlay, derived from the current network,
+        placement and migrating set (empty while fusion is off).
 
         Runs never cross node boundaries (an arc between nodes is a
         network transfer) and never include a migrating box, so remote
         tuple messages always target a real arc whose consumer chain is
-        local.  Like the engine's pass, this is defuse + refuse: the
-        network is the ground truth and the overlay is derived state.
+        local.  The network is the ground truth: a rewrite, a placement
+        change or a migration re-runs the pass on the next read.
         """
-        self.defuse()
-        if not self.fusion_enabled or not self.placement:
-            return
-        placement = self.placement
+        if not self.fusion_enabled:
+            return {}
+        migrating = frozenset(self.migrating)
+        key = (self.network.revision, self._placement_revision, migrating)
+        if self._fused[0] != key:
+            placement = self.placement
 
-        def same_node(a: str, b: str) -> bool:
-            node = placement.get(a)
-            return node is not None and node == placement.get(b)
+            def same_node(a: str, b: str) -> bool:
+                node = placement.get(a)
+                return node is not None and node == placement.get(b)
 
-        self._fused, self._fused_member = build_chains(
-            self.network, same_node=same_node, protect=frozenset(self.migrating)
-        )
-
-    def defuse(self, box_id: str | None = None) -> None:
-        """Dissolve superboxes — all, or the one containing ``box_id``.
-
-        Called before any run-time network rewrite (sliding, splitting)
-        touches a fused box; dropping the overlay is all there is to it
-        (see :func:`repro.core.fusion.defuse_chains`).
-        """
-        defuse_chains(self._fused, self._fused_member, box_id)
+            chains, _members = build_chains(
+                self.network, same_node=same_node, protect=migrating
+            )
+            self._fused = (key, chains)
+        return self._fused[1]
 
     def fused_chain(self, box_id: str) -> FusedChain | None:
         """The superbox headed by ``box_id``, if one is compiled."""
-        return self._fused.get(box_id)
+        return self._chains().get(box_id)
 
     def fused_runs(self) -> list[list[str]]:
         """Box-id runs currently compiled into superboxes."""
-        return [chain.member_ids() for chain in self._fused.values()]
+        return [chain.member_ids() for chain in self._chains().values()]
 
     # -- ingestion ----------------------------------------------------------------
 

@@ -239,7 +239,7 @@ def run_engine_seed(seed: int) -> SeedReport:
         capacity_per_replica=rng.uniform(0.3, 0.6),
     )
     controller = ElasticityController(
-        EnginePlane(engine, policy.capacity_per_replica), policy, metrics=engine.metrics
+        EnginePlane(engine), policy, metrics=engine.metrics
     )
     group = controller.watch("E", None if kind == "tumble" else ("k",))
     steps_per_burst = rng.randrange(2, 5)
@@ -351,13 +351,7 @@ def run_crash_seed(seed: int) -> SeedReport:
         transfer_delay=rng.uniform(0.05, 0.25),
         settle_delay=0.3,
     )
-    plane = SystemPlane(
-        system,
-        nodes=["n1", "n2"],
-        load_window=1.0,
-        transfer_delay=policy.transfer_delay,
-        settle_delay=policy.settle_delay,
-    )
+    plane = SystemPlane(system, nodes=["n1", "n2"], load_window=1.0)
     controller = ElasticityController(plane, policy, metrics=system.metrics)
     group = controller.watch("E", ("k",))
 

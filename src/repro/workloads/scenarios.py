@@ -312,10 +312,7 @@ class ScenarioRunner:
         self.controller: ElasticityController | None = None
         if scenario.elasticity is not None:
             self.controller = ElasticityController.from_spec(
-                EnginePlane(
-                    self.engine,
-                    scenario.elasticity.policy.capacity_per_replica,
-                ),
+                EnginePlane(self.engine),
                 scenario.elasticity,
                 metrics=self.registry,
                 tracer=tracer,

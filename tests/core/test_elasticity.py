@@ -50,8 +50,7 @@ def engine_controller(net, policy=None, fields=("k",)):
         high_water=0.5, low_water=0.2, cooldown=0.0, max_replicas=4
     )
     controller = ElasticityController(
-        EnginePlane(engine, policy.capacity_per_replica), policy,
-        metrics=engine.metrics,
+        EnginePlane(engine), policy, metrics=engine.metrics,
     )
     controller.watch("E", fields)
     return engine, controller
@@ -319,9 +318,7 @@ def star_system(cost=0.002):
         high_water=0.5, low_water=0.2, cooldown=0.0, max_replicas=3,
         transfer_delay=0.1, settle_delay=0.1,
     )
-    plane = SystemPlane(
-        system, nodes=["n1", "n2"], transfer_delay=0.1, settle_delay=0.1
-    )
+    plane = SystemPlane(system, nodes=["n1", "n2"])
     controller = ElasticityController(plane, policy, metrics=system.metrics)
     controller.watch("E", ("k",))
     return system, controller

@@ -283,6 +283,7 @@ class TestRemovalInvalidation:
 
     def test_metric_handle_caches_pruned_to_live_boxes(self):
         engine, removed = self.elastic_cycle()
+        engine.step()  # idle; any public call revalidates against the network
         for cache in (engine._m_box_in, engine._m_box_out, engine._m_decisions):
             assert set(cache) <= set(engine.network.boxes)
             for box_id in removed:

@@ -185,3 +185,49 @@ class TestReoptimizeEndToEnd:
         assert [t.values for t in optimized.outputs["sink"]] == [
             t.values for t in baseline.outputs["sink"]
         ]
+
+    def test_reoptimize_under_a_live_fused_engine(self):
+        """The swap reaches a running engine's compiled superbox: after
+        ``reoptimize(net)`` — nothing else — the engine behaves like a
+        fresh one built over the rewritten network."""
+        def build():
+            net = QueryNetwork()
+            net.add_box("weak", Filter(lambda t: t["A"] % 10 != 0,
+                                       cost_per_tuple=0.004))
+            net.add_box("strong", Filter(lambda t: t["A"] % 10 == 1,
+                                         cost_per_tuple=0.001))
+            net.connect("in:src", "weak")
+            net.connect("weak", "strong")
+            net.connect("strong", "out:sink")
+            return net
+
+        rows = [{"A": i} for i in range(400)]
+        first = make_stream(rows[:200])
+        second = make_stream(rows[200:], start_time=1.0)
+
+        def rewritten():
+            net = build()
+            engine = AuroraEngine(net)
+            assert engine.fused_runs() == [["weak", "strong"]]
+            engine.push_many("src", list(first))
+            engine.run_until_idle()
+            assert [str(r) for r in reoptimize(net)] == [
+                "reorder-filters(weak <-> strong)"
+            ]
+            return net, engine
+
+        def second_half(net, engine):
+            delivered = len(engine.outputs["sink"])
+            engine.push_many("src", list(second))
+            engine.run_until_idle()
+            return (
+                [t.values for t in engine.outputs["sink"][delivered:]],
+                {box_id: box.tuples_in for box_id, box in net.boxes.items()},
+            )
+
+        live = second_half(*rewritten())
+        net, _engine = rewritten()
+        fresh = second_half(net, AuroraEngine(net))
+        assert live == fresh
+        assert live[1] == {"weak": 200, "strong": 20}
+        assert len(live[0]) == 20

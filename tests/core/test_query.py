@@ -1,5 +1,7 @@
 """Tests for query networks and the synchronous reference executor."""
 
+import random
+
 import pytest
 
 from repro.core.operators.filter import Filter
@@ -8,6 +10,7 @@ from repro.core.operators.tumble import Tumble
 from repro.core.operators.union import Union
 from repro.core.query import ConnectionPoint, QueryError, QueryNetwork, execute
 from repro.core.tuples import FIGURE_2_STREAM, StreamTuple, make_stream
+from tests.core.test_fusion_property import random_network
 
 
 def linear_network():
@@ -104,6 +107,103 @@ class TestTopology:
         results = execute(net, {"x": make_stream([{"A": 1}])})
         assert len(results["a"]) == 1
         assert len(results["b"]) == 1
+
+
+def uncached_order(net):
+    """``topological_order()`` of a fresh network over the same dicts:
+    the same algorithm with no memo to consult."""
+    fresh = QueryNetwork()
+    fresh.boxes, fresh.arcs = net.boxes, net.arcs
+    return fresh.topological_order()
+
+
+class TestRevision:
+    def test_every_mutator_bumps_and_no_read_does(self):
+        net = linear_network()
+        mutations = [
+            lambda: net.add_box("g", Filter(lambda t: True)),
+            lambda: net.rewire_target(net.boxes["m"].input_arcs[0], "g"),
+            lambda: net.connect("g", "m", arc_id="g_m"),
+            lambda: net.rewire_source(net.arcs["g_m"], "f"),
+            lambda: net.remove_arc(net.boxes["g"].input_arcs[0].id),
+            lambda: net.remove_box("g"),
+            net.touch,
+        ]
+        for mutate in mutations:
+            before = net.revision
+            mutate()
+            assert net.revision > before
+        before = net.revision
+        net.validate()
+        net.topological_order()
+        net.upstream_box("m")
+        net.downstream_boxes("f")
+        list(net.connection_points())
+        net.total_queued()
+        repr(net)
+        execute(net, {"src": make_stream([{"A": 1}])})
+        assert net.revision == before
+        assert net.topological_order() == ["f", "m"]
+
+    def test_memoized_order_tracks_random_rewrites(self):
+        """After every mutation of a random add / connect / rewire /
+        remove sequence the memoized order is the uncached one."""
+        for seed in range(20):
+            rng = random.Random(seed)
+            net = random_network(rng)
+            assert net.topological_order() == uncached_order(net)
+            for step in range(12):
+                arcs = [a for a in net.arcs.values() if not a.is_output]
+                arc = rng.choice(arcs)
+                consumer = arc.target
+                box_id = f"x{step}"
+                # Splice a box into the arc, one mutator at a time.
+                for mutate in (
+                    lambda: net.add_box(box_id, Map(lambda v: v)),
+                    lambda: net.rewire_target(arc, box_id),
+                    lambda: net.connect(box_id, consumer),
+                ):
+                    mutate()
+                    assert net.topological_order() == uncached_order(net), seed
+                if rng.random() < 0.5:
+                    # ... and retire it again: bypass, unhook, remove.
+                    out_arc = net.boxes[box_id].output_arcs[0][0]
+                    for mutate in (
+                        lambda: net.remove_arc(out_arc.id),
+                        lambda: net.rewire_target(arc, consumer),
+                        lambda: net.remove_box(box_id),
+                    ):
+                        mutate()
+                        assert net.topological_order() == uncached_order(net), seed
+                elif arc.source[0] != "in":
+                    # ... or hang it off its producer's producer instead.
+                    feeder = net.boxes[arc.source[0]].input_arcs[0].source
+                    if feeder[0] != "in":
+                        net.rewire_source(arc, feeder)
+                        assert net.topological_order() == uncached_order(net), seed
+            net.validate()
+
+    def test_callers_own_the_returned_list(self):
+        net = linear_network()
+        order = net.topological_order()
+        order.reverse()
+        order.append("ghost")
+        assert net.topological_order() == ["f", "m"]
+        assert net.topological_order() is not net.topological_order()
+
+    def test_cyclic_network_raises_on_every_call(self):
+        net = linear_network()
+        net.add_box("u", Union(2))
+        net.rewire_target(net.boxes["f"].input_arcs[0], ("u", 0))
+        net.connect("u", "f")
+        assert net.topological_order() == ["u", "f", "m"]
+        net.connect("m", ("u", 1))
+        for _ in range(3):
+            with pytest.raises(QueryError, match="cycle"):
+                net.topological_order()
+        # Breaking the cycle makes the order computable again.
+        net.remove_arc(net.boxes["u"].input_arcs[1].id)
+        assert net.topological_order() == ["u", "f", "m"]
 
 
 class TestExecute:
