@@ -31,10 +31,12 @@ application outputs       lazily, on first read of the output buffer
 Windowed boxes (``Tumble``, ``Slide``, ``WSort``) are *not* barriers:
 they ship ``process_columnar`` window kernels (run-boundary masks,
 grouped segment reductions via :mod:`repro.core.aggregates` segment
-kernels) and fall back to the exact list path per claim only when a
-train carries lineage metadata or ungroupable key columns (``Slide``
-and ``WSort`` also when it carries a sampled row; ``Tumble`` hands each
-closed window the trace of its first row).
+kernels).  The kernel contract is *exact or decline*: a claim a kernel
+cannot run exactly (lineage metadata; for ``Slide`` also ungroupable
+keys or a sampled row — ``Tumble`` hands each closed window the trace
+of its first row; for ``WSort`` anything outside pure buffering) it
+declines with ``None`` before touching state, and the engine's claim
+barrier above materializes it.
 
 Neither a tracer nor a load shedder is a barrier: admission is one
 keep-mask per train, and trace context rides the train as a
@@ -185,21 +187,6 @@ class ColumnarTrain:
         ) if traced else None
         return cls(fields, columns, timestamps, seqs=seqs, origins=origins,
                    traces=traces)
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Mapping[str, Any]],
-        start_time: float = 0.0,
-        spacing: float = 1.0,
-    ) -> "ColumnarTrain":
-        """Columnar counterpart of :func:`repro.core.tuples.make_stream`."""
-        if not rows:
-            raise ValueError("cannot build a columnar train from zero rows")
-        fields = tuple(rows[0])
-        columns = {f: as_column([r[f] for r in rows]) for f in fields}
-        timestamps = start_time + spacing * np.arange(len(rows), dtype=np.float64)
-        return cls(fields, columns, timestamps)
 
     # -- shape -------------------------------------------------------------
 
@@ -823,33 +810,3 @@ def group_rows(
     starts = np.concatenate(([0], bounds))
     ends = np.concatenate((bounds, [n]))
     return order, starts, ends
-
-
-def emissions_to_trains(
-    emissions: Sequence[tuple[int, StreamTuple]],
-) -> list[tuple[int, ColumnarTrain]]:
-    """Re-encode list-path emissions as per-port columnar trains.
-
-    The internal fallback of a windowed ``process_columnar``: the exact
-    per-tuple path runs, then consecutive same-schema runs on each port
-    are packed back into trains so downstream boxes keep their columnar
-    fast path.  Per-port emission order is preserved (the engine's
-    claim accounting concatenates segments per port anyway).
-    """
-    per_port: dict[int, list[StreamTuple]] = {}
-    for port, tup in emissions:
-        per_port.setdefault(port, []).append(tup)
-    out: list[tuple[int, ColumnarTrain]] = []
-    for port in sorted(per_port):
-        tuples = per_port[port]
-        i = 0
-        while i < len(tuples):
-            keys = tuples[i].values.keys()
-            j = i + 1
-            while j < len(tuples) and tuples[j].values.keys() == keys:
-                j += 1
-            train = ColumnarTrain.from_tuples(tuples[i:j])
-            assert train is not None  # uniform schema by construction
-            out.append((port, train))
-            i = j
-    return out

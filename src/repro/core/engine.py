@@ -696,8 +696,9 @@ class AuroraEngine:
 
         Per stage: fold the clock/latency chain (the encoding's own
         fold — the same float additions in the same order either way),
-        stamp spans for sampled rows, then run the column kernel, or
-        materialize once and run the row kernel from there on.  Interior
+        stamp spans for sampled rows, then run the column kernel or —
+        where there is none, or it declines the claim — materialize
+        once and run the row kernel from there on.  Interior
         arcs of a superbox see no traffic at all (no deque pushes, no
         ``queue_times`` stamping, no storage charges), while the clock,
         per-stage statistics and trace spans advance in exactly the sums
@@ -734,11 +735,12 @@ class AuroraEngine:
             if index == last:
                 break
             kernel = chain.columnar_kernels[index] if columnar else None
-            if kernel is None:
+            out = None if kernel is None else kernel(batch)
+            if out is None:  # no column kernel here, or it declined
                 if columnar:
                     batch = batch.to_tuples()
-                kernel = chain.interior_kernels[index]
-            batch = kernel(batch)
+                out = chain.interior_kernels[index](batch)
+            batch = out
             box.tuples_out += len(batch)
             # Interior hand-off: every tuple is logically enqueued at
             # this stage's train-end clock (the stamp _hand_off would
@@ -748,12 +750,16 @@ class AuroraEngine:
                 self.clock if isinstance(batch, ColumnarTrain)
                 else [self.clock] * first_read
             )
-        if columnar and operator.supports_columnar:
-            emissions = operator.process_columnar(batch, port=port)
+        emissions = (
+            operator.process_columnar(batch, port=port)
+            if columnar and operator.supports_columnar else None
+        )
+        if emissions is not None:
             box.tuples_out += sum(len(train) for _port, train in emissions)
         else:
-            # Operator barrier (stateful or opaque): materialize and run
-            # the exact-equivalent row kernel.
+            # Operator barrier (stateful or opaque, or the column kernel
+            # declined this claim): materialize and run the
+            # exact-equivalent row kernel.
             if columnar:
                 batch = batch.to_tuples()
             rows = operator.process_batch(batch, port=port)

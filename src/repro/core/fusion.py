@@ -57,7 +57,7 @@ from repro.core.query import Arc, Box, QueryNetwork
 from repro.core.tuples import StreamTuple
 
 Kernel = Callable[[list[StreamTuple]], list[StreamTuple]]
-ColumnarKernel = Callable[[ColumnarTrain], ColumnarTrain]
+ColumnarKernel = Callable[[ColumnarTrain], Optional[ColumnarTrain]]
 
 
 def chainable(box: Box) -> bool:
@@ -110,7 +110,8 @@ def _interior_columnar_kernel(operator: Operator) -> Optional[ColumnarKernel]:
     (no emission boxing at all); other columnar-capable single-output
     operators (e.g. a one-predicate CaseFilter, whose routing counters
     must advance) go through their own ``process_columnar``.  A None
-    return makes the train runner materialize the train before this
+    return — here, or from the kernel when ``process_columnar`` declines
+    a train — makes the train runner materialize the train before this
     stage and continue on the list kernels.
     """
     if not operator.supports_columnar:
@@ -134,8 +135,10 @@ def _interior_columnar_kernel(operator: Operator) -> Optional[ColumnarKernel]:
         return map_kernel
     process_columnar = operator.process_columnar
 
-    def generic_kernel(train: ColumnarTrain) -> ColumnarTrain:
+    def generic_kernel(train: ColumnarTrain) -> Optional[ColumnarTrain]:
         emissions = process_columnar(train, port=0)
+        if emissions is None:
+            return None
         if not emissions:
             return train.slice(0, 0)
         return emissions[0][1]

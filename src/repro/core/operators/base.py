@@ -72,34 +72,31 @@ class Operator:
 
     @property
     def supports_columnar(self) -> bool:
-        """True when :meth:`process_columnar` can run this operator.
+        """True when :meth:`process_columnar` has a kernel to try.
 
         Stateless operators require a *compiled* configuration
         (declarative predicates and map bodies from
         :mod:`repro.core.columnar`).  Windowed operators (Tumble, Slide,
-        WSort) ship columnar window kernels and return True — they may
-        still materialize *internally* per claim for metadata-carrying
-        trains, repacking emissions into trains.  Opaque lambdas and the
-        remaining stateful operators return False and the engine
-        materializes the train at the claim — the operator never sees a
-        ColumnarTrain.
+        WSort) ship columnar window kernels and return True.  Opaque
+        lambdas and the remaining stateful operators return False and
+        never see a ColumnarTrain.
         """
         return False
 
     def process_columnar(
         self, train: "ColumnarTrain", port: int = 0
-    ) -> list[TrainEmission]:
-        """Consume a whole columnar train; return per-port sub-trains.
+    ) -> list[TrainEmission] | None:
+        """Consume a whole columnar train: exact, or decline.
 
-        The contract mirrors :meth:`process_batch`: per output port, the
-        emitted sub-train holds exactly the tuples (same values, same
-        metadata, same relative order) that the list path would emit on
-        that port, and counter/state side effects must be identical.
+        Returns per-port sub-trains holding exactly the tuples (same
+        values, same metadata, same relative order) the list path would
+        emit on each port, with identical counter/state side effects —
+        or None, meaning "declined, no state touched": the caller then
+        materializes the claim and runs :meth:`process_batch`, so the
+        decision where a train becomes rows is the engine's alone.
         Only called when :attr:`supports_columnar` is True.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no columnar fast path"
-        )
+        return None
 
     def flush(self) -> list[Emission]:
         """Drain windowed state at end-of-stream.  Stateless ops emit nothing."""
@@ -134,20 +131,6 @@ class Operator:
 
     def reset(self) -> None:
         """Discard internal state (no-op for stateless operators)."""
-
-    # -- high availability hooks (Section 6.2) ----------------------------
-
-    def earliest_dependencies(self) -> dict[str, int]:
-        """Per-origin sequence number of the earliest tuple this box depends on.
-
-        Used by flow-message processing (Section 6.2): "If the box has
-        state, the recorded tuple is the one that presently contributes
-        to the state of the box and that has the lowest sequence number
-        (for each upstream server)."  Stateless boxes depend only on the
-        most recently processed tuple, which the flow-message logic
-        handles without consulting the box; they return an empty dict.
-        """
-        return {}
 
     def describe(self) -> str:
         """Human-readable one-line description for catalogs."""

@@ -34,7 +34,6 @@ from repro.core.aggregates import (
 from repro.core.columnar import (
     ColumnarTrain,
     as_column,
-    emissions_to_trains,
     group_rows,
 )
 from repro.core.operators.base import Emission, Operator, TrainEmission
@@ -213,9 +212,8 @@ class Tumble(Operator):
         self._run_key: tuple | None = None
         self._run_state: Any = None
         self._run_first: StreamTuple | None = None
-        self._run_deps: dict[str, int] = {}
         # mode="count": concurrently open per-group windows.
-        self._windows: dict[tuple, tuple[Any, int, StreamTuple, dict[str, int]]] = {}
+        self._windows: dict[tuple, tuple[Any, int, StreamTuple]] = {}
         self._last_arrival: float | None = None
         self.windows_emitted = 0
         self.timeouts_fired = 0
@@ -255,7 +253,6 @@ class Tumble(Operator):
             run_key = self._run_key
             run_state = self._run_state
             run_first = self._run_first
-            run_deps = self._run_deps
             for tup in tuples:
                 values = tup.values
                 key = key_of(values)
@@ -268,16 +265,10 @@ class Tumble(Operator):
                     run_key = key
                     run_state = agg.initial()
                     run_first = tup
-                    run_deps = {}
                 run_state = update(run_state, values[value_attr])
-                if tup.seq is not None and tup.origin is not None:
-                    current = run_deps.get(tup.origin)
-                    if current is None or tup.seq < current:
-                        run_deps[tup.origin] = tup.seq
             self._run_key = run_key
             self._run_state = run_state
             self._run_first = run_first
-            self._run_deps = run_deps
         else:
             windows = self._windows
             window_size = self.window_size or 1
@@ -287,15 +278,11 @@ class Tumble(Operator):
                 key = key_of(values)
                 entry = windows.get(key)
                 if entry is None:
-                    state, count, first, deps = initial(), 0, tup, {}
+                    state, count, first = initial(), 0, tup
                 else:
-                    state, count, first, deps = entry
+                    state, count, first = entry
                 state = update(state, values[value_attr])
                 count += 1
-                if tup.seq is not None and tup.origin is not None:
-                    current = deps.get(tup.origin)
-                    if current is None or tup.seq < current:
-                        deps[tup.origin] = tup.seq
                 if count >= window_size:
                     windows.pop(key, None)
                     out = dict(zip(groupby, key))
@@ -303,7 +290,7 @@ class Tumble(Operator):
                     append((0, first.derive(out)))
                     emitted += 1
                 else:
-                    windows[key] = (state, count, first, deps)
+                    windows[key] = (state, count, first)
         self._last_arrival = tuples[-1].timestamp
         self.windows_emitted += emitted
         return emissions
@@ -314,7 +301,7 @@ class Tumble(Operator):
     def supports_columnar(self) -> bool:
         return True
 
-    def process_columnar(self, train: ColumnarTrain, port: int = 0) -> list[TrainEmission]:
+    def process_columnar(self, train: ColumnarTrain, port: int = 0) -> list[TrainEmission] | None:
         """Vectorized window evaluation over a columnar train.
 
         Run mode finds window boundaries with a key-change mask over the
@@ -326,10 +313,9 @@ class Tumble(Operator):
         and ``_fire_timeouts`` runs between the chunks.
 
         A closed window carries the trace context of its first row
-        (what ``first.derive()`` copies on the row path).  Trains
-        carrying lineage metadata, and count-mode claims whose key
-        columns cannot be grouped vectorized, take the exact list path
-        internally and re-pack the emissions into trains.
+        (what ``first.derive()`` copies on the row path).  A train
+        carrying lineage metadata is declined before any state is
+        touched: the kernels' blocks carry no ``seq``/``origin``.
         """
         if port != 0:
             raise ValueError(f"Tumble has a single input port, got {port}")
@@ -337,7 +323,7 @@ class Tumble(Operator):
         if n == 0:
             return []
         if train.seqs is not None or train.origins is not None:
-            return emissions_to_trains(self.process_batch(train.to_tuples(), port=port))
+            return None
         out = _WindowEmissions(self.groupby, self.result_attr)
         ts = train.timestamps
         chunks = [0]
@@ -351,6 +337,10 @@ class Tumble(Operator):
                 self._columnar_run(train, a, b, out)
             else:
                 if not self._columnar_count(train, a, b, out):
+                    # Ungroupable keys in THIS chunk.  Earlier chunks
+                    # (and the timeout flush above) have already written
+                    # window state, so the claim can no longer decline:
+                    # the one site that runs the row kernel in place.
                     sub = train.slice(a, b)
                     out.add_emissions(self.process_batch(sub.to_tuples(), port=0))
                     continue  # the list path updated _last_arrival itself
@@ -385,7 +375,7 @@ class Tumble(Operator):
                     agg, self._run_state, vals, 0, int(ends[0])
                 )
                 if k == 1:
-                    return  # still open; _run_first/_run_deps unchanged
+                    return  # still open; _run_first unchanged
                 closure = self._emit_run()
                 idx = 1
             else:
@@ -418,7 +408,6 @@ class Tumble(Operator):
         self._run_key = tuple(_col_pyval(c, s_last) for c in cols)
         self._run_state = segment_fold(agg, agg.initial(), vals, s_last, m)
         self._run_first = train.tuple_at(a + s_last)
-        self._run_deps = {}
 
     def _columnar_count(
         self, train: ColumnarTrain, a: int, b: int, out: _WindowEmissions
@@ -449,9 +438,9 @@ class Tumble(Operator):
             key = tuple(_col_pyval(c, int(rows[0])) for c in cols)
             entry = windows.get(key)
             if entry is None:
-                state, count, first, deps = agg.initial(), 0, None, {}
+                state, count, first = agg.initial(), 0, None
             else:
-                state, count, first, deps = entry
+                state, count, first = entry
             gm = ge - gs
             first_close = ws - count - 1
             if first_close >= gm:
@@ -459,9 +448,9 @@ class Tumble(Operator):
                 state = segment_fold(agg, state, svals, gs, ge)
                 if entry is None:
                     first = train.tuple_at(a + int(rows[0]))
-                    inserts.append((int(rows[0]), key, (state, gm, first, deps)))
+                    inserts.append((int(rows[0]), key, (state, gm, first)))
                 else:
-                    windows[key] = (state, count + gm, first, deps)
+                    windows[key] = (state, count + gm, first)
                 continue
             # The window closing first continues the carried state.
             state = segment_fold(agg, state, svals, gs, gs + first_close + 1)
@@ -492,7 +481,7 @@ class Tumble(Operator):
                 state = segment_fold(agg, agg.initial(), svals, gs + tail, ge)
                 inserts.append((
                     int(rows[tail]), key,
-                    (state, gm - tail, train.tuple_at(a + int(rows[tail])), {}),
+                    (state, gm - tail, train.tuple_at(a + int(rows[tail]))),
                 ))
         inserts.sort(key=lambda ie: ie[0])
         for _pos, key, entry in inserts:
@@ -527,9 +516,7 @@ class Tumble(Operator):
             self._run_key = key
             self._run_state = self.agg.initial()
             self._run_first = tup
-            self._run_deps = {}
         self._run_state = self.agg.update(self._run_state, tup[self.value_attr])
-        self._track_dependency(self._run_deps, tup)
         return emissions
 
     def _emit_run(self) -> StreamTuple:
@@ -538,7 +525,6 @@ class Tumble(Operator):
         self._run_key = None
         self._run_state = None
         self._run_first = None
-        self._run_deps = {}
         self.windows_emitted += 1
         return out
 
@@ -546,17 +532,14 @@ class Tumble(Operator):
 
     def _process_count(self, tup: StreamTuple) -> list[Emission]:
         key = self._key_of(tup.values)
-        state, count, first, deps = self._windows.get(
-            key, (self.agg.initial(), 0, tup, {})
-        )
+        state, count, first = self._windows.get(key, (self.agg.initial(), 0, tup))
         state = self.agg.update(state, tup[self.value_attr])
         count += 1
-        self._track_dependency(deps, tup)
         if count >= (self.window_size or 1):
             self._windows.pop(key, None)
             self.windows_emitted += 1
             return [(0, self._make_result(key, state, first))]
-        self._windows[key] = (state, count, first, deps)
+        self._windows[key] = (state, count, first)
         return []
 
     # -- shared helpers ----------------------------------------------------
@@ -566,21 +549,13 @@ class Tumble(Operator):
         values[self.result_attr] = self.agg.result(state)
         return first.derive(values)
 
-    @staticmethod
-    def _track_dependency(deps: dict[str, int], tup: StreamTuple) -> None:
-        if tup.seq is None or tup.origin is None:
-            return
-        current = deps.get(tup.origin)
-        if current is None or tup.seq < current:
-            deps[tup.origin] = tup.seq
-
     def flush(self) -> list[Emission]:
         emissions: list[Emission] = []
         if self.mode == "run":
             if self._run_key is not None:
                 emissions.append((0, self._emit_run()))
         else:
-            for key, (state, _count, first, _deps) in sorted(
+            for key, (state, _count, first) in sorted(
                 self._windows.items(), key=lambda kv: repr(kv[0])
             ):
                 emissions.append((0, self._make_result(key, state, first)))
@@ -588,22 +563,11 @@ class Tumble(Operator):
             self._windows.clear()
         return emissions
 
-    def earliest_dependencies(self) -> dict[str, int]:
-        if self.mode == "run":
-            return dict(self._run_deps)
-        merged: dict[str, int] = {}
-        for _state, _count, _first, deps in self._windows.values():
-            for origin, seq in deps.items():
-                if origin not in merged or seq < merged[origin]:
-                    merged[origin] = seq
-        return merged
-
     def snapshot(self) -> Any:
         return (
             self._run_key,
             self._run_state,
             self._run_first,
-            dict(self._run_deps),
             dict(self._windows),
             self.windows_emitted,
             self._last_arrival,
@@ -618,7 +582,6 @@ class Tumble(Operator):
             self._run_key,
             self._run_state,
             self._run_first,
-            self._run_deps,
             windows,
             self.windows_emitted,
             self._last_arrival,

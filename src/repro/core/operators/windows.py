@@ -27,7 +27,6 @@ from repro.core.aggregates import (
 from repro.core.columnar import (
     ColumnarTrain,
     as_column,
-    emissions_to_trains,
     group_rows,
 )
 from repro.core.operators.base import Emission, Operator, TrainEmission
@@ -190,7 +189,7 @@ class Slide(Operator):
     def supports_columnar(self) -> bool:
         return True
 
-    def process_columnar(self, train: ColumnarTrain, port: int = 0) -> list[TrainEmission]:
+    def process_columnar(self, train: ColumnarTrain, port: int = 0) -> list[TrainEmission] | None:
         """Vectorized sliding windows: one output row per input row.
 
         Rows are grouped by key; each group's windows become segment
@@ -199,8 +198,9 @@ class Slide(Operator):
         a strictly sequential accumulate chain seeded at 0.0, matching
         ``agg.apply``'s recomputation fold; max/min are pure selection).
         Trains with lineage/trace metadata, non-kernel aggregates, or
-        ungroupable/non-numeric columns take the exact list path.  No
-        group state is mutated until every group has passed eligibility.
+        ungroupable/non-numeric columns are declined (None).  No group
+        state is mutated until every group has passed eligibility, so
+        every decline leaves the operator untouched.
         """
         if port != 0:
             raise ValueError(f"Slide has a single input port, got {port}")
@@ -214,11 +214,11 @@ class Slide(Operator):
             or train.traces
             or name not in _SLIDE_KERNEL_AGGS
         ):
-            return emissions_to_trains(self.process_batch(train.to_tuples(), port=port))
+            return None
         cols = [train.columns[g] for g in self.groupby]
         grouped = group_rows(cols)
         if grouped is None:
-            return emissions_to_trains(self.process_batch(train.to_tuples(), port=port))
+            return None
         order, gstarts, gends = grouped
         svals = train.columns[self.value_attr][order]
         groups = []
@@ -232,22 +232,16 @@ class Slide(Operator):
             full = np.concatenate([as_column(carried), gvals]) if carried else gvals
             if name not in ("cnt", "last"):
                 if full.dtype.kind not in "ifb":
-                    return emissions_to_trains(
-                        self.process_batch(train.to_tuples(), port=port)
-                    )
+                    return None
                 if carried and full.dtype != gvals.dtype:
                     # Carried values promoted the window dtype (schema
                     # drift between claims): the scalar path would emit
                     # per-window Python types the promotion loses.
-                    return emissions_to_trains(
-                        self.process_batch(train.to_tuples(), port=port)
-                    )
+                    return None
                 if name in ("max", "min") and _selection_hazard(full):
                     # numpy tie/NaN picks can differ from Python's
                     # first-wins min/max (-0.0 vs 0.0, NaN ordering).
-                    return emissions_to_trains(
-                        self.process_batch(train.to_tuples(), port=port)
-                    )
+                    return None
             groups.append((key, rows, carried, gvals, full))
         res_list = [
             self._slide_window_results(full, len(carried), len(gvals))

@@ -23,7 +23,7 @@ import heapq
 import itertools
 from typing import Any
 
-from repro.core.columnar import ColumnarTrain, emissions_to_trains
+from repro.core.columnar import ColumnarTrain
 from repro.core.operators.base import Emission, Operator, TrainEmission
 from repro.core.tuples import StreamTuple
 
@@ -77,7 +77,7 @@ class WSort(Operator):
     def supports_columnar(self) -> bool:
         return True
 
-    def process_columnar(self, train: ColumnarTrain, port: int = 0) -> list[TrainEmission]:
+    def process_columnar(self, train: ColumnarTrain, port: int = 0) -> list[TrainEmission] | None:
         """Buffer whole trains while nothing can be emitted or discarded.
 
         In the pure-buffering regime — ``timeout`` is infinite and no
@@ -85,16 +85,16 @@ class WSort(Operator):
         work is a heap push, so the train is parked unmaterialized and
         absorbed (in arrival order, with identical tiebreak numbering)
         only when the heap is actually needed: the next scalar process,
-        a flush, or a snapshot.  Outside that regime the exact list path
-        runs per claim.
+        a flush, or a snapshot.  Outside that regime the claim is
+        declined; nothing is parked then (parking needs this regime, and
+        only ``process``/``flush`` — which absorb first — can leave it).
         """
         if port != 0:
             raise ValueError(f"WSort has a single input port, got {port}")
         if len(train) == 0:
             return []
         if self.timeout != float("inf") or self._last_emitted_key is not None:
-            self._absorb_pending()
-            return emissions_to_trains(self.process_batch(train.to_tuples(), port=port))
+            return None
         if self._period_start is None:
             self._period_start = float(train.timestamps[0])
         self._pending.append(train)

@@ -46,9 +46,6 @@ class Event:
         if self._sim is not None:
             self._sim._pending_count -= 1
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, fn={getattr(self.fn, '__name__', self.fn)}, {state})"
@@ -73,7 +70,9 @@ class Simulator:
 
     def __init__(self, record_trace: bool = False) -> None:
         self.now: float = 0.0
-        self._queue: list[Event] = []
+        # Heap of (time, seq, event): seq is unique, so ordering is
+        # decided by C tuple comparison and never reaches the Event.
+        self._queue: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self.events_processed = 0
         # Pending (non-cancelled) events, maintained incrementally so
@@ -96,7 +95,7 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         event = Event(self.now + delay, next(self._counter), fn, args)
         event._sim = self
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.time, event.seq, event))
         self._pending_count += 1
         return event
 
@@ -106,16 +105,16 @@ class Simulator:
 
     def peek_time(self) -> float | None:
         """Virtual time of the next pending event, or None if idle."""
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
         if not self._queue:
             return None
-        return self._queue[0].time
+        return self._queue[0][0]
 
     def step(self) -> bool:
         """Run the next pending event.  Returns False if the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             event.fired = True

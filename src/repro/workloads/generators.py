@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.tuples import StreamTuple
 from repro.workloads.population import KeyedPopulation, zipf_weights
@@ -39,9 +39,6 @@ class _Source:
 
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
-
-    def _choose_weighted(self, items: list[Any], weights: list[float]) -> Any:
-        return self.rng.choices(items, weights=weights, k=1)[0]
 
 
 class UniformSource(_Source):

@@ -18,6 +18,8 @@ API so scenarios and generators share a single implementation.
 from __future__ import annotations
 
 import random
+from bisect import bisect
+from itertools import accumulate
 from typing import Any, Sequence
 
 
@@ -78,6 +80,9 @@ class KeyedPopulation:
         self.weights: list[float] = (
             zipf_weights(n, skew) if skew > 0 else [1.0 / n] * n
         )
+        # The table ``random.choices`` would otherwise rebuild per draw:
+        # the law is immutable (rotation and churn only move keys).
+        self._cum_weights = list(accumulate(self.weights))
         self.replacements = 0
 
     def __len__(self) -> int:
@@ -122,7 +127,13 @@ class KeyedPopulation:
         ``rng.choices(keys, weights)`` idiom, so refactored generators
         reproduce their old streams byte for byte.
         """
-        return rng.choices(self.ranked(at), weights=self.weights, k=1)[0]
+        # One draw of ``random.choices``, minus its per-call set-up: a
+        # bisect of the cumulative table (sample_many is the reference).
+        cum = self._cum_weights
+        keys = self._keys
+        size = len(keys)
+        rank = bisect(cum, rng.random() * cum[-1], 0, size - 1)
+        return keys[(rank + self._offset(at)) % size]
 
     def sample_many(
         self, rng: random.Random, n: int, at: float = 0.0
@@ -132,7 +143,11 @@ class KeyedPopulation:
         Note: consumes different RNG state than ``n`` single
         :meth:`sample` calls; use one style consistently per stream.
         """
-        return rng.choices(self.ranked(at), weights=self.weights, k=n)
+        keys = self._keys
+        size = len(keys)
+        offset = self._offset(at)
+        ranks = rng.choices(range(size), cum_weights=self._cum_weights, k=n)
+        return [keys[(rank + offset) % size] for rank in ranks]
 
     # -- churn ---------------------------------------------------------------
 

@@ -90,9 +90,6 @@ class TestOperatorBase:
         assert clone.flush() == []        # fresh state
         assert box.flush() != []          # original untouched
 
-    def test_default_earliest_dependencies_empty(self):
-        assert Filter(lambda t: True).earliest_dependencies() == {}
-
     def test_stateless_base_class_flag(self):
         class Probe(StatelessOperator):
             def process(self, tup, port=0):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.columnar import ColumnarTrain, col
 from repro.core.engine import AuroraEngine
 from repro.core.fusion import FusedChain, build_chains, chainable, find_runs
+from repro.core.operators.base import StatelessOperator
 from repro.core.operators.case_filter import CaseFilter
 from repro.core.operators.filter import Filter
 from repro.core.operators.map import Map, columnar_map
@@ -266,6 +267,62 @@ class TestEngineFusion:
         # 8 more into f, 7 survivors into m — through the column kernels.
         assert seen == {"row": 14, "columnar": 15}
         assert [t["A"] for t in engine.outputs["sink"]] == [
+            i + 1 for i in range(16) if i % 7 != 0
+        ]
+
+    def test_interior_column_kernel_may_decline(self):
+        """Exact or decline, mid-superbox: a stage whose column kernel
+        returns None gets that train as rows, and the rest of the run
+        stays on the row kernels — same accounting as a row push."""
+
+        class Picky(StatelessOperator):
+            fusable = True
+            supports_columnar = True
+
+            def __init__(self):
+                super().__init__()
+                self.declined = []
+
+            def process(self, tup, port=0):
+                return [(0, tup)]
+
+            def process_columnar(self, train, port=0):
+                self.declined.append(len(train) % 2 == 1)
+                return None if len(train) % 2 else [(0, train)]
+
+        def run(trains):
+            net = QueryNetwork()
+            net.add_box("f", Filter(col("A") % 7 != 0))
+            net.add_box("p", Picky())
+            net.add_box("m", columnar_map({"A": col("A") + 1}))
+            net.connect("in:src", "f")
+            net.connect("f", "p")
+            net.connect("p", "m")
+            net.connect("m", "out:sink")
+            engine = AuroraEngine(net, train_size=8)
+            assert engine.fused_runs() == [["f", "p", "m"]]
+            rows = make_stream([{"A": i} for i in range(16)])
+            if trains:
+                engine.push_train("src", ColumnarTrain.from_tuples(rows))
+            else:
+                engine.push_many("src", rows)
+            engine.run_until_idle()
+            stats = {
+                box_id: (box.tuples_in, box.tuples_out, box.busy_time,
+                         box.latency_sum, box.latency_count)
+                for box_id, box in net.boxes.items()
+            }
+            outputs = [(t.values, t.timestamp) for t in engine.outputs["sink"]]
+            return (
+                net.boxes["p"].operator.declined,
+                (outputs, engine.clock, stats, dumps(snapshot(engine.metrics))),
+            )
+
+        declined, as_trains = run(trains=True)
+        # 0..7 loses 0 and 7 (six rows: taken); 8..15 loses 14 (seven: declined).
+        assert declined == [False, True]
+        assert as_trains == run(trains=False)[1]
+        assert [v["A"] for v, _ts in as_trains[0]] == [
             i + 1 for i in range(16) if i % 7 != 0
         ]
 

@@ -152,21 +152,6 @@ class TestValidationAndState:
         out = run(fresh, make_stream([{"A": 1, "B": 6}, {"A": 2, "B": 0}]))
         assert [t.values for t in out] == [{"A": 1, "result": 11}]
 
-    def test_earliest_dependencies_tracks_open_window(self):
-        box = Tumble("cnt", groupby=("A",), value_attr="A")
-        box.process(StreamTuple({"A": 1}, seq=10, origin="s1"))
-        box.process(StreamTuple({"A": 1}, seq=11, origin="s1"))
-        assert box.earliest_dependencies() == {"s1": 10}
-        # New window -> dependency moves forward.
-        box.process(StreamTuple({"A": 2}, seq=12, origin="s1"))
-        assert box.earliest_dependencies() == {"s1": 12}
-
-    def test_earliest_dependencies_multiple_origins(self):
-        box = Tumble("cnt", groupby=("A",), value_attr="A")
-        box.process(StreamTuple({"A": 1}, seq=5, origin="s1"))
-        box.process(StreamTuple({"A": 1}, seq=3, origin="s2"))
-        assert box.earliest_dependencies() == {"s1": 5, "s2": 3}
-
     def test_windows_emitted_counter(self):
         box = Tumble("cnt", groupby=("A",), value_attr="A")
         run(box, make_stream([{"A": 1}, {"A": 2}, {"A": 3}]), flush=True)

@@ -5,7 +5,9 @@ networks; these tests pin the specific boundary conditions the kernels
 must honour — open windows carried across 3+ claims, timeouts landing
 exactly on a segment edge, empty-train claims, count-mode groups
 interleaved across trains — plus the aggregate segment/fold kernel
-contract itself and WSort's lazy train absorption.
+contract itself, WSort's lazy train absorption, and the exact-or-decline
+contract (a kernel that cannot be exact returns None, state untouched,
+and the caller's row branch takes the claim).
 
 Every equivalence check compares a columnar-driven operator against a
 scalar twin on emissions (port, values, timestamp, seq, origin),
@@ -13,9 +15,12 @@ scalar twin on emissions (port, values, timestamp, seq, origin),
 public counters.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.aggregates import (
     DECLINED,
     get_aggregate,
@@ -25,13 +30,16 @@ from repro.core.aggregates import (
 from repro.core.columnar import ColumnarTrain, group_rows
 from repro.core.engine import AuroraEngine
 from repro.core.operators.filter import Filter
-from repro.core.operators.map import columnar_map
+from repro.core.operators.map import columnar_map, extend
 from repro.core.operators.tumble import Tumble
 from repro.core.operators.windows import Slide
 from repro.core.operators.wsort import WSort
 from repro.core.columnar import col
 from repro.core.query import QueryNetwork
 from repro.core.tuples import StreamTuple, make_stream
+from repro.obs.export import dumps, snapshot
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Tracer
 
 KERNEL_AGGS = ["cnt", "sum", "max", "min", "avg", "first", "last"]
 
@@ -50,7 +58,11 @@ def scalar_run(op, tuples):
 def columnar_run(op, trains):
     out = []
     for train in trains:
-        for port, sub in op.process_columnar(train, port=0):
+        emissions = op.process_columnar(train, port=0)
+        if emissions is None:  # declined: the caller's row branch takes the claim
+            out.extend(op.process_batch(train.to_tuples(), port=0))
+            continue
+        for port, sub in emissions:
             out.extend((port, tup) for tup in sub.to_tuples())
     return out
 
@@ -336,6 +348,208 @@ class TestDegenerateClaims:
             tuples,
             splits=[3],
         )
+
+
+# -- exact or decline ---------------------------------------------------------
+
+
+def with_lineage(tuples):
+    for seq, tup in enumerate(tuples):
+        tup.seq, tup.origin = seq, "src"
+    return tuples
+
+
+def with_traces(tuples):
+    for tup in tuples:
+        tup.trace = ("span", tup.timestamp)
+    return tuples
+
+
+def slide(name="sum"):
+    return Slide(name, groupby=("G",), value_attr="A", size=3)
+
+
+PLAIN = [{"G": i % 2, "A": i} for i in range(6)]
+
+# One row per whole-claim decline site (Slide's first site once per
+# condition): (operator, rows it has already seen, the claim it declines).
+DECLINES = {
+    "tumble-lineage": (
+        lambda: Tumble("sum", groupby=("G",), value_attr="A", mode="count", window_size=4),
+        PLAIN, with_lineage(stream_of(PLAIN)),
+    ),
+    "slide-lineage": (slide, PLAIN, with_lineage(stream_of(PLAIN))),
+    "slide-traced": (slide, PLAIN, with_traces(stream_of(PLAIN))),
+    "slide-unregistered-aggregate": (
+        lambda: slide("avg_partial"), PLAIN, stream_of(PLAIN),
+    ),
+    "slide-ungroupable-keys": (
+        slide, PLAIN, stream_of([{"G": 1 if i % 2 else "x", "A": i} for i in range(6)]),
+    ),
+    "slide-object-values": (
+        slide, PLAIN, stream_of([{"G": i % 2, "A": 2**70 + i} for i in range(6)]),
+    ),
+    "slide-dtype-promotion": (
+        slide, [{"G": i % 2, "A": 0.5 * i} for i in range(6)], stream_of(PLAIN),
+    ),
+    "slide-selection-hazard": (
+        lambda: slide("max"), [{"G": 0, "A": 1.0}],
+        stream_of([{"G": 0, "A": v} for v in (0.0, -0.0, 1.0)]),
+    ),
+    "wsort-finite-timeout": (
+        lambda: WSort(("A",), timeout=0.005),
+        [{"A": 5 - i} for i in range(4)], stream_of([{"A": 9}, {"A": 0}], start=1.0),
+    ),
+}
+
+
+class TestDeclines:
+    @pytest.mark.parametrize("case", DECLINES)
+    def test_decline_returns_none_and_touches_no_state(self, case):
+        make, seen, claim = DECLINES[case]
+        op = make()
+        op.process_batch(stream_of(seen))
+        before = repr(op.snapshot())
+        assert op.process_columnar(ColumnarTrain.from_tuples(claim)) is None
+        assert repr(op.snapshot()) == before
+
+    def test_wsort_declines_once_it_has_emitted(self):
+        # Infinite timeout, but a flush has emitted: arrivals may now be
+        # discarded, so the parking regime is over for good.
+        op = WSort(("A",))
+        op.process_columnar(ColumnarTrain.from_tuples(stream_of([{"A": 3}, {"A": 1}])))
+        assert len(op.flush()) == 2
+        before = repr(op.snapshot())
+        late = ColumnarTrain.from_tuples(stream_of([{"A": 0}, {"A": 7}], start=1.0))
+        assert op.process_columnar(late) is None
+        assert repr(op.snapshot()) == before
+        assert [t["A"] for _port, t in op.process_batch(late.to_tuples()) + op.flush()] == [7]
+        assert op.tuples_discarded == 1
+
+
+def test_no_operator_hides_a_row_barrier():
+    """Where a train becomes rows is the engine's decision: the private
+    decode -> row kernel -> re-encode helper is gone from ``src/``, and
+    one operator site still runs the row kernel on a decoded train —
+    count-mode Tumble's mid-train chunk, which cannot decline."""
+    package = Path(repro.__file__).parent
+    assert [
+        path.name for path in package.rglob("*.py")
+        if "emissions_to_trains" in path.read_text()
+    ] == []
+    assert [
+        path.name
+        for path in sorted((package / "core" / "operators").glob("*.py"))
+        for line in path.read_text().splitlines()
+        if "process_batch(" in line and "to_tuples()" in line
+    ] == ["tumble.py"]
+
+
+def tumble_rounds():
+    # Round 2 reopens after a timeout gap: the first claim flushes a
+    # dozen windows as one train (more than ``m`` consumes per step),
+    # the lineage-carrying claim behind it is declined, and its rows
+    # queue behind the leftover segment — the mixed-queue barrier.
+    yield [stream_of([{"G": i % 12, "A": 3 * i + 1} for i in range(24)])]
+    yield [
+        stream_of([{"G": 0, "A": 8 + i} for i in range(5)], start=2.0),
+        with_lineage(stream_of([{"G": 0, "A": 22 + i} for i in range(5)], start=2.01)),
+        stream_of([{"G": 0, "A": 36 + i} for i in range(10)], start=2.02),
+    ]
+
+
+def slide_rounds():
+    yield [stream_of([{"G": i % 3, "A": i} for i in range(20)])]
+    yield [
+        stream_of([{"G": i % 3, "A": 2**70 + i} for i in range(10)], start=1.0),
+        stream_of([{"G": i % 3, "A": 40 + i} for i in range(10)], start=1.1),
+    ]
+
+
+def wsort_rounds():
+    yield [stream_of([{"G": i % 3, "A": (13 * i) % 17} for i in range(20)])]
+    yield [stream_of([{"G": 0, "A": 5}, {"G": 1, "A": 30}], start=3.0)]
+
+
+# window -> (operator, pushes per round, share of its claims declined)
+ENGINE_DECLINES = {
+    "tumble-lineage": (
+        lambda: Tumble(
+            "sum", groupby=("G",), value_attr="A", result_attr="A",
+            mode="count", window_size=4, timeout=0.5,
+        ),
+        tumble_rounds, "some",
+    ),
+    "slide-object-values": (
+        lambda: Slide("sum", groupby=("G",), value_attr="A", size=3, result_attr="A"),
+        slide_rounds, "some",
+    ),
+    "wsort-finite-timeout": (lambda: WSort(("A",), timeout=0.01), wsort_rounds, "all"),
+}
+
+
+class TestDeclinedClaimsInTheEngine:
+    """A declined claim takes the engine's row branch: the same tuples
+    pushed as trains and as rows agree on every accounting axis, with a
+    compiled ``m -> g`` tail downstream of the declining window."""
+
+    def run(self, case, trains, fusion, sample_rate):
+        make, rounds, _share = ENGINE_DECLINES[case]
+        net = QueryNetwork()
+        net.add_box("f", Filter(col("A") % 7 != 0))
+        net.add_box("w", make())
+        net.add_box("m", extend("B", col("A") + 1))
+        net.add_box("g", Filter(col("B") % 5 != 0))
+        for source, target in [("in:s", "f"), ("f", "w"), ("w", "m"), ("m", "g"), ("g", "out:o")]:
+            net.connect(source, target)
+        registry = MetricsRegistry()
+        tracer = Tracer(sample_rate=sample_rate) if sample_rate else None
+        engine = AuroraEngine(
+            net, train_size=5, fusion=fusion, metrics=registry, tracer=tracer
+        )
+        window = net.boxes["w"].operator
+        kernel, declined = window.process_columnar, []
+
+        def spy(train, port=0):
+            out = kernel(train, port=port)
+            declined.append(out is None)
+            return out
+
+        window.process_columnar = spy
+        for pushes in rounds():
+            for tuples in pushes:
+                if trains:
+                    engine.push_train("s", ColumnarTrain.from_tuples(tuples))
+                else:
+                    engine.push_many("s", tuples)
+            engine.run_until_idle()
+        engine.flush()
+        return declined, {
+            "outputs": [(t.values, t.timestamp, t.seq, t.origin) for t in engine.outputs["o"]],
+            "clock": engine.clock,
+            "steps": engine.steps,
+            "tuples_processed": engine.tuples_processed,
+            "stats": {
+                box_id: (
+                    box.tuples_in, box.tuples_out, box.busy_time,
+                    box.latency_sum, box.latency_count,
+                )
+                for box_id, box in net.boxes.items()
+            },
+            "snapshot": dumps(snapshot(registry, sink=tracer.sink if tracer else None)),
+        }
+
+    @pytest.mark.parametrize("sample_rate", [None, 0.25], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
+    @pytest.mark.parametrize("case", ENGINE_DECLINES)
+    def test_trains_equal_rows(self, case, fusion, sample_rate):
+        declined, as_trains = self.run(case, True, fusion, sample_rate)
+        never_asked, as_rows = self.run(case, False, fusion, sample_rate)
+        assert never_asked == [] and as_trains["outputs"]
+        assert any(declined)
+        assert all(declined) == (ENGINE_DECLINES[case][2] == "all")
+        for axis, value in as_rows.items():
+            assert as_trains[axis] == value, axis
 
 
 # -- Slide --------------------------------------------------------------------

@@ -94,6 +94,32 @@ class TestSampling:
         ]
         assert new == old
 
+    def test_cumulative_table_matches_choices_over_the_ranked_list(self):
+        # The reference is the definition: weighted choices over the
+        # keys in rank order at time ``at``.  Same draws and same final
+        # RNG state, under rotation and churn, for both sampling styles.
+        shapes = [
+            dict(keys=1),
+            dict(keys=7, skew=0.0),
+            dict(keys=40, skew=1.3, rotate_every=0.5),
+            dict(keys=list("abcdefghij"), skew=0.7, rotate_every=0.003),
+        ]
+        for shape in shapes:
+            pop = KeyedPopulation(**shape)
+            rng_new, rng_ref = random.Random(11), random.Random(11)
+            for step in range(400):
+                at = step * 0.0137
+                if step % 100 == 99:
+                    pop.churn(rng_new, ("new", step))
+                    rng_ref.randrange(len(pop))
+                k = 1 + step % 3
+                ref = rng_ref.choices(pop.ranked(at), weights=pop.weights, k=k)
+                if k == 1:
+                    assert [pop.sample(rng_new, at)] == ref, (shape, step)
+                else:
+                    assert pop.sample_many(rng_new, k, at) == ref, (shape, step)
+            assert rng_new.getstate() == rng_ref.getstate(), shape
+
     def test_skew_concentrates_mass_on_hot_keys(self):
         pop = KeyedPopulation(50, skew=1.5)
         rng = random.Random(1)
