@@ -54,10 +54,6 @@ the scalar path.  Division by zero raises on the scalar path but
 follows NumPy semantics in compiled expressions, so compiled
 ``CaseFilter`` predicates must be total (every predicate is evaluated
 on every tuple; there is no cross-predicate short-circuit guard).
-
-``pyarrow`` is an optional future interchange format for the wire
-(Langbridge's Arrow-based worker data plane is the exemplar); the
-import is guarded so the engine runs without it.
 """
 
 from __future__ import annotations
@@ -69,16 +65,6 @@ import numpy as np
 
 from repro.core.tuples import StreamTuple
 from repro.obs.trace import TraceColumn
-
-try:  # optional wire-interchange dependency (see to_arrow)
-    import pyarrow as _pyarrow  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised where pyarrow is absent
-    _pyarrow = None
-
-
-def have_pyarrow() -> bool:
-    """True if the optional ``pyarrow`` interchange dependency is present."""
-    return _pyarrow is not None
 
 
 # -- column encoding ----------------------------------------------------------
@@ -379,23 +365,6 @@ class ColumnarTrain:
 
     def __iter__(self) -> Iterator[StreamTuple]:
         return iter(self.to_tuples())
-
-    # -- wire interchange (guarded optional dependency) --------------------
-
-    def to_arrow(self):
-        """The train as a ``pyarrow.RecordBatch`` (future wire format).
-
-        Raises :class:`RuntimeError` when pyarrow is not installed —
-        the wire falls back to materialized-tuple frames.
-        """
-        if _pyarrow is None:
-            raise RuntimeError(
-                "pyarrow is not installed; install the optional 'arrow' "
-                "extra to use columnar wire interchange"
-            )
-        arrays = {f: _pyarrow.array(self.columns[f]) for f in self.fields}
-        arrays["__timestamp__"] = _pyarrow.array(self.timestamps)
-        return _pyarrow.RecordBatch.from_pydict(arrays)
 
 
 # -- the compiled expression language ----------------------------------------

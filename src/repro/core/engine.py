@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.catalog import LocalCatalog
 from repro.core.columnar import ColumnarTrain, OutputBuffer, running_max
-from repro.core.fusion import FusedChain, build_chains, defuse_chains
+from repro.core.fusion import FusedChain, build_chains
 from repro.core.qos import QoSMonitor, QoSSpec
 from repro.core.query import Arc, Box, QueryNetwork
 from repro.core.scheduler import RoundRobinScheduler, Scheduler
@@ -31,7 +31,7 @@ from repro.core.shedder import LoadShedder
 from repro.core.storage import StorageManager
 from repro.core.tuples import StreamTuple
 from repro.obs.registry import Counter, MetricsRegistry
-from repro.obs.trace import TraceColumn, Tracer
+from repro.obs.trace import Tracer
 
 
 class AuroraEngine:
@@ -162,7 +162,6 @@ class AuroraEngine:
         self._input_reach_cache: dict[str, frozenset[str]] = {}
         self._runs: dict[str, FusedChain] = {}
         self._fused: dict[str, FusedChain] = {}
-        self._fused_member: dict[str, str] = {}
         self._revision = -1
         self._sync()
 
@@ -231,12 +230,9 @@ class AuroraEngine:
         # unfused execution stay clock-identical tuple for tuple.
         # ``_fused`` holds the runs that execute as superboxes: all of
         # them or none (the fused pass is a train pass).
-        self._runs, members = (
-            build_chains(self.network) if self.push_trains else ({}, {})
-        )
+        self._runs = build_chains(self.network) if self.push_trains else {}
         fuse = self.fusion and self.batch_execution
         self._fused = dict(self._runs) if fuse else {}
-        self._fused_member = members if fuse else {}
         hook = getattr(self.scheduler, "network_changed", None)
         if hook is not None:
             hook(self)
@@ -244,11 +240,22 @@ class AuroraEngine:
     def defuse(self, box_id: str | None = None) -> None:
         """Dissolve superboxes — all of them, or the one containing ``box_id``.
 
-        Safe at any scheduling boundary (see :func:`repro.core.fusion.defuse_chains`),
-        and the run is still *pushed* member-by-member in the fused
-        order, so even the virtual clock is unaffected.
+        Safe at any scheduling boundary: fusion never removed the
+        constituent boxes or arcs from the network (it only redirects
+        execution), a fused train always runs through every stage so
+        interior arcs are empty, and any queued tuples already sit on
+        the superbox input — the head box's own input arc.  Dropping the
+        overlay therefore restores per-box execution with no state
+        hand-back, and the run is still *pushed* member-by-member in
+        the fused order, so even the virtual clock is unaffected.
         """
-        defuse_chains(self._fused, self._fused_member, box_id)
+        if box_id is None:
+            self._fused.clear()
+            return
+        for head, chain in self._fused.items():
+            if box_id in chain.member_ids():
+                del self._fused[head]
+                return
 
     def fused_runs(self) -> list[list[str]]:
         """Box-id runs currently compiled into superboxes."""
@@ -356,27 +363,6 @@ class AuroraEngine:
             return None
         return arcs[0]
 
-    def _admit(
-        self, input_name: str, timestamps: np.ndarray
-    ) -> tuple[np.ndarray | None, TraceColumn | None]:
-        """Shedder admission and trace sampling for one offered train.
-
-        Both observers decide once per train.  Returns ``(keep,
-        traces)``: the shedder's keep-mask over the offered rows (None
-        when all are admitted) and the root trace contexts of the
-        sampled rows, positioned among the *admitted* rows — only those
-        are offered to the sampler, as on the per-tuple path.
-        """
-        keep = None
-        if self.shedder is not None:
-            keep = self.shedder.admit_train(self, input_name, len(timestamps))
-            if keep is not None:
-                timestamps = timestamps[keep]
-        traces = None
-        if self._tracing:
-            traces = self.tracer.start_train(f"source:{input_name}", timestamps)
-        return keep, traces
-
     def _note_ingested(self, input_name: str, arc: Arc, n: int) -> None:
         """Account ``n`` tuples just enqueued on an input arc.  No-op for
         zero: like per-tuple ``push``, an input whose tuples were all
@@ -400,10 +386,12 @@ class AuroraEngine:
         clock still advances over every offered row) and a tracer stamps
         the sampled rows' root contexts on a twin of the train: the
         caller's train is never mutated, and contexts it already carries
-        are dropped — ingestion is authoritative.  Falls back to
-        :meth:`push_many` whenever a barrier applies at ingestion:
-        ``batch_execution`` off, or no single arc takes whole trains
-        (:meth:`_train_arc`).
+        are dropped — ingestion is authoritative.  Both observers decide
+        once per train, the shedder first: only admitted rows are
+        offered to the sampler, as on the per-tuple path.  Falls back to
+        :meth:`push_many` over the train's rows whenever a barrier
+        applies at ingestion: ``batch_execution`` off, or no single arc
+        takes whole trains (:meth:`_train_arc`).
         """
         self._sync()
         arc = self._train_arc(input_name)
@@ -414,13 +402,17 @@ class AuroraEngine:
             return self.push_many(input_name, train.to_tuples())
         clocks = running_max(self.clock, train.timestamps)
         self.clock = float(clocks[-1])
-        keep, traces = self._admit(input_name, train.timestamps)
-        if keep is not None:
-            train = train.select(keep)
-            clocks = clocks[keep]
-            n = len(train)
-            if n == 0:
-                return 0
+        if self.shedder is not None:
+            keep = self.shedder.admit_train(self, input_name, n)
+            if keep is not None:
+                train = train.select(keep)
+                clocks = clocks[keep]
+                n = len(train)
+                if n == 0:
+                    return 0
+        traces = None
+        if self._tracing:
+            traces = self.tracer.start_train(f"source:{input_name}", train.timestamps)
         if traces is not None or train.traces is not None:
             train = train.with_traces(traces)
         arc.append_train(train, clocks)
@@ -428,52 +420,38 @@ class AuroraEngine:
         return n
 
     def push_many(self, input_name: str, tuples: Iterable[StreamTuple]) -> int:
-        """Admit a batch; returns the number of tuples admitted."""
+        """Admit a batch; returns the number of tuples admitted.
+
+        A :class:`ColumnarTrain` is :meth:`push_train`'s.  A row list
+        takes the per-tuple :meth:`push` at an ingestion barrier
+        (:meth:`_train_arc`, ``batch_execution`` off) or under an
+        observer — a shedder and a tracer decide tuple by tuple there,
+        and observed *trains* are ``push_train``'s business; otherwise
+        the same clock/stamp chain runs with the arc and queue lookups
+        hoisted out of the loop.
+        """
         if isinstance(tuples, ColumnarTrain):
             return self.push_train(input_name, tuples)
         self._sync()
         arc = self._train_arc(input_name)
-        if arc is None or not self.batch_execution:
+        if (
+            arc is None
+            or not self.batch_execution
+            or self.shedder is not None
+            or self._tracing
+        ):
             return sum(self.push(input_name, tup) for tup in tuples)
-        # Fast path: same per-tuple clock/stamp semantics as push(),
-        # with the arc and queue lookups hoisted out of the loop.
         queue = arc.queue
         queue_times = arc.queue_times
-        if self.shedder is not None or self._tracing:
-            tuples = list(tuples)
-            if not tuples:
-                return 0
-            timestamps = np.fromiter(
-                (tup.timestamp for tup in tuples), np.float64, len(tuples)
-            )
-            clocks = running_max(self.clock, timestamps)
-            self.clock = float(clocks[-1])
-            keep, traces = self._admit(input_name, timestamps)
-            if keep is not None:
-                tuples = [tup for tup, kept in zip(tuples, keep.tolist()) if kept]
-                clocks = clocks[keep]
-            if self._tracing:
-                # Ingestion is authoritative: clear any stale context
-                # left over from a prior engine run over the same tuple
-                # objects, then stamp the sampled ones.
-                for tup in tuples:
-                    tup.trace = None
-                if traces is not None:
-                    for row, ctx in zip(traces.rows.tolist(), traces.contexts()):
-                        tuples[row].trace = ctx
-            queue.extend(tuples)
-            queue_times.extend(clocks.tolist())
-            admitted = len(tuples)
-        else:
-            clock = self.clock
-            admitted = 0
-            for tup in tuples:
-                if tup.timestamp > clock:
-                    clock = tup.timestamp
-                queue.append(tup)
-                queue_times.append(clock)
-                admitted += 1
-            self.clock = clock
+        clock = self.clock
+        admitted = 0
+        for tup in tuples:
+            if tup.timestamp > clock:
+                clock = tup.timestamp
+            queue.append(tup)
+            queue_times.append(clock)
+            admitted += 1
+        self.clock = clock
         arc.tuples_transferred += admitted
         self._note_ingested(input_name, arc, admitted)
         return admitted
@@ -967,13 +945,17 @@ class AuroraEngine:
         return drained
 
     def run_until_idle(self, max_steps: int = 1_000_000) -> float:
-        """Step until no box has queued input.  Returns time consumed."""
+        """Step until the scheduler chooses no box.  Returns time consumed.
+
+        Idle is ``steps`` standing still, not a step that consumed 0.0:
+        with no scheduling overhead a train of zero-cost tuples is free.
+        """
         consumed = 0.0
         for _ in range(max_steps):
-            delta = self.step()
-            if delta == 0.0:
+            steps = self.steps
+            consumed += self.step()
+            if self.steps == steps:
                 return consumed
-            consumed += delta
         raise RuntimeError(f"engine did not go idle within {max_steps} steps")
 
     def flush(self) -> None:

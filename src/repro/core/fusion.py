@@ -25,10 +25,7 @@ Eligibility (where a run stops):
 * arcs bearing a connection point are never interior — ad-hoc queries
   attach there and must keep seeing every tuple;
 * arcs with queued tuples are never fused over (nothing may be hidden
-  from the scheduler's view of backlog);
-* with a ``same_node`` predicate (Aurora*), arcs crossing node
-  boundaries break the run;
-* boxes in ``protect`` (e.g. currently-migrating boxes) never join.
+  from the scheduler's view of backlog).
 
 Fusion is an execution *overlay*, not a network rewrite: constituent
 :class:`~repro.core.query.Box` objects and their arcs stay registered
@@ -53,7 +50,7 @@ from repro.core.columnar import ColumnarTrain
 from repro.core.operators.base import Operator
 from repro.core.operators.filter import Filter
 from repro.core.operators.map import Map
-from repro.core.query import Arc, Box, QueryNetwork
+from repro.core.query import Box, QueryNetwork
 from repro.core.tuples import StreamTuple
 
 Kernel = Callable[[list[StreamTuple]], list[StreamTuple]]
@@ -152,9 +149,9 @@ class FusedChain:
     Holds the original :class:`~repro.core.query.Box` objects (the
     *stages*) — never copies of them — so all statistics accumulated
     while fused are attributed to the constituents, and defusion needs
-    no state hand-back.  The execution planes drive ``stages`` and the
-    two kernel lists directly; the lists are public and read at call
-    time, so a profiler may swap entries after construction.
+    no state hand-back.  The engine drives ``stages`` and the two
+    kernel lists directly; the lists are public and read at call time,
+    so a profiler may swap entries after construction.
     """
 
     def __init__(self, boxes: list[Box]):
@@ -174,33 +171,17 @@ class FusedChain:
         self.tail_columnar = stages[-1].operator.supports_columnar
 
     @property
-    def head(self) -> Box:
-        return self.stages[0]
-
-    @property
     def tail(self) -> Box:
         return self.stages[-1]
 
     def member_ids(self) -> list[str]:
         return [box.id for box in self.stages]
 
-    def interior_arcs(self) -> list[Arc]:
-        """The (inert while fused) arcs between consecutive stages."""
-        return [box.input_arcs[0] for box in self.stages[1:]]
 
-
-SameNode = Callable[[str, str], bool]
-
-
-def _sole_successor(
-    network: QueryNetwork,
-    box: Box,
-    same_node: SameNode | None,
-    protect: frozenset[str],
-) -> Box | None:
+def _sole_successor(network: QueryNetwork, box: Box) -> Box | None:
     """The one box a run could extend to from ``box``, by the arc rules:
     a single output arc, no connection point, no queued backlog, a box
-    (not an output) on the same node that is not protected."""
+    (not an output)."""
     if box.operator.n_outputs != 1:
         return None
     arcs = box.output_arcs.get(0, [])
@@ -212,35 +193,20 @@ def _sole_successor(
     kind, _ref = arc.target
     if kind == "out":
         return None
-    succ = network.boxes[str(kind)]
-    if succ.id in protect:
-        return None
-    if same_node is not None and not same_node(box.id, succ.id):
-        return None
-    return succ
+    return network.boxes[str(kind)]
 
 
-def _fusable_link(
-    network: QueryNetwork,
-    box: Box,
-    same_node: SameNode | None,
-    protect: frozenset[str],
-) -> Box | None:
+def _fusable_link(network: QueryNetwork, box: Box) -> Box | None:
     """The next member of ``box``'s run, or None if the run ends here."""
-    succ = _sole_successor(network, box, same_node, protect)
+    succ = _sole_successor(network, box)
     return succ if succ is not None and chainable(succ) else None
 
 
-def _window_tail(
-    network: QueryNetwork,
-    box: Box,
-    same_node: SameNode | None,
-    protect: frozenset[str],
-) -> Box | None:
+def _window_tail(network: QueryNetwork, box: Box) -> Box | None:
     """A stateful windowed-kernel successor that may terminate the run:
     single-input, shipping its own columnar window kernel — it becomes
     the run's tail and the run stops there."""
-    succ = _sole_successor(network, box, same_node, protect)
+    succ = _sole_successor(network, box)
     if succ is None:
         return None
     operator = succ.operator
@@ -249,30 +215,20 @@ def _window_tail(
     return None
 
 
-def _upstream_member(
-    network: QueryNetwork,
-    box: Box,
-    same_node: SameNode | None,
-    protect: frozenset[str],
-) -> Box | None:
+def _upstream_member(network: QueryNetwork, box: Box) -> Box | None:
     """The box whose run ``box`` belongs to the middle of, if any."""
     arc = box.input_arcs.get(0)
     if arc is None or arc.source[0] == "in":
         return None
     source = network.boxes.get(str(arc.source[0]))
-    if source is None or not chainable(source) or source.id in protect:
+    if source is None or not chainable(source):
         return None
-    if _fusable_link(network, source, same_node, protect) is box:
+    if _fusable_link(network, source) is box:
         return source
     return None
 
 
-def find_runs(
-    network: QueryNetwork,
-    *,
-    same_node: SameNode | None = None,
-    protect: frozenset[str] = frozenset(),
-) -> list[list[str]]:
+def find_runs(network: QueryNetwork) -> list[list[str]]:
     """Maximal fusable runs (length >= 2), as box-id lists in flow order.
 
     Runs are discovered from their heads in topological order, so the
@@ -284,14 +240,14 @@ def find_runs(
         if box_id in assigned:
             continue
         box = network.boxes[box_id]
-        if not chainable(box) or box_id in protect:
+        if not chainable(box):
             continue
-        if _upstream_member(network, box, same_node, protect) is not None:
+        if _upstream_member(network, box) is not None:
             continue  # interior or tail of a run found via its head
         run = [box_id]
         current = box
         while True:
-            succ = _fusable_link(network, current, same_node, protect)
+            succ = _fusable_link(network, current)
             if succ is None:
                 break
             run.append(succ.id)
@@ -299,7 +255,7 @@ def find_runs(
         # A trailing windowed kernel (stateful, columnar-capable) may
         # close the run; _window_tail rejects multi-output last members
         # (those already ended the run as its tail).
-        tail = _window_tail(network, current, same_node, protect)
+        tail = _window_tail(network, current)
         if tail is not None and tail.id not in assigned:
             run.append(tail.id)
         if len(run) >= 2:
@@ -308,44 +264,9 @@ def find_runs(
     return runs
 
 
-def build_chains(
-    network: QueryNetwork,
-    *,
-    same_node: SameNode | None = None,
-    protect: frozenset[str] = frozenset(),
-) -> tuple[dict[str, FusedChain], dict[str, str]]:
-    """Run the fusion pass; returns ``(head_id -> chain, member -> head)``."""
-    chains: dict[str, FusedChain] = {}
-    members: dict[str, str] = {}
-    for run in find_runs(network, same_node=same_node, protect=protect):
-        chain = FusedChain([network.boxes[b] for b in run])
-        chains[run[0]] = chain
-        for member in run:
-            members[member] = run[0]
-    return chains, members
-
-
-def defuse_chains(
-    chains: dict[str, FusedChain],
-    members: dict[str, str],
-    box_id: str | None = None,
-) -> None:
-    """Dissolve superboxes in a :func:`build_chains` overlay, in place —
-    all of them, or the one containing ``box_id``.
-
-    Safe at any scheduling boundary: fusion never removed the
-    constituent boxes or arcs from the network (it only redirects
-    execution), a fused train always runs through every stage so
-    interior arcs are empty, and any queued tuples already sit on the
-    superbox input — the head box's own input arc.  Dropping the overlay
-    therefore restores per-box execution with no state hand-back.
-    """
-    if box_id is None:
-        chains.clear()
-        members.clear()
-        return
-    head = members.get(box_id)
-    if head is None:
-        return
-    for stage in chains.pop(head).stages:
-        members.pop(stage.id, None)
+def build_chains(network: QueryNetwork) -> dict[str, FusedChain]:
+    """Run the fusion pass; returns ``head_id -> chain``."""
+    return {
+        run[0]: FusedChain([network.boxes[b] for b in run])
+        for run in find_runs(network)
+    }

@@ -397,37 +397,43 @@ class QueryNetwork:
 
         Used by box splitting: the arc that fed the original box is
         redirected to the router Filter, and so on.  Queued tuples stay
-        on the arc and flow to the new consumer.
+        on the arc and flow to the new consumer.  The new endpoint is
+        checked before anything moves, so a rejected rewire leaves the
+        network as it was.
         """
         self.revision += 1
-        dst = _parse_endpoint(target)
-        old_kind, old_ref = arc.target
-        if old_kind == "out":
-            del self.outputs[str(old_ref)]
-        else:
-            box = self._box(str(old_kind))
-            box.input_arcs.pop(int(old_ref), None)
-        arc.target = ("", 0)  # detached sentinel while re-attaching
-        arc.target = dst
-        kind, ref = dst
+        kind, ref = dst = _parse_endpoint(target)
         if kind == "out":
-            name = str(ref)
-            if name in self.outputs:
-                raise QueryError(f"duplicate output stream {name!r}")
-            self.outputs[name] = arc
+            if self.outputs.get(str(ref), arc) is not arc:
+                raise QueryError(f"duplicate output stream {str(ref)!r}")
         else:
             box = self._box(str(kind))
             port = int(ref)
             if not 0 <= port < box.operator.arity:
                 raise QueryError(f"box {box.id!r} has no input port {port}")
-            if port in box.input_arcs:
+            if box.input_arcs.get(port, arc) is not arc:
                 raise QueryError(f"box {box.id!r} input port {port} already connected")
+        old_kind, old_ref = arc.target
+        if old_kind == "out":
+            del self.outputs[str(old_ref)]
+        else:
+            self._box(str(old_kind)).input_arcs.pop(int(old_ref), None)
+        arc.target = dst
+        if kind == "out":
+            self.outputs[str(ref)] = arc
+        else:
             box.input_arcs[port] = arc
 
     def rewire_source(self, arc: Arc, source: str | tuple[str, int]) -> None:
-        """Attach an existing arc to a new producer (box port or input)."""
+        """Attach an existing arc to a new producer (box port or input);
+        checked before anything moves, like :meth:`rewire_target`."""
         self.revision += 1
-        src = _parse_endpoint(source)
+        kind, ref = src = _parse_endpoint(source)
+        if kind != "in":
+            box = self._box(str(kind))
+            port = int(ref)
+            if not 0 <= port < box.operator.n_outputs:
+                raise QueryError(f"box {box.id!r} has no output port {port}")
         old_kind, old_ref = arc.source
         if old_kind == "in":
             arcs = self.inputs.get(str(old_ref), [])
@@ -436,19 +442,13 @@ class QueryNetwork:
             if not arcs and str(old_ref) in self.inputs:
                 del self.inputs[str(old_ref)]
         else:
-            box = self._box(str(old_kind))
-            port_arcs = box.output_arcs.get(int(old_ref), [])
+            port_arcs = self._box(str(old_kind)).output_arcs.get(int(old_ref), [])
             if arc in port_arcs:
                 port_arcs.remove(arc)
         arc.source = src
-        kind, ref = src
         if kind == "in":
             self.inputs.setdefault(str(ref), []).append(arc)
         else:
-            box = self._box(str(kind))
-            port = int(ref)
-            if not 0 <= port < box.operator.n_outputs:
-                raise QueryError(f"box {box.id!r} has no output port {port}")
             box.output_arcs.setdefault(port, []).append(arc)
 
     def remove_arc(self, arc_id: str) -> None:

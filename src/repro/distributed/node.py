@@ -155,36 +155,25 @@ class AuroraNode:
         box = self._choose_box()
         if box is None:
             return
-        consumed, tail, emissions = self._run_train(box)
+        consumed, emissions = self._run_train(box)
         self.busy_until = self.system.sim.now + consumed
         # Emissions appear when the train finishes.
-        self.system.sim.schedule_at(self.busy_until, self._complete, tail, emissions)
+        self.system.sim.schedule_at(self.busy_until, self._complete, box, emissions)
 
-    def _run_train(self, box: Box) -> tuple[float, Box, list[tuple[int, StreamTuple]]]:
-        """Run one train at ``box``: ``(CPU time, emitting box, emissions)``.
+    def _run_train(self, box: Box) -> tuple[float, list[tuple[int, StreamTuple]]]:
+        """Run one train at ``box``: ``(CPU time, emissions)``.
 
-        The stages are the superbox ``box`` heads (threaded through its
-        interior kernels with no interior arc traffic, emitted by the
-        tail) or, a box being a run of one, just ``box``.  Tuples are
-        claimed at the head in maximal per-arc runs that preserve the
+        Tuples are claimed in maximal per-arc runs that preserve the
         scalar oldest-timestamp-first order across input arcs.  The cost
-        chain is ONE running sum — ``consumed += cost`` per tuple, stage
-        after stage — so virtual times are bit-identical to the
-        per-tuple path, and each stage is attributed its delta of that
-        sum for the load-share daemon and the box-sliding cost model.
-        The head's delta counts from ``0.0`` (it absorbs the scheduling
-        overhead) and is booked once per train, however many claims
-        fan-in took; a later stage is booked where the train reaches it
-        (a superbox head has one input arc, hence one claim per train),
-        and a stage it never reaches gets no share.
+        chain is ONE running sum — the scheduling overhead, then
+        ``consumed += cost`` per tuple — so virtual times are
+        bit-identical to the per-tuple path; the box is booked the whole
+        of it once per train, however many claims fan-in took, for the
+        load-share daemon and the box-sliding cost model.
         """
-        chain = self.system.fused_chain(box.id)
-        stages, kernels = (
-            ((box,), ()) if chain is None else (chain.stages, chain.interior_kernels)
-        )
-        consumed = head_share = self.scheduling_overhead
+        consumed = self.scheduling_overhead
         emissions: list[tuple[int, StreamTuple]] = []
-        last = len(stages) - 1
+        cost = box.operator.cost_per_tuple / self.cpu_capacity
         budget = self.train_size
         tracing = self.system._tracing
         processed = 0
@@ -193,47 +182,30 @@ class AuroraNode:
             if arc is None:
                 break
             batch = pop_head(arc.queue, n)
-            port = int(arc.target[1])
-            for index, stage in enumerate(stages):
-                count = len(batch)
-                if count == 0:
-                    break
-                reached = consumed
-                cost = stage.operator.cost_per_tuple / self.cpu_capacity
-                for _ in range(count):
-                    consumed += cost
-                if tracing:
-                    # Coarse sim-time spans: the event-driven node charges
-                    # the whole train as one busy interval, so every tuple's
-                    # box span covers it.  Re-stamped before the kernel runs
-                    # so emissions inherit the child context.
-                    now = self.system.sim.now
-                    self._stamp(batch, f"box:{stage.id}", now, now + consumed)
-                stage.tuples_in += count
-                processed += count
-                if index == last:
-                    out = stage.operator.process_batch(batch, port=port)
-                    emissions.extend(out)
-                else:
-                    batch = out = kernels[index](batch)
-                stage.tuples_out += len(out)
-                if index == 0:
-                    head_share = consumed
-                else:
-                    share = consumed - reached
-                    stage.busy_time += share
-                    stage.latency_sum += share
-                    stage.latency_count += 1
+            for _ in range(n):
+                consumed += cost
+            if tracing:
+                # Coarse sim-time spans: the event-driven node charges
+                # the whole train as one busy interval, so every tuple's
+                # box span covers it.  Re-stamped before the kernel runs
+                # so emissions inherit the child context.
+                now = self.system.sim.now
+                self._stamp(batch, f"box:{box.id}", now, now + consumed)
+            box.tuples_in += n
+            processed += n
+            out = box.operator.process_batch(batch, port=int(arc.target[1]))
+            emissions.extend(out)
+            box.tuples_out += len(out)
             budget -= n
         if processed:
             self.tuples_processed += processed
             self._m_tuples.inc(processed)
             self._m_trains.inc()
-        box.busy_time += head_share
-        box.latency_sum += head_share  # coarse T_B contribution per train
+        box.busy_time += consumed
+        box.latency_sum += consumed  # coarse T_B contribution per train
         box.latency_count += 1
         self.busy_time += consumed
-        return consumed, stages[-1], emissions
+        return consumed, emissions
 
     def _stamp(
         self, tuples: list[StreamTuple], name: str, start: float, end: float
@@ -302,8 +274,8 @@ class AuroraNode:
         """
         box = self.system.network.boxes[box_id]
         while box.queued() > 0:
-            _consumed, tail, emissions = self._run_train(box)
-            self.route_emissions(tail, emissions)
+            _consumed, emissions = self._run_train(box)
+            self.route_emissions(box, emissions)
 
     def _on_load_probe(self, message: Message) -> None:
         """Answer a neighbor's load probe with this node's backlog."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.fusion import FusedChain, build_chains
 from repro.core.query import Arc, QueryNetwork
 from repro.core.tuples import StreamTuple
 from repro.distributed.node import AuroraNode
@@ -92,18 +91,12 @@ class AuroraStarSystem:
         self.catalog = IntraParticipantCatalog("local")
         self.catalog.define("query", network.name, network)
         self._output_subscribers: dict[str, list] = {}
-        # Superbox fusion (repro.core.fusion) across the deployment is
-        # opt-in: fused chains amortize per-box scheduling on a node,
-        # which (unlike the single-node engine's train push) coarsens
-        # the simulated timing, so callers enable it explicitly.
-        self.fusion_enabled = False
-        # Views derived from (network, placement, migrating), each
-        # stored with the key it was computed at and recomputed on the
-        # first read after the key moves; set_placement is the only
-        # writer of a placement that matters to them.
+        # boxes_on()'s grouping, stored with the (network, placement)
+        # key it was computed at and recomputed on the first read after
+        # the key moves; set_placement is the only writer of a
+        # placement that matters to it.
         self._placement_revision = 0
         self._hosted: tuple[tuple, dict[str, list[str]]] = ((), {})
-        self._fused: tuple[tuple, dict[str, FusedChain]] = ((), {})
 
     # -- topology ---------------------------------------------------------------
 
@@ -164,54 +157,6 @@ class AuroraStarSystem:
                 hosted.setdefault(self.placement.get(box_id), []).append(box_id)
             self._hosted = (key, hosted)
         return list(self._hosted[1].get(node_name, ()))
-
-    # -- superbox fusion (Aurora* overlay, opt-in) ---------------------------------
-
-    def enable_fusion(self) -> None:
-        """Compile same-node linear runs into superboxes from now on."""
-        self.fusion_enabled = True
-
-    def disable_fusion(self) -> None:
-        """Drop all superboxes and stop compiling new ones."""
-        self.fusion_enabled = False
-        # Unfused execution queues tuples on what were interior arcs;
-        # a later enable_fusion() must not resume the old chains past them.
-        self._fused = ((), {})
-
-    def _chains(self) -> dict[str, FusedChain]:
-        """The fusion overlay, derived from the current network,
-        placement and migrating set (empty while fusion is off).
-
-        Runs never cross node boundaries (an arc between nodes is a
-        network transfer) and never include a migrating box, so remote
-        tuple messages always target a real arc whose consumer chain is
-        local.  The network is the ground truth: a rewrite, a placement
-        change or a migration re-runs the pass on the next read.
-        """
-        if not self.fusion_enabled:
-            return {}
-        migrating = frozenset(self.migrating)
-        key = (self.network.revision, self._placement_revision, migrating)
-        if self._fused[0] != key:
-            placement = self.placement
-
-            def same_node(a: str, b: str) -> bool:
-                node = placement.get(a)
-                return node is not None and node == placement.get(b)
-
-            chains, _members = build_chains(
-                self.network, same_node=same_node, protect=migrating
-            )
-            self._fused = (key, chains)
-        return self._fused[1]
-
-    def fused_chain(self, box_id: str) -> FusedChain | None:
-        """The superbox headed by ``box_id``, if one is compiled."""
-        return self._chains().get(box_id)
-
-    def fused_runs(self) -> list[list[str]]:
-        """Box-id runs currently compiled into superboxes."""
-        return [chain.member_ids() for chain in self._chains().values()]
 
     # -- ingestion ----------------------------------------------------------------
 

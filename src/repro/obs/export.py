@@ -52,6 +52,7 @@ def write_snapshot(
 
 
 def load_snapshot(path: str) -> dict:
+    """Read back a snapshot file written by :func:`write_snapshot`."""
     with open(path) as handle:
         return json.load(handle)
 

@@ -327,7 +327,9 @@ class ScenarioRunner:
         """Run the engine until its clock reaches ``when`` (idle jumps)."""
         engine = self.engine
         while engine.clock < when:
-            if engine.step() == 0.0:
+            steps = engine.steps
+            engine.step()
+            if engine.steps == steps:  # the scheduler chose no box
                 engine.clock = when
                 break
 
@@ -463,69 +465,14 @@ class ScenarioRunner:
         )
 
 
-@dataclass
-class ParallelScenarioResult:
-    """A scenario run on the multiprocessing backend (shedding/faults
-    off — the oracle regime; SLO scoring stays a simulator concern)."""
-
-    scenario: str
-    seed: int
-    n_workers: int
-    outputs: dict[str, list]
-    boxes: dict[str, dict[str, int]]
-    wall_clock: float
-
-    @property
-    def delivered(self) -> int:
-        return sum(len(tuples) for tuples in self.outputs.values())
-
-    def summary(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "backend": "parallel",
-            "n_workers": self.n_workers,
-            "delivered": self.delivered,
-            "wall_clock": round(self.wall_clock, 4),
-        }
-
-
 def run_scenario(
     name: str,
     scale: float = 1.0,
     seed: int = 0,
     batch_execution: bool = True,
     fusion: bool = True,
-    backend: str = "simulator",
-    n_workers: int = 2,
-) -> ScenarioResult | ParallelScenarioResult:
-    """Convenience: build the named scenario at ``scale`` and run it.
-
-    ``backend`` selects the execution plane: ``"simulator"`` (default)
-    is the deterministic virtual-time engine with the full runner
-    (faults, shedding control loop, SLO surfaces); ``"parallel"`` ships
-    the same traffic through real worker processes
-    (:mod:`repro.parallel`) and returns delivered outputs plus per-box
-    counters — `repro.parallel.oracle.run_dual` asserts the two agree.
-    """
-    if backend == "parallel":
-        from repro.parallel.oracle import run_parallel
-
-        outputs, boxes, wall = run_parallel(
-            name, scale=scale, seed=seed, n_workers=n_workers
-        )
-        return ParallelScenarioResult(
-            scenario=name,
-            seed=seed,
-            n_workers=n_workers,
-            outputs=outputs,
-            boxes=boxes,
-            wall_clock=wall,
-        )
-    if backend != "simulator":
-        raise ValueError(
-            f"unknown backend {backend!r}; expected 'simulator' or 'parallel'"
-        )
+) -> ScenarioResult:
+    """Convenience: build the named scenario at ``scale`` and run it."""
     return ScenarioRunner(
         make_scenario(name, scale=scale),
         seed=seed,

@@ -16,7 +16,6 @@ from repro.core.columnar import (
     OutputBuffer,
     accumulate_chain,
     col,
-    have_pyarrow,
     running_max,
     sequential_sum,
 )
@@ -389,27 +388,6 @@ def test_case_filter_columnar_counters_match_list_path():
     assert run("train") == run("many")
     routed, dropped, _ = run("train")
     assert sum(routed) + dropped == 20 and dropped > 0
-
-
-# -- optional interchange dependency ------------------------------------------
-
-
-def test_pyarrow_guard():
-    # The container has no pyarrow; the guard must answer without
-    # raising, and the interchange helpers must refuse cleanly.
-    assert have_pyarrow() in (True, False)
-    if not have_pyarrow():
-        train = ColumnarTrain.from_tuples(make_stream(rows(3)))
-        # The message is pinned: operator guides tell users to install
-        # the 'arrow' extra verbatim, so a reworded guard is a break.
-        with pytest.raises(
-            RuntimeError,
-            match=(
-                r"pyarrow is not installed; install the optional 'arrow' "
-                r"extra to use columnar wire interchange"
-            ),
-        ):
-            train.to_arrow()
 
 
 # -- wire framing -------------------------------------------------------------

@@ -292,3 +292,25 @@ class TestRemovalInvalidation:
         # drops handles, never history.
         per_box = engine.metrics.label_values("engine.box.tuples_in", "box")
         assert per_box.get("E__part", 0) > 0
+
+
+class TestZeroCostStepIsNotIdle:
+    """Idle is "the scheduler chose no box", not "the step cost 0.0":
+    with no scheduling overhead a train of free tuples consumes nothing."""
+
+    def free_engine(self):
+        net = QueryNetwork()
+        net.add_box("a", Filter(lambda t: True, cost_per_tuple=0.0))
+        net.connect("in:src", "a")
+        net.connect("a", "out:sink")
+        return AuroraEngine(net, train_size=5, scheduling_overhead=0.0)
+
+    def test_run_until_idle_runs_every_free_train(self):
+        engine = self.free_engine()
+        engine.push_many("src", make_stream([{"A": i} for i in range(20)], spacing=0.0))
+        assert engine.run_until_idle() == 0.0
+        assert engine.queued_counts == {}
+        assert len(engine.outputs["sink"]) == 20
+        assert engine.steps == 4
+        # step() itself keeps its contract: seconds consumed, 0.0 when idle.
+        assert engine.step() == 0.0 and engine.steps == 4

@@ -144,19 +144,6 @@ class TestEligibility:
         # c has two outputs: it may end a run but not continue one.
         assert find_runs(net) == [["f", "c"]]
 
-    def test_same_node_predicate(self):
-        net = pipeline(4)
-        placement = {"f0": "n1", "f1": "n1", "f2": "n2", "f3": "n2"}
-        runs = find_runs(
-            net, same_node=lambda a, b: placement[a] == placement[b]
-        )
-        assert runs == [["f0", "f1"], ["f2", "f3"]]
-
-    def test_protect_set(self):
-        net = pipeline(4)
-        assert find_runs(net, protect=frozenset({"f2"})) == [["f0", "f1"]]
-        assert find_runs(net, protect=frozenset({"f0"})) == [["f1", "f2", "f3"]]
-
 
 class TestFusedChain:
     def test_requires_two_stages(self):
@@ -167,12 +154,8 @@ class TestFusedChain:
     def test_cost_and_shape(self):
         net = pipeline(3)
         chain = FusedChain([net.boxes[b] for b in ("f0", "f1", "f2")])
-        assert chain.head.id == "f0"
         assert chain.tail.id == "f2"
         assert chain.member_ids() == ["f0", "f1", "f2"]
-        assert chain.interior_arcs() == [
-            net.boxes[b].input_arcs[0] for b in ("f1", "f2")
-        ]
         # One kernel per interior stage; opaque lambdas have no column
         # kernel, so a train materializes at the first of them.
         assert len(chain.interior_kernels) == 2
@@ -181,9 +164,9 @@ class TestFusedChain:
 
     def test_build_chains_maps_members_to_heads(self):
         net = pipeline(4)
-        chains, members = build_chains(net)
+        chains = build_chains(net)
         assert set(chains) == {"f0"}
-        assert members == {b: "f0" for b in ("f0", "f1", "f2", "f3")}
+        assert chains["f0"].member_ids() == ["f0", "f1", "f2", "f3"]
 
 
 class TestEngineFusion:

@@ -109,6 +109,70 @@ class TestTopology:
         assert len(results["b"]) == 1
 
 
+def wiring(net):
+    """Every endpoint table of the network, copied."""
+    return (
+        {arc_id: (arc.source, arc.target) for arc_id, arc in net.arcs.items()},
+        {name: list(arcs) for name, arcs in net.inputs.items()},
+        dict(net.outputs),
+        {box_id: dict(box.input_arcs) for box_id, box in net.boxes.items()},
+        {
+            box_id: {port: list(arcs) for port, arcs in box.output_arcs.items()}
+            for box_id, box in net.boxes.items()
+        },
+    )
+
+
+class TestRejectedRewire:
+    """A rewire the network refuses must leave it exactly as it was:
+    ``cut_network`` and every elasticity rewrite go through these."""
+
+    def network(self):
+        net = linear_network()
+        net.add_box("u", Union(2))
+        net.connect("in:other", ("u", 0), arc_id="other_u")
+        net.connect("in:more", ("u", 1))
+        net.connect("u", "out:merged", arc_id="u_merged")
+        return net
+
+    @pytest.mark.parametrize(
+        "arc_id, target, message",
+        [
+            ("arc1", "out:sink", "duplicate output stream"),
+            ("arc1", ("u", 0), "already connected"),
+            ("arc1", ("u", 2), "no input port"),
+            ("arc1", "ghost", "unknown box"),
+            ("u_merged", "out:sink", "duplicate output stream"),
+        ],
+    )
+    def test_rejected_target_changes_nothing(self, arc_id, target, message):
+        net = self.network()
+        before = wiring(net)
+        with pytest.raises(QueryError, match=message):
+            net.rewire_target(net.arcs[arc_id], target)
+        assert wiring(net) == before
+        net.validate()
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [(("f", 1), "no output port"), ("ghost", "unknown box")],
+    )
+    def test_rejected_source_changes_nothing(self, source, message):
+        net = self.network()
+        before = wiring(net)
+        with pytest.raises(QueryError, match=message):
+            net.rewire_source(net.arcs["other_u"], source)
+        assert wiring(net) == before
+        net.validate()
+
+    def test_rewire_onto_its_own_endpoint_is_accepted(self):
+        net = self.network()
+        before = wiring(net)
+        net.rewire_target(net.arcs["arc1"], "m")
+        net.rewire_target(net.arcs["u_merged"], "out:merged")
+        assert wiring(net) == before
+
+
 def uncached_order(net):
     """``topological_order()`` of a fresh network over the same dicts:
     the same algorithm with no memo to consult."""

@@ -5,13 +5,11 @@ Aurora* system revalidate what they derive from the network's shape on
 their next call.  Here a live engine is rewritten through the mutators
 alone and must behave exactly like the same script wrapped in the old
 ``defuse()`` -> mutate -> ``invalidate_caches()`` bracket, and an
-Aurora* deployment with fusion on must show the right ``boxes_on()`` /
-``fused_runs()`` straight after every kind of change, with no refresh
-call anywhere.
+Aurora* deployment must show the right ``boxes_on()`` straight after
+every kind of change, with no refresh call anywhere.
 """
 
 from repro.core.engine import AuroraEngine
-from repro.core.fusion import find_runs
 from repro.core.operators.filter import Filter
 from repro.core.operators.map import Map
 from repro.core.operators.union import Union
@@ -20,7 +18,7 @@ from repro.core.scheduler import RoundRobinScheduler
 from repro.core.tuples import make_stream
 from repro.distributed.sliding import slide_box
 from repro.distributed.splitting import split_box_distributed
-from tests.distributed.test_fusion_distributed import ALL_ON_N1, deploy
+from repro.distributed.system import AuroraStarSystem
 
 
 def two_pipelines():
@@ -133,17 +131,25 @@ class TestEngine:
         assert len(seen["outputs"]) == u[1] == u[0] > b[1] + 60
 
 
-def run_oracle(system):
-    """The fusion pass, recomputed from scratch over the system's
-    network and placement."""
-    placement = system.placement
-    return sorted(
-        find_runs(
-            system.network,
-            same_node=lambda a, b: placement[a] == placement[b],
-            protect=frozenset(system.migrating),
-        )
-    )
+def deploy_chain():
+    """in:src -> c0 -> c1 -> c2 -> c3 -> out:sink, all on n1 of two
+    nodes (c0 and c2 drop multiples of 5, c1 and c3 add 1)."""
+    net = QueryNetwork()
+    prev = "in:src"
+    for i in range(4):
+        box_id = f"c{i}"
+        if i % 2 == 0:
+            net.add_box(box_id, Filter(lambda t: t["A"] % 5 != 0))
+        else:
+            net.add_box(box_id, Map(lambda v: {"A": v["A"] + 1}))
+        net.connect(prev, box_id)
+        prev = box_id
+    net.connect(prev, "out:sink")
+    system = AuroraStarSystem(net)
+    system.add_node("n1")
+    system.add_node("n2")
+    system.deploy({f"c{i}": "n1" for i in range(4)})
+    return system
 
 
 def hosted_oracle(system, node):
@@ -153,44 +159,31 @@ def hosted_oracle(system, node):
     ]
 
 
-def assert_views_current(system):
-    assert sorted(system.fused_runs()) == run_oracle(system)
-    for node in system.nodes:
-        assert system.boxes_on(node) == hosted_oracle(system, node)
-
-
 class TestAuroraStar:
-    """Over test_fusion_distributed's four-stage chain (c0 and c2 drop
-    multiples of 5, c1 and c3 add 1), all on n1, fusion on."""
-
     def test_views_follow_every_kind_of_change(self):
-        system = deploy(ALL_ON_N1, fusion=True)
-        assert system.fused_runs() == [["c0", "c1", "c2", "c3"]]
+        system = deploy_chain()
         assert system.boxes_on("n1") == ["c0", "c1", "c2", "c3"]
 
         system.set_placement("c3", "n2")
-        assert system.fused_runs() == [["c0", "c1", "c2"]]
         assert system.boxes_on("n1") == ["c0", "c1", "c2"]
         assert system.boxes_on("n2") == ["c3"]
 
         slide_box(system, "c2", "n2")
-        # Mid-slide: a migrating box is in no superbox and still at home.
-        assert system.fused_runs() == [["c0", "c1"]]
+        # Mid-slide: a migrating box is still at home.
         assert system.boxes_on("n1") == ["c0", "c1", "c2"]
         system.run()
-        assert system.fused_runs() == [["c0", "c1"], ["c2", "c3"]]
         assert system.boxes_on("n2") == ["c2", "c3"]
 
         result = split_box_distributed(
             system, "c1", lambda t: t["A"] % 2 == 0, to_node="n2"
         )
-        assert_views_current(system)
+        for node in system.nodes:
+            assert system.boxes_on(node) == hosted_oracle(system, node)
         assert result.copy in system.boxes_on("n2")
         assert result.router in system.boxes_on("n1")
-        assert not any("c1" in run for run in system.fused_runs())
 
     def test_a_placement_change_takes_effect_mid_stream(self):
-        system = deploy(ALL_ON_N1, fusion=True)
+        system = deploy_chain()
         rows = [{"A": i} for i in range(60)]
         system.schedule_source("src", make_stream(rows, spacing=0.002))
         system.sim.schedule(0.03, system.set_placement, "c3", "n2")
@@ -198,8 +191,8 @@ class TestAuroraStar:
         assert [t["A"] for t in system.outputs["sink"]] == [
             i + 2 for i in range(60) if i % 5 != 0 and (i + 1) % 5 != 0
         ]
-        # c3 ran where it was placed: on n1 inside the superbox before
-        # the change, on n2 by itself after.
+        # c3 ran where it was placed: on n1 before the change, on n2
+        # after.
         boxes = system.network.boxes
         n1, n2 = system.nodes["n1"], system.nodes["n2"]
         assert 0 < n2.tuples_processed < boxes["c3"].tuples_in

@@ -19,6 +19,8 @@ PACKAGES = [
     "repro.ha",
     "repro.medusa",
     "repro.workloads",
+    "repro.obs",
+    "repro.parallel",
 ]
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from repro.parallel import ORACLE_SCENARIOS, run_dual
 from repro.parallel.oracle import output_key, stream_multisets
-from repro.workloads.scenarios import run_scenario
 
 
 def test_oracle_covers_at_least_three_registered_scenarios():
@@ -62,25 +61,6 @@ def test_output_key_distinguishes_values_and_timestamps():
     assert output_key(a) == output_key(StreamTuple({"v": 1}, timestamp=1.0))
     assert output_key(a) != output_key(StreamTuple({"v": 2}, timestamp=1.0))
     assert output_key(a) != output_key(StreamTuple({"v": 1}, timestamp=2.0))
-
-
-def test_run_scenario_parallel_backend_matches_reference():
-    from repro.parallel.oracle import run_reference
-
-    parallel = run_scenario("tenant_mix", scale=0.25, seed=0, backend="parallel")
-    reference_outputs, reference_boxes = run_reference(
-        "tenant_mix", scale=0.25, seed=0
-    )
-    assert stream_multisets(parallel.outputs) == stream_multisets(reference_outputs)
-    assert parallel.boxes == reference_boxes
-    summary = parallel.summary()
-    assert summary["backend"] == "parallel"
-    assert summary["delivered"] == parallel.delivered > 0
-
-
-def test_run_scenario_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        run_scenario("tenant_mix", scale=0.25, backend="quantum")
 
 
 class TestOracleFalsifiability:

@@ -156,6 +156,30 @@ class TestRunnerMechanics:
         assert result.report.passed
 
 
+    def test_free_steps_are_not_mistaken_for_idle(self):
+        """With no scheduling overhead and zero-cost boxes a step that
+        ran a train consumes 0.0; the runner must keep stepping, not
+        jump the clock over the queued work."""
+
+        def build():
+            net = QueryNetwork()
+            net.add_box("f", Filter(lambda t: True, cost_per_tuple=0.0))
+            net.connect("in:src", "f")
+            net.connect("f", "out:sink")
+            return net, {}
+
+        scenario = tiny_scenario(
+            build=build, scheduling_overhead=0.0, train_size=2)
+        runner = ScenarioRunner(scenario, seed=1)
+        arrivals = scenario.traffic(1)["src"][:7]
+        for tup in arrivals:
+            runner.engine.push("src", tup)
+        runner._advance_to(arrivals[-1].timestamp + 0.5)
+        assert runner.engine.queued_counts == {}
+        assert len(runner.engine.outputs["sink"]) == 7
+        assert runner.engine.clock == arrivals[-1].timestamp + 0.5
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", scenario_names())
     def test_same_seed_identical_summary(self, name):
