@@ -24,7 +24,6 @@ opaque operator           engine claim (plain-lambda Filter/Map/CaseFilter)
 connection point          emit (history recording is per-tuple)
 fan-out of sampled rows   emit (a traced tuple shared by several arcs)
 fan-in with mixed queues  claim (plain tuples and segments interleaved)
-the wire                  :meth:`ColumnarTrain.to_tuples` on serialization
 application outputs       lazily, on first read of the output buffer
 ========================  =====================================================
 
@@ -90,9 +89,12 @@ def as_column(values: Sequence[Any]) -> np.ndarray:
         # Native dtypes only for *uniform* Python types: numpy would
         # happily promote [1, 2.5] to float64 (or [1, True] to int64),
         # and materialization must hand back the exact objects that
-        # went in — 1, not 1.0.
+        # went in — 1, not 1.0.  Ints that straddle the int64 range
+        # ([2**63, -1]) are uniform and still promote to float64.
         t = type(values[0])
-        if all(type(v) is t for v in values):
+        if all(type(v) is t for v in values) and not (
+            t is int and arr.dtype.kind == "f"
+        ):
             return arr
     boxed = np.empty(len(values), dtype=object)
     boxed[:] = values
@@ -643,6 +645,19 @@ class OutputBuffer:
     def extend_train(self, train: ColumnarTrain) -> None:
         """Deliver a whole columnar segment (materialized on first read)."""
         self._pending.append(train)
+
+    def take_segments(self) -> "list[list[StreamTuple] | ColumnarTrain]":
+        """Hand out everything delivered, in delivery order, and clear.
+
+        The materialized rows (if any) come first as one list — a row
+        write flushes what was pending before it — then each pending
+        columnar segment, unmaterialized: how a plane forwards a stream
+        without paying for the rows.
+        """
+        segments = [self._tuples] if self._tuples else []
+        segments += self._pending
+        self._tuples, self._pending = [], []
+        return segments
 
     # list protocol -------------------------------------------------------
 

@@ -11,11 +11,11 @@ format has three hard requirements:
   a closed tagged binary format over plain values (None, bool, int,
   float, str, bytes, list, tuple, dict) plus the stream-tuple metadata
   the engine actually carries (timestamp, seq, origin, trace context).
-* **Row-free columnar framing.**  A :class:`~repro.core.columnar.ColumnarTrain`
-  is framed column-at-a-time — native dtypes ship as raw array bytes,
-  object columns fall back to the tagged value codec — so a columnar
-  train crosses the wire without ever materializing rows, mirroring how
-  it rides the engine's arcs.
+* **One column body.**  Section 4's transport ships tuple *trains*, so
+  the schema is paid once per train, not once per value: every data
+  frame is framed column-at-a-time — native dtypes as raw array bytes,
+  object columns through the tagged value codec — whichever
+  representation the sender held; nothing ships one tuple at a time.
 * **Versioned and self-describing.**  Every frame opens with a magic
   byte, a format version and a frame kind, so a mixed-version worker
   pool fails loudly instead of misparsing.
@@ -23,10 +23,29 @@ format has three hard requirements:
 Frame layout::
 
     byte 0   magic (0xA5)
-    byte 1   version (1)
+    byte 1   version (2)
     byte 2   kind: 0 control / 1 row train / 2 columnar train
     body     control: UTF-8 JSON object
-             data:    route string, then the train payload
+             data:    route string, then the column body:
+      u32 field count, then each field name (u32 length + UTF-8)
+      one column per field, then the float64 timestamp column
+      flag byte + seq column, flag byte + origin column
+      flag byte + three int64 columns: sampled rows, trace ids, span ids
+    column   u8 dtype tag, u32 count, then count raw little-endian
+             float64 / int64 / bool items or (tag 0xFF) tagged values
+
+The kind of a data frame says what the receiver is handed, so the
+decoder returns the representation the encoder was given: a columnar
+body stays a :class:`ColumnarTrain`; a row train is transposed by
+:meth:`ColumnarTrain.from_tuples` and *materialized on arrival* by
+:meth:`ColumnarTrain.to_tuples`, which keep Python type identity (``1``,
+``1.0`` and ``True`` come back as themselves).  A *ragged* row train
+(key sets differ between rows, or there are no rows) announces a field
+count of ``0xFFFFFFFF`` and ships each row's ``values`` dict in one
+unnamed object column.  Native columns decode without a copy, as
+read-only views of the frame's bytes: trains are immutable by
+convention, and a kernel that writes in place fails loudly instead of
+corrupting a frame.
 
 ``route`` is the destination arc id (worker ingress) or ``out:<stream>``
 (delivery to the coordinator).  Trace contexts survive the trip: a
@@ -44,10 +63,10 @@ import numpy as np
 
 from repro.core.columnar import ColumnarTrain, as_column
 from repro.core.tuples import StreamTuple
-from repro.obs.trace import TraceColumn, TraceContext
+from repro.obs.trace import TraceColumn
 
 MAGIC = 0xA5
-VERSION = 1
+VERSION = 2
 
 KIND_CONTROL = 0
 KIND_ROWS = 1
@@ -192,129 +211,90 @@ def _encode_str(out: bytearray, text: str) -> None:
     out += raw
 
 
-# -- row-train payload --------------------------------------------------------
+# -- the column body (row-free) -----------------------------------------------
 
-
-def _encode_rows(out: bytearray, tuples: list[StreamTuple]) -> None:
-    out += _U32.pack(len(tuples))
-    for tup in tuples:
-        out += _F64.pack(tup.timestamp)
-        if tup.seq is None:
-            out.append(0)
-        else:
-            out.append(1)
-            out += _I64.pack(tup.seq)
-        if tup.origin is None:
-            out.append(0)
-        else:
-            out.append(1)
-            _encode_str(out, tup.origin)
-        trace = tup.trace
-        if trace is None:
-            out.append(0)
-        else:
-            out.append(1)
-            out += _I64.pack(trace.trace_id)
-            out += _I64.pack(trace.span_id)
-        _encode_value(out, tup.values)
-
-
-def _decode_rows(reader: _Reader) -> list[StreamTuple]:
-    count = reader.u32()
-    tuples: list[StreamTuple] = []
-    for _ in range(count):
-        timestamp = reader.f64()
-        seq = reader.i64() if reader.u8() else None
-        origin = reader.string() if reader.u8() else None
-        trace = None
-        if reader.u8():
-            trace = TraceContext(reader.i64(), reader.i64())
-        values = _decode_value(reader)
-        if not isinstance(values, dict):
-            raise FrameError("tuple values must decode to a dict")
-        tuples.append(
-            StreamTuple.from_parts(values, timestamp, seq, origin, trace)
-        )
-    return tuples
-
-
-# -- columnar payload (row-free) ----------------------------------------------
+# Field count of a ragged row train: ONE unnamed column, of the rows' values dicts.
+_RAGGED = 0xFFFFFFFF
 
 
 def _encode_column(out: bytearray, column: np.ndarray) -> None:
     tag = _DTYPE_TAGS.get(column.dtype.str)
+    out.append(_OBJECT_COLUMN if tag is None else tag)
+    out += _U32.pack(len(column))
     if tag is not None:
-        out.append(tag)
-        raw = np.ascontiguousarray(column).tobytes()
-        out += _U32.pack(len(column))
-        out += raw
+        out += np.ascontiguousarray(column).tobytes()
     else:  # object (or exotic) column: exact per-value fallback
-        out.append(_OBJECT_COLUMN)
-        out += _U32.pack(len(column))
         for value in column.tolist():
             _encode_value(out, value)
 
 
-def _decode_column(reader: _Reader) -> np.ndarray:
+def _decode_column(reader: _Reader, dtype: str | None = None) -> np.ndarray:
+    """One column; with ``dtype``, one that must come back as exactly that."""
     tag = reader.u8()
     count = reader.u32()
     if tag == _OBJECT_COLUMN:
-        return as_column([_decode_value(reader) for _ in range(count)])
-    dtype = _TAG_DTYPES.get(tag)
-    if dtype is None:
+        column = as_column([_decode_value(reader) for _ in range(count)])
+    elif tag in _TAG_DTYPES:
+        native = np.dtype(_TAG_DTYPES[tag])
+        column = np.frombuffer(reader.take(count * native.itemsize), dtype=native)
+    else:
         raise FrameError(f"unknown column dtype tag 0x{tag:02X}")
-    width = np.dtype(dtype).itemsize
-    raw = reader.take(count * width)
-    return np.frombuffer(raw, dtype=dtype).copy()
+    if dtype is not None and column.dtype.str != dtype:
+        raise FrameError(f"expected a {dtype} column, got {column.dtype.str}")
+    return column
 
 
-def _encode_columnar(out: bytearray, train: ColumnarTrain) -> None:
-    out += _U32.pack(len(train.fields))
-    for field in train.fields:
-        _encode_str(out, field)
+def _encode_columnar(out: bytearray, train: ColumnarTrain, ragged: bool) -> None:
+    if ragged:
+        out += _U32.pack(_RAGGED)
+    else:
+        out += _U32.pack(len(train.fields))
+        for field in train.fields:
+            _encode_str(out, field)
     for field in train.fields:
         _encode_column(out, train.columns[field])
     _encode_column(out, train.timestamps)
-    for optional in (train.seqs, train.origins):
-        if optional is None:
-            out.append(0)
-        else:
-            out.append(1)
-            _encode_column(out, optional)
     traces = train.traces
-    if traces is None:
-        out += _U32.pack(0)
-        return
-    out += _U32.pack(len(traces))
-    for index, trace_id, span_id in zip(
-        traces.rows.tolist(), traces.trace_ids.tolist(), traces.span_ids.tolist()
+    for group in (
+        (train.seqs,),
+        (train.origins,),
+        (traces.rows, traces.trace_ids, traces.span_ids) if traces else (None,),
     ):
-        out += _U32.pack(index)
-        out += _I64.pack(trace_id)
-        out += _I64.pack(span_id)
+        if group[0] is None:
+            out.append(0)
+            continue
+        out.append(1)
+        for column in group:
+            _encode_column(out, column)
 
 
-def _decode_columnar(reader: _Reader) -> ColumnarTrain:
+def _decode_columnar(reader: _Reader) -> tuple[ColumnarTrain, bool]:
+    """The train of a column body, and whether it is a ragged row train."""
     n_fields = reader.u32()
-    fields = tuple(reader.string() for _ in range(n_fields))
+    ragged = n_fields == _RAGGED
+    fields = ("",) if ragged else tuple(reader.string() for _ in range(n_fields))
+    if len(set(fields)) != len(fields):
+        raise FrameError("duplicate field name")
     columns = {field: _decode_column(reader) for field in fields}
-    timestamps = _decode_column(reader)
-    if timestamps.dtype.str != "<f8":
-        raise FrameError("timestamp column must decode to float64")
+    timestamps = _decode_column(reader, "<f8")
     seqs = _decode_column(reader) if reader.u8() else None
     origins = _decode_column(reader) if reader.u8() else None
-    entries = sorted(
-        (reader.u32(), reader.i64(), reader.i64()) for _ in range(reader.u32())
-    )
     traces = None
-    if entries:
-        rows, trace_ids, span_ids = (
-            np.asarray(column, dtype=np.int64) for column in zip(*entries)
-        )
+    if reader.u8():
+        rows, trace_ids, span_ids = (_decode_column(reader, "<i8") for _ in range(3))
+        if not len(rows) == len(trace_ids) == len(span_ids):
+            raise FrameError("trace columns differ in length")
+        if len(rows) and not (  # ascending and inside the train, for to_tuples()
+            0 <= rows[0] and rows[-1] < len(timestamps) and (rows[1:] > rows[:-1]).all()
+        ):
+            raise FrameError("trace entry outside the train or out of order")
         traces = TraceColumn(rows, trace_ids, span_ids)
+    for column in (*columns.values(), seqs, origins):
+        if column is not None and len(column) != len(timestamps):
+            raise FrameError("columns differ in length")
     return ColumnarTrain(
         fields, columns, timestamps, seqs=seqs, origins=origins, traces=traces
-    )
+    ), ragged
 
 
 # -- public frame API ---------------------------------------------------------
@@ -331,18 +311,23 @@ def encode_control(payload: dict) -> bytes:
 def encode_data(route: str, train: Train) -> bytes:
     """Frame one tuple train for ``route`` (an arc id or ``out:<stream>``).
 
-    A ``ColumnarTrain`` is framed row-free (columns as raw array bytes);
-    a ``list[StreamTuple]`` is framed row-at-a-time.  The decoder
-    returns the same representation it was handed.
+    Either representation is framed row-free, as one column body; the
+    frame kind records which one it was, and the decoder returns the
+    same representation it was handed.
     """
-    if isinstance(train, ColumnarTrain):
-        out = bytearray([MAGIC, VERSION, KIND_COLUMNAR])
-        _encode_str(out, route)
-        _encode_columnar(out, train)
-    else:
-        out = bytearray([MAGIC, VERSION, KIND_ROWS])
-        _encode_str(out, route)
-        _encode_rows(out, train)
+    kind, body = KIND_COLUMNAR, train
+    if not isinstance(train, ColumnarTrain):
+        kind, body = KIND_ROWS, ColumnarTrain.from_tuples(train)
+    ragged = body is None
+    if ragged:  # key sets differ, or there are no rows: wrap each row's values
+        make = StreamTuple.from_parts
+        wrapped = [make({"": t.values}, t.timestamp, t.seq, t.origin, t.trace) for t in train]
+        body = ColumnarTrain.from_tuples(wrapped) or ColumnarTrain(
+            ("",), {"": np.empty(0, dtype=object)}, np.empty(0)
+        )
+    out = bytearray([MAGIC, VERSION, kind])
+    _encode_str(out, route)
+    _encode_columnar(out, body, ragged)
     return bytes(out)
 
 
@@ -351,7 +336,7 @@ def decode_frame(frame: bytes) -> tuple[int, Any, Any]:
 
     Control frames return ``(KIND_CONTROL, None, dict)``; data frames
     return ``(kind, route, train)`` with the train in its original
-    representation.
+    representation.  Anything else is a :class:`FrameError`.
     """
     if len(frame) < 3:
         raise FrameError("frame shorter than its header")
@@ -362,19 +347,34 @@ def decode_frame(frame: bytes) -> tuple[int, Any, Any]:
             f"frame version {frame[1]} does not match codec version {VERSION}"
         )
     kind = frame[2]
-    if kind == KIND_CONTROL:
-        try:
+    if kind not in (KIND_CONTROL, KIND_ROWS, KIND_COLUMNAR):
+        raise FrameError(f"unknown frame kind {kind}")
+    try:
+        if kind == KIND_CONTROL:
             payload = json.loads(frame[3:].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FrameError(f"malformed control frame: {exc}") from None
-        return KIND_CONTROL, None, payload
-    reader = _Reader(frame, pos=3)
-    route = reader.string()
-    if kind == KIND_ROWS:
-        return kind, route, _decode_rows(reader)
-    if kind == KIND_COLUMNAR:
-        return kind, route, _decode_columnar(reader)
-    raise FrameError(f"unknown frame kind {kind}")
+            if not isinstance(payload, dict):
+                raise FrameError("a control frame carries a JSON object")
+            return KIND_CONTROL, None, payload
+        reader = _Reader(frame, pos=3)
+        route = reader.string()
+        train, ragged = _decode_columnar(reader)
+        if reader.pos != len(frame):
+            raise FrameError("trailing bytes")
+        if kind == KIND_COLUMNAR:
+            if ragged:
+                raise FrameError("a columnar train cannot be ragged")
+            return kind, route, train
+        rows = train.to_tuples()
+        for tup in rows if ragged else ():  # fresh tuples: unwrap in place
+            tup.values = tup.values[""]
+            if not isinstance(tup.values, dict):
+                raise FrameError("tuple values must decode to a dict")
+        return kind, route, rows
+    except FrameError:
+        raise
+    except (ValueError, TypeError, RecursionError) as exc:
+        # Bad UTF-8 or JSON, a non-numeric bigint, an unhashable dict key, deep nesting.
+        raise FrameError(f"malformed frame: {exc}") from None
 
 
 def decode_data(frame: bytes) -> tuple[str, Train]:

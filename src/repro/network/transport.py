@@ -131,13 +131,14 @@ class TupleTrainMessage(StreamMessage):
     # itself is real: the parallel execution plane (repro.parallel) ships
     # TupleTrainMessage-framed byte strings through IPC queues.  The two
     # methods below bridge the accounting object to actual bytes via the
-    # pickle-free codec — including row-free columnar framing.
+    # pickle-free codec, which frames either representation as columns.
 
     def to_wire(self, train: "Train") -> bytes:
         """Encode ``train`` as this frame's wire bytes (pickle-free).
 
-        ``train`` may be a ``list[StreamTuple]`` or a columnar
-        :class:`~repro.core.columnar.ColumnarTrain` (framed column-wise,
+        ``train`` may be a ``list[StreamTuple]`` (transposed into
+        columns once, for the whole train) or a columnar
+        :class:`~repro.core.columnar.ColumnarTrain` (framed as it is,
         never materializing rows); its length must match
         ``tuple_count``.
         """
@@ -161,8 +162,9 @@ class TupleTrainMessage(StreamMessage):
         """Decode wire bytes back into ``(accounting frame, train)``.
 
         The returned train keeps the representation it was framed in
-        (rows stay rows, columnar stays columnar), with tuple metadata —
-        timestamps, seq/origin lineage, trace contexts — intact.
+        (rows are materialized on arrival, columnar stays columnar, its
+        native columns read-only views of ``frame``), with tuple metadata
+        — timestamps, seq/origin lineage, trace contexts — intact.
         """
         from repro.network.framing import decode_data
 

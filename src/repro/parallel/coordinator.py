@@ -39,9 +39,11 @@ import queue as queue_module
 import time
 from typing import Any, Mapping
 
+import numpy as np
+
+from repro.core.columnar import ColumnarTrain, OutputBuffer
 from repro.core.query import QueryNetwork
-from repro.core.tuples import StreamTuple
-from repro.network.framing import KIND_CONTROL, decode_frame, encode_control
+from repro.network.framing import KIND_CONTROL, Train, decode_frame, encode_control
 from repro.network.transport import TupleTrainMessage
 from repro.parallel.blueprints import build_network
 from repro.parallel.worker import COORD, TUPLE_BYTES, worker_main
@@ -139,9 +141,7 @@ class ParallelSystem:
         self._fence_round = 0
         self._last_seen: dict[str, float] = {}
         self._pending: dict[str, list[dict]] = {}  # control replies by type
-        self.outputs: dict[str, list[StreamTuple]] = {
-            name: [] for name in self.network.outputs
-        }
+        self.outputs = {name: OutputBuffer() for name in self.network.outputs}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -191,11 +191,12 @@ class ParallelSystem:
 
     # -- ingress --------------------------------------------------------
 
-    def push(self, input_name: str, tuples: list[StreamTuple]) -> None:
-        """Ship a train of source tuples into a network input stream."""
+    def push(self, input_name: str, train: Train) -> None:
+        """Ship a train of source tuples — rows or a ``ColumnarTrain``,
+        which crosses the wire as it is — into a network input stream."""
         if not self._started:
             raise ParallelError("system not started")
-        if not tuples:
+        if not len(train):
             return
         arcs = self.network.inputs.get(input_name)
         if not arcs:
@@ -203,34 +204,56 @@ class ParallelSystem:
         for arc in arcs:
             kind, ref = arc.target
             if kind == "out":  # degenerate passthrough network
-                self.outputs[str(ref)].extend(tuples)
+                self._deliver(str(ref), train)
                 continue
-            self._send_data(self.placement[str(kind)], arc.id, tuples)
+            self._send_data(self.placement[str(kind)], arc.id, train)
 
     def push_traffic(
-        self, traffic: Mapping[str, list[StreamTuple]], train_size: int | None = None
+        self, traffic: Mapping[str, Train], train_size: int | None = None
     ) -> None:
         """Push a whole traffic dict, merged across inputs in timestamp
         order (ties by input name, then position — the reference
-        executor's merge rule) and shipped as trains."""
-        merged: list[tuple[float, str, int, StreamTuple]] = []
-        for name, tuples in traffic.items():
-            for position, tup in enumerate(tuples):
-                merged.append((tup.timestamp, name, position, tup))
-        merged.sort(key=lambda item: (item[0], item[1], item[2]))
-        size = train_size or self.train_size
-        pending: dict[str, list[StreamTuple]] = {}
-        for _ts, name, _pos, tup in merged:
-            train = pending.setdefault(name, [])
-            train.append(tup)
-            if len(train) >= size:
-                self.push(name, train)
-                pending[name] = []
-        for name, train in pending.items():
-            if train:
-                self.push(name, train)
+        executor's merge rule) and shipped as trains of ``train_size``.
 
-    def _send_data(self, worker: str, route: str, train: list[StreamTuple]) -> None:
+        An input is cut into trains in its own timestamp order; a full
+        train ships where its last tuple falls in the merge, the partial
+        tails afterwards in the order the inputs first appear in it.  A
+        ``ColumnarTrain`` input is sliced, never materialized — unless
+        its timestamps run backwards, which takes the row path.
+        """
+        size = train_size or self.train_size
+        full: list[tuple[float, str, int, Train]] = []
+        tails: list[tuple[float, str, Train]] = []
+        for name, source in traffic.items():
+            columnar = isinstance(source, ColumnarTrain)
+            if columnar:
+                stamps = source.timestamps
+            else:
+                stamps = np.array([t.timestamp for t in source], dtype=np.float64)
+            if (stamps[1:] < stamps[:-1]).any():
+                order = np.argsort(stamps, kind="stable")
+                rows, columnar = list(source), False
+                source, stamps = [rows[i] for i in order.tolist()], stamps[order]
+            for start in range(0, len(source), size):
+                stop = start + size
+                train = source.slice(start, stop) if columnar else source[start:stop]
+                if stop <= len(source):
+                    full.append((stamps[stop - 1], name, stop, train))
+                else:
+                    tails.append((stamps[0], name, train))
+        for _stamp, name, _stop, train in sorted(full, key=lambda entry: entry[:3]):
+            self.push(name, train)
+        for _stamp, name, train in sorted(tails, key=lambda entry: entry[:2]):
+            self.push(name, train)
+
+    def _deliver(self, stream: str, train: Train) -> None:
+        buffer = self.outputs[stream]
+        if isinstance(train, ColumnarTrain):
+            buffer.extend_train(train)  # rows only if somebody reads them
+        else:
+            buffer.extend(train)
+
+    def _send_data(self, worker: str, route: str, train: Train) -> None:
         message = TupleTrainMessage.from_train(route, train, tuple_bytes=TUPLE_BYTES)
         self._inboxes[worker].put(message.to_wire(train))
         self._sent[worker] = self._sent.get(worker, 0) + 1
@@ -245,14 +268,21 @@ class ParallelSystem:
         kind, route, payload = decode_frame(frame)
         if kind != KIND_CONTROL:
             self._received_data += 1
-            assert route is not None and route.startswith("out:")
-            stream = route[4:]
-            self.outputs[stream].extend(payload)
-            # An output frame names its sender: the owner of the box
-            # that feeds the stream.  A worker busy streaming outputs
-            # never idles into a heartbeat, so this is its sign of life.
-            producer = str(self.network.outputs[stream].source[0])
-            self._last_seen[self.placement[producer]] = time.monotonic()
+            # A data frame names its sender: the owner of the box that
+            # feeds the arc it is routed by.
+            stream = route[4:] if route.startswith("out:") else None
+            arc = self.network.outputs.get(stream) or self.network.arcs.get(route)
+            sender = self.placement.get(str(arc.source[0])) if arc else None
+            if stream not in self.outputs or sender is None:
+                raise ParallelError(
+                    f"data frame for route {route!r} from worker "
+                    f"{sender or '<unknown>'}: the coordinator takes "
+                    "out:<stream> frames of the network's output streams only"
+                )
+            self._deliver(stream, payload)
+            # A worker busy streaming outputs never idles into a
+            # heartbeat, so this is its sign of life.
+            self._last_seen[sender] = time.monotonic()
             return None
         worker = payload.get("worker")
         if worker:
@@ -356,7 +386,7 @@ class ParallelSystem:
                     "drain did not quiesce before its deadline; " + self._diagnose()
                 )
 
-    def drain(self, timeout: float = 120.0) -> dict[str, list[StreamTuple]]:
+    def drain(self, timeout: float = 120.0) -> dict[str, OutputBuffer]:
         """Quiesce the plane, flush end-of-stream state, return outputs.
 
         Mirrors the engine's end-of-stream sequence: process everything

@@ -9,7 +9,8 @@ itself only routes, looping on its inbox queue:
 
 - **data frames** (``TupleTrainMessage`` wire bytes, pickle-free) are
   pushed into the engine, which runs until idle; what it then holds in
-  its output buffers is shipped on, one frame per stream;
+  its output buffers is shipped on, segment by segment — a columnar
+  segment leaves as the column frame it is, never as rows;
 - **control frames** drive the fence-based termination protocol,
   end-of-stream operator flushes, stats collection, and shutdown;
 - an inbox timeout doubles as the heartbeat tick (and as the orphan
@@ -41,6 +42,8 @@ from repro.parallel.blueprints import build_network
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.queues import Queue as MPQueue
+
+    from repro.network.framing import Train
 
 # Nominal per-tuple payload estimate used for TupleTrainMessage
 # accounting (the real wire size is len(frame); this feeds the same
@@ -118,7 +121,7 @@ class _WorkerState:
     def send_control(self, payload: dict) -> None:
         self.inboxes[COORD].put(encode_control(payload))
 
-    def send_data(self, dest: str, route: str, train: list) -> None:
+    def send_data(self, dest: str, route: str, train: "Train") -> None:
         """Frame a train as TupleTrainMessage wire bytes and ship it."""
         message = TupleTrainMessage.from_train(route, train, tuple_bytes=TUPLE_BYTES)
         wire = message.to_wire(train)
@@ -128,23 +131,25 @@ class _WorkerState:
 
     # -- the three verbs ------------------------------------------------
 
-    def accept(self, route: str, train: list) -> None:
+    def accept(self, route: str, train: "Train") -> None:
         """Push an incoming data frame's train on its arc's boundary stream."""
         self.received += 1
         self.engine.push_many(self.ingress[route], train)
 
     def pump(self) -> None:
-        """Run the engine until idle, then ship what it delivered: ONE
-        frame per non-empty output stream, so every arc stays FIFO end
-        to end.  A shipped stream is released — buffer and per-delivery
-        QoS latency samples — so a long-lived worker holds no
-        per-delivered-tuple state between pumps."""
+        """Run the engine until idle, then ship what it delivered: each
+        output stream's segments in delivery order (rows as ONE frame,
+        a pending columnar segment as the column frame it already is),
+        so every arc stays FIFO end to end.  A shipped stream is
+        released — buffer and per-delivery QoS latency samples — so a
+        long-lived worker holds no per-delivered-tuple state between
+        pumps."""
         engine = self.engine
         engine.run_until_idle()
         for stream, buffer in engine.outputs.items():
             if buffer:
-                self.send_data(*self.egress[stream], list(buffer))
-                buffer.clear()
+                for segment in buffer.take_segments():
+                    self.send_data(*self.egress[stream], segment)
                 engine.qos_monitor.latencies[stream].clear()
 
     def flush_box(self, box_id: str) -> None:

@@ -1,7 +1,17 @@
-"""In-process round-trips of the pickle-free wire codec."""
+"""In-process round-trips of the pickle-free wire codec.
+
+The generated half (``TestTypeExactRoundTrip``, ``TestFrameFuzz``) runs
+on Hypothesis's default example budget in tier-1; CI's
+``robustness-smoke`` step reruns it under the ``robustness`` profile of
+``conftest.py`` with a fixed ``--hypothesis-seed``.
+"""
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from repro.core.columnar import ColumnarTrain
 from repro.core.tuples import StreamTuple
@@ -9,6 +19,7 @@ from repro.network.framing import (
     KIND_COLUMNAR,
     KIND_CONTROL,
     KIND_ROWS,
+    MAGIC,
     FrameError,
     decode_data,
     decode_frame,
@@ -128,6 +139,248 @@ class TestColumnarFrames:
         _route, train = decode_data(encode_data("a", columnar))
         assert isinstance(train, ColumnarTrain)
         assert_trains_equal(rows, train.to_tuples())
+
+
+# -- generated trains ----------------------------------------------------------
+
+I64 = 2**63
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-I64 - 1, -I64, I64 - 1, I64, 0, 1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1.0, float("nan")]),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+)
+keys = st.one_of(st.text(max_size=3), st.integers(-5, 5), st.booleans(), st.none())
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(keys, inner, max_size=3),
+    ),
+    max_leaves=5,
+)
+# What a column holds: one Python type throughout (a native dtype on
+# the wire when it is int/float/bool), or any mix (an object column).
+column_kinds = st.sampled_from(
+    [
+        st.integers(-I64, I64 - 1),
+        st.integers(-(2**66), 2**66),  # straddles int64: must not turn float
+        st.floats(allow_nan=True),
+        st.booleans(),
+        st.text(max_size=4),
+        st.one_of(st.integers(-3, 3), st.floats(-3, 3), st.booleans()),
+        values,
+    ]
+)
+contexts = st.builds(
+    TraceContext, st.integers(-I64, I64 - 1), st.integers(-I64, I64 - 1)
+)
+
+
+@st.composite
+def row_trains(draw, max_rows=6):
+    """A row train: homogeneous or ragged, keys reordered on some rows,
+    lineage and trace contexts on some, possibly empty or field-less."""
+    fields = draw(st.lists(st.text(max_size=3), max_size=4, unique=True))
+    kinds = {field: draw(column_kinds) for field in fields}
+    ragged = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        names = draw(st.permutations(fields))
+        if ragged and draw(st.booleans()):
+            names = names[1:] + draw(st.lists(st.just("extra"), max_size=1))
+        rows.append(
+            StreamTuple.from_parts(
+                {name: draw(kinds.get(name, values)) for name in names},
+                draw(st.floats(allow_nan=False)),
+                draw(st.none() | st.integers(-(2**65), 2**65)),
+                draw(st.none() | st.text(max_size=4)),
+                draw(st.none() | contexts),
+            )
+        )
+    return rows
+
+
+def same(got, want):
+    """Equal AND the same Python type, all the way down (so 1, 1.0 and
+    True are three things, and NaN / -0.0 compare by their bits)."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, float):
+        return struct.pack("<d", got) == struct.pack("<d", want)
+    if isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(map(same, got, want))
+    if isinstance(want, dict):
+        # Insertion order is not part of the contract (a column body
+        # hands every row the first row's field order), so pair by key.
+        # A NaN key only equals itself by identity: pair those by bits.
+        def keyed(mapping):
+            return {
+                (type(k), struct.pack("<d", k) if isinstance(k, float) else k): v
+                for k, v in mapping.items()
+            }
+
+        got, want = keyed(got), keyed(want)
+        return got.keys() == want.keys() and all(same(got[k], want[k]) for k in want)
+    return got == want
+
+
+def assert_type_exact(rows, back):
+    assert len(back) == len(rows)
+    for want, got in zip(rows, back):
+        assert type(got) is StreamTuple
+        assert same(got.values, want.values), (got.values, want.values)
+        assert same(got.timestamp, want.timestamp)
+        assert same(got.seq, want.seq)
+        assert same(got.origin, want.origin)
+        assert (got.trace is None) == (want.trace is None)
+        if want.trace is not None:
+            assert same(
+                (got.trace.trace_id, got.trace.span_id),
+                (want.trace.trace_id, want.trace.span_id),
+            )
+
+
+class TestTypeExactRoundTrip:
+    @settings(deadline=None)
+    @given(row_trains())
+    def test_rows_come_back_as_themselves(self, rows):
+        kind, route, back = decode_frame(encode_data("arc", rows))
+        assert (kind, route) == (KIND_ROWS, "arc")
+        assert type(back) is list
+        assert_type_exact(rows, back)
+
+    @settings(deadline=None)
+    @given(row_trains())
+    def test_columnar_trains_come_back_as_themselves(self, rows):
+        train = ColumnarTrain.from_tuples(rows)
+        if train is None:  # ragged or empty: no columnar representation
+            return
+        kind, _route, back = decode_frame(encode_data("arc", train))
+        assert kind == KIND_COLUMNAR
+        assert type(back) is ColumnarTrain
+        assert back.fields == train.fields
+        for field in train.fields:
+            assert back.columns[field].dtype == train.columns[field].dtype
+        assert_type_exact(rows, back.to_tuples())
+
+    def test_uniform_ints_straddling_int64_stay_ints(self):
+        # numpy promotes [2**63, -1] to float64; as_column must not.
+        rows = [StreamTuple({"n": n}, timestamp=0.0) for n in (2**63, -1)]
+        train = ColumnarTrain.from_tuples(rows)
+        assert train.columns["n"].dtype == object
+        assert_type_exact(rows, decode_data(encode_data("a", rows))[1])
+
+    def test_a_ragged_train_ships_one_object_column(self):
+        rows = [
+            StreamTuple({"a": 1}, timestamp=0.5, seq=3, trace=TraceContext(5, 6)),
+            StreamTuple({"b": 2.0, "": None}, timestamp=0.75, origin="o"),
+        ]
+        assert ColumnarTrain.from_tuples(rows) is None
+        assert_type_exact(rows, decode_data(encode_data("a", rows))[1])
+
+    def test_decoded_native_columns_are_views_of_the_frame(self):
+        rows = [StreamTuple({"v": float(i)}, timestamp=float(i)) for i in range(4)]
+        _route, train = decode_data(encode_data("a", ColumnarTrain.from_tuples(rows)))
+        column = train.column("v")
+        assert not column.flags.owndata and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0  # a kernel writing in place fails loudly
+
+
+# -- fuzz ----------------------------------------------------------------------
+
+
+def assert_well_formed(kind, route, payload):
+    """What a decode that did not raise must have produced."""
+    if kind == KIND_CONTROL:
+        assert route is None and type(payload) is dict
+        return
+    assert type(route) is str
+    if kind == KIND_COLUMNAR:
+        assert type(payload) is ColumnarTrain
+        assert all(len(column) == len(payload) for column in payload.columns.values())
+        rows = payload.to_tuples()  # every trace entry must land on a row
+        assert len(rows) == len(payload)
+        payload = rows
+    assert type(payload) is list
+    for tup in payload:
+        assert type(tup) is StreamTuple and type(tup.values) is dict
+
+
+def decode_or_frame_error(frame):
+    note(f"frame hex: {frame.hex()}")
+    try:
+        decoded = decode_frame(frame)
+    except FrameError:
+        return None
+    assert_well_formed(*decoded)
+    return decoded
+
+
+@st.composite
+def valid_frames(draw):
+    """A row, column or control frame over a small generated train."""
+    rows = draw(row_trains(max_rows=3))
+    train = ColumnarTrain.from_tuples(rows)
+    choice = draw(st.sampled_from(["rows", "columns", "control"]))
+    if choice == "control":
+        return encode_control({"type": "fence", "round": len(rows), "sent": {"w0": 1}})
+    route = draw(st.sampled_from(["arc7", "out:sink", ""]))
+    return encode_data(route, train if choice == "columns" and train else rows)
+
+
+class TestFrameFuzz:
+    @settings(deadline=None)
+    @given(valid_frames())
+    def test_every_strict_prefix_is_a_frame_error(self, frame):
+        assert decode_or_frame_error(frame) is not None
+        for cut in range(len(frame)):
+            with pytest.raises(FrameError):
+                decode_frame(frame[:cut])
+
+    @settings(deadline=None)
+    @given(valid_frames(), st.integers(1, 255), st.data())
+    def test_a_flipped_byte_decodes_or_is_a_frame_error(self, frame, mask, data):
+        # Every position of small frames, a sample of large ones.
+        positions = range(len(frame))
+        if len(frame) > 256:
+            positions = data.draw(st.lists(st.sampled_from(positions), max_size=256))
+        for position in positions:
+            flipped = bytearray(frame)
+            flipped[position] ^= mask
+            decode_or_frame_error(bytes(flipped))
+
+    @settings(deadline=None)
+    @given(
+        valid_frames().filter(lambda frame: frame[2] != KIND_CONTROL),
+        st.binary(min_size=1, max_size=4),
+    )
+    def test_trailing_bytes_are_rejected(self, frame, garbage):
+        with pytest.raises(FrameError, match="trailing bytes"):
+            decode_frame(frame + garbage)
+
+    def test_a_trace_entry_past_the_train_is_a_frame_error(self):
+        # Two rows, the second sampled; move its trace entry to row 2.
+        frame = encode_data("arc", make_rows()[::-1])
+        entry = struct.pack("<q", 1)
+        at = frame.rindex(entry, 0, len(frame) - 16)  # the rows column, not the ids
+        broken = frame[:at] + struct.pack("<q", 2) + frame[at + 8 :]
+        with pytest.raises(FrameError, match="trace entry"):
+            decode_frame(broken)
+
+    def test_a_v1_frame_is_rejected_with_the_version_message(self):
+        # A PR-21 row frame: route "arc", zero rows.
+        v1 = bytes([MAGIC, 1, KIND_ROWS]) + struct.pack("<I", 3) + b"arc"
+        v1 += struct.pack("<I", 0)
+        with pytest.raises(FrameError, match="version 1 does not match codec version 2"):
+            decode_frame(v1)
 
 
 class TestMalformedFrames:

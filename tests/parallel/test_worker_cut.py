@@ -13,10 +13,10 @@ import queue
 
 import pytest
 
-from repro.core.columnar import ColumnarTrain
+from repro.core.columnar import ColumnarTrain, OutputBuffer, col
 from repro.core.engine import AuroraEngine
 from repro.core.operators.filter import Filter
-from repro.core.operators.map import Map
+from repro.core.operators.map import Map, columnar_map
 from repro.core.operators.tumble import Tumble
 from repro.core.operators.union import Union
 from repro.core.query import QueryNetwork
@@ -75,7 +75,7 @@ class InProcessPlane:
             )
             for worker in workers
         }
-        self.outputs = {name: [] for name in self.network.outputs}
+        self.outputs = {name: OutputBuffer() for name in self.network.outputs}
 
     def push(self, input_name, train):
         for arc in self.network.inputs[input_name]:
@@ -109,7 +109,7 @@ class InProcessPlane:
         while not self.coord_inbox.empty():
             _kind, route, train = decode_frame(self.coord_inbox.get())
             assert route.startswith("out:")
-            self.outputs[route[4:]].extend(train)
+            ParallelSystem._deliver(self, route[4:], train)
 
     def flush(self):
         """Per-box flush in GLOBAL topological order, settling between."""
@@ -133,16 +133,21 @@ class InProcessPlane:
 @pytest.mark.parametrize("name", ORACLE_SCENARIOS)
 def test_oracle_scenarios_match_reference(name, n_workers):
     spec = blueprint("repro.parallel.blueprints:scenario_network", name, scale=0.25)
-    plane = InProcessPlane(spec, partition_boxes(build_network(spec), n_workers))
-    plane.push_traffic(make_scenario(name, 0.25).traffic(0))
-    plane.settle()
-    plane.flush()
     want_outputs, want_boxes = run_reference(name, scale=0.25, seed=0)
     assert sum(len(v) for v in want_outputs.values()) > 0
-    assert stream_multisets(plane.outputs) == stream_multisets(want_outputs)
-    assert plane.boxes() == want_boxes
-    processed = sum(s.engine.tuples_processed for s in plane.states.values())
-    assert processed == sum(c["tuples_in"] for c in want_boxes.values())
+    # Row frames, then column frames: the kernels of the second run
+    # read columns that are read-only views of the frames' bytes, so
+    # one that writes in place raises here instead of corrupting a frame.
+    for convert in (list, ColumnarTrain.from_tuples):
+        plane = InProcessPlane(spec, partition_boxes(build_network(spec), n_workers))
+        traffic = make_scenario(name, 0.25).traffic(0)
+        plane.push_traffic({k: convert(tuples) for k, tuples in traffic.items()})
+        plane.settle()
+        plane.flush()
+        assert stream_multisets(plane.outputs) == stream_multisets(want_outputs)
+        assert plane.boxes() == want_boxes
+        processed = sum(s.engine.tuples_processed for s in plane.states.values())
+        assert processed == sum(c["tuples_in"] for c in want_boxes.values())
 
 
 def test_one_worker_cut_has_no_boundary_towards_peers():
@@ -188,6 +193,27 @@ def sandwich_network():
 
 SANDWICH_SPEC = blueprint("tests.parallel.test_worker_cut:sandwich_network")
 SANDWICH_PLACEMENT = {"f": "w0", "t": "w1", "m": "w0", "u": "w1"}
+
+
+def compiled_chain():
+    """Four compiled stateless boxes, two per worker: every stage has a
+    column kernel, so a ``ColumnarTrain`` is array operations from the
+    ingress frame to the ``out:`` frame and nobody needs its rows."""
+    net = QueryNetwork("compiled_chain")
+    net.add_box("f1", Filter(col("v") % 5 != 0))
+    net.add_box("m1", columnar_map({"key": col("key"), "v": col("v") + 1}))
+    net.add_box("f2", Filter(col("key") % 7 != 0))
+    net.add_box("m2", columnar_map({"key": col("key"), "v": col("v") * 2}))
+    net.connect("in:a", "f1", arc_id="a_f1")
+    net.connect("f1", "m1")
+    net.connect("m1", "f2", arc_id="m1_f2")
+    net.connect("f2", "m2")
+    net.connect("m2", "out:sink")
+    return net
+
+
+COMPILED_SPEC = blueprint("tests.parallel.test_worker_cut:compiled_chain")
+COMPILED_PLACEMENT = {"f1": "w0", "m1": "w0", "f2": "w1", "m2": "w1"}
 
 
 def sandwich_traffic(n=203):
@@ -261,21 +287,88 @@ class TestSandwich:
             cp = state.engine.network.arcs["f_t"].connection_point
             assert len(cp.read_history()) == crossed
 
-    def test_a_column_frame_is_ingested_as_a_train(self):
-        # Frames are rows today; a columnar one (ROADMAP item 4) goes
-        # through the same verbs because push_many takes either encoding.
+    def test_a_column_frame_is_ingested_as_a_train(self, monkeypatch):
+        # A columnar frame goes through the same verbs as a row frame
+        # (push_many takes either encoding) and delivers the same.  Over
+        # a compiled network the train stays a train from the ingress
+        # frame to the coordinator's buffer: nobody builds its rows
+        # until somebody reads them.  (The sandwich's opaque lambdas
+        # are a claim barrier, so its workers do materialize.)
+        materialized = []
+        to_tuples = ColumnarTrain.to_tuples
+        monkeypatch.setattr(
+            ColumnarTrain,
+            "to_tuples",
+            lambda train: materialized.append(len(train)) or to_tuples(train),
+        )
         rows = sandwich_traffic()["a"]
-        train = ColumnarTrain.from_tuples(rows)
-        planes = []
-        for frame in (rows, train):
-            plane = InProcessPlane(SANDWICH_SPEC, SANDWICH_PLACEMENT)
-            plane.push("a", frame)
-            plane.settle()
-            plane.flush()
-            planes.append(plane)
-        assert planes[1].boxes() == planes[0].boxes()
-        assert stream_multisets(planes[1].outputs) == stream_multisets(planes[0].outputs)
-        assert sum(len(v) for v in planes[1].outputs.values()) > 0
+        for spec, placement, row_free in (
+            (SANDWICH_SPEC, SANDWICH_PLACEMENT, False),
+            (COMPILED_SPEC, COMPILED_PLACEMENT, True),
+        ):
+            planes = []
+            for train in (rows, ColumnarTrain.from_tuples(rows)):
+                plane = InProcessPlane(spec, placement)
+                plane.push_traffic({"a": train})
+                del materialized[:]
+                plane.settle()
+                if row_free and train is not rows:
+                    assert materialized == []
+                    assert all(
+                        "pending columnar" in repr(buffer)
+                        for buffer in plane.outputs.values()
+                    )
+                plane.flush()
+                planes.append(plane)
+            assert planes[1].boxes() == planes[0].boxes()
+            assert stream_multisets(planes[1].outputs) == stream_multisets(
+                planes[0].outputs
+            )
+            assert sum(len(v) for v in planes[1].outputs.values()) > 0
+            assert not any(  # read above: materialized, in delivery order
+                "pending columnar" in repr(buffer) for buffer in planes[1].outputs.values()
+            )
+
+    @pytest.mark.parametrize("size", [1, 7, 50])
+    def test_push_traffic_ships_the_same_trains_for_rows_and_columns(self, size):
+        # The merge across inputs (timestamp, then input name, then
+        # position; full trains where their last tuple falls, tails
+        # after) must not depend on the representation of an input — or
+        # on its timestamps running backwards, which costs a columnar
+        # input its columns but not its order.
+        class Recorder:
+            train_size = size
+
+            def __init__(self):
+                self.shipped = []
+
+            def push(self, name, train):
+                self.shipped.append((name, [(t.timestamp, t.values) for t in train]))
+
+        traffic = sandwich_traffic(53)
+        traffic["b"] = traffic["b"][::-1]
+        want = Recorder()
+        # The row-at-a-time definition of the merge rule.
+        merged = sorted(
+            (tup.timestamp, name, position, tup)
+            for name, tuples in traffic.items()
+            for position, tup in enumerate(tuples)
+        )
+        pending = {}
+        for _ts, name, _pos, tup in merged:
+            pending.setdefault(name, []).append(tup)
+            if len(pending[name]) == size:
+                want.push(name, pending[name])
+                pending[name] = []
+        for name, tail in pending.items():
+            if tail:
+                want.push(name, tail)
+        for convert in (list, ColumnarTrain.from_tuples):
+            got = Recorder()
+            ParallelSystem.push_traffic(
+                got, {name: convert(tuples) for name, tuples in traffic.items()}
+            )
+            assert got.shipped == want.shipped
 
     def test_accept_rejects_a_route_outside_the_cut(self):
         plane = InProcessPlane(SANDWICH_SPEC, SANDWICH_PLACEMENT)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.columnar import ColumnarTrain
 from repro.core.tuples import StreamTuple
 from repro.network.framing import encode_data
 from repro.parallel import (
@@ -15,6 +16,8 @@ from repro.parallel import (
 from repro.parallel.blueprints import scenario_network, sleep_pipeline
 from repro.parallel.oracle import stream_multisets
 from tests.parallel.test_worker_cut import (
+    COMPILED_PLACEMENT,
+    COMPILED_SPEC,
     SANDWICH_PLACEMENT,
     SANDWICH_SPEC,
     sandwich_traffic,
@@ -164,6 +167,38 @@ class TestParallelSystem:
         assert system._absorb(encode_data("out:sink", source_tuples(3))) is None
         assert set(system._last_seen) == {owner}
         assert len(system.outputs["sink"]) == 3
+
+    def test_a_foreign_data_frame_names_its_route_and_sender(self):
+        # Protocol checks must survive ``python -O``: no assert, no
+        # bare KeyError.  An inter-worker frame that strays to the
+        # coordinator was sent by the owner of the arc's producer.
+        system = ParallelSystem(SANDWICH_SPEC, placement=SANDWICH_PLACEMENT)
+        with pytest.raises(ParallelError, match=r"route 'f_t' from worker w0"):
+            system._absorb(encode_data("f_t", source_tuples(2)))
+        with pytest.raises(ParallelError, match=r"route 'out:nope' from worker <unknown>"):
+            system._absorb(encode_data("out:nope", source_tuples(2)))
+        assert not any(system.outputs.values())
+
+    def test_a_columnar_train_stays_columnar_across_processes(self):
+        # Two real workers over a compiled chain: column frames in,
+        # column frames between the workers, column frames out — the
+        # coordinator's buffer holds segments until somebody reads.
+        traffic = {"a": sandwich_traffic()["a"]}
+        want_outputs, want_boxes = single_engine(COMPILED_SPEC, traffic)
+        runs = []
+        for convert in (list, ColumnarTrain.from_tuples):
+            with ParallelSystem(COMPILED_SPEC, placement=COMPILED_PLACEMENT) as system:
+                system.push_traffic({"a": convert(traffic["a"])}, train_size=40)
+                outputs = system.drain()
+                runs.append((repr(outputs["sink"]), system.stats()["boxes"], outputs))
+        (_, row_boxes, row_outputs), (col_repr, col_boxes, col_outputs) = runs
+        assert "0 materialized" in col_repr and "pending columnar" in col_repr
+        assert row_boxes == col_boxes == want_boxes
+        assert (
+            stream_multisets(row_outputs)
+            == stream_multisets(col_outputs)
+            == stream_multisets(want_outputs)
+        )
 
     def test_explicit_placement(self):
         # Non-contiguous placements (a worker's boxes need not be
