@@ -7,11 +7,10 @@ attribute chase per tuple.  This module adds the third-generation
 representation (Fragkoulis et al.'s survey calls columnar/vectorized
 execution the defining shift from second- to third-generation stream
 processors): a :class:`ColumnarTrain` stores a train as one NumPy array
-per schema field plus metadata columns (``timestamps``, ``seqs``,
-``origins``, a sparse ``traces`` column), and the declarative operator
-constructors compile to :class:`ColumnExpr` column expressions so a
-fused run of N boxes executes as N masked array operations with zero
-per-tuple Python.
+per schema field plus metadata columns (``timestamps`` and a sparse
+``traces`` column), and the declarative operator constructors compile
+to :class:`ColumnExpr` column expressions so a fused run of N boxes
+executes as N masked array operations with zero per-tuple Python.
 
 Materialization back to ``list[StreamTuple]`` is *lazy* and happens
 only at barriers:
@@ -31,9 +30,9 @@ Windowed boxes (``Tumble``, ``Slide``, ``WSort``) are *not* barriers:
 they ship ``process_columnar`` window kernels (run-boundary masks,
 grouped segment reductions via :mod:`repro.core.aggregates` segment
 kernels).  The kernel contract is *exact or decline*: a claim a kernel
-cannot run exactly (lineage metadata; for ``Slide`` also ungroupable
-keys or a sampled row — ``Tumble`` hands each closed window the trace
-of its first row; for ``WSort`` anything outside pure buffering) it
+cannot run exactly (for ``Slide`` ungroupable keys or a sampled row —
+``Tumble`` hands each closed window the trace of its first row and
+declines nothing; for ``WSort`` anything outside pure buffering) it
 declines with ``None`` before touching state, and the engine's claim
 barrier above materializes it.
 
@@ -49,8 +48,9 @@ same operator over whole columns).  Integer columns use ``int64`` —
 values outside its range fall back to object dtype (exact Python
 arithmetic); overflow *produced* by compiled arithmetic on in-range
 inputs wraps like NumPy, which is the one documented divergence from
-the scalar path.  Division by zero raises on the scalar path but
-follows NumPy semantics in compiled expressions, so compiled
+the scalar path.  ``&`` / ``|`` / ``~`` are logical (a ``bool``) and
+bools do arithmetic as ints on both paths; a zero divisor anywhere in a
+column raises ``ZeroDivisionError`` for the train, so compiled
 ``CaseFilter`` predicates must be total (every predicate is evaluated
 on every tuple; there is no cross-predicate short-circuit guard).
 """
@@ -108,8 +108,6 @@ class ColumnarTrain:
         fields: schema field names, in materialization order.
         columns: field name -> column array (all the same length).
         timestamps: float64 source-timestamp column.
-        seqs / origins: HA lineage columns, or None when every tuple's
-            is None (the overwhelmingly common in-engine case).
         traces: the trace contexts of the sampled rows, as a
             :class:`~repro.obs.trace.TraceColumn`; None when no row is
             sampled (the common case: every untraced engine, and most
@@ -122,25 +120,18 @@ class ColumnarTrain:
     operators ``derive()`` new tuples on the list path.
     """
 
-    __slots__ = (
-        "fields", "columns", "timestamps", "seqs", "origins", "traces",
-        "enqueue_clocks", "_tuples",
-    )
+    __slots__ = ("fields", "columns", "timestamps", "traces", "enqueue_clocks", "_tuples")
 
     def __init__(
         self,
         fields: tuple[str, ...],
         columns: dict[str, np.ndarray],
         timestamps: np.ndarray,
-        seqs: np.ndarray | None = None,
-        origins: np.ndarray | None = None,
         traces: TraceColumn | None = None,
     ):
         self.fields = fields
         self.columns = columns
         self.timestamps = timestamps
-        self.seqs = seqs
-        self.origins = origins
         self.traces = traces
         self.enqueue_clocks: np.ndarray | None = None
         self._tuples: list[StreamTuple] | None = None
@@ -164,17 +155,11 @@ class ColumnarTrain:
             return None
         columns = {f: as_column([t.values[f] for t in tuples]) for f in fields}
         timestamps = np.asarray([t.timestamp for t in tuples], dtype=np.float64)
-        seqs = origins = None
-        if any(t.seq is not None for t in tuples):
-            seqs = as_column([t.seq for t in tuples])
-        if any(t.origin is not None for t in tuples):
-            origins = as_column([t.origin for t in tuples])
         traced = [i for i, t in enumerate(tuples) if t.trace is not None]
         traces = TraceColumn.of_contexts(
             traced, [tuples[i].trace for i in traced]
         ) if traced else None
-        return cls(fields, columns, timestamps, seqs=seqs, origins=origins,
-                   traces=traces)
+        return cls(fields, columns, timestamps, traces=traces)
 
     # -- shape -------------------------------------------------------------
 
@@ -201,10 +186,7 @@ class ColumnarTrain:
         entry gets a twin so its stamp cannot clobber the clocks another
         arc's entry still depends on.
         """
-        out = ColumnarTrain(
-            self.fields, self.columns, self.timestamps,
-            seqs=self.seqs, origins=self.origins, traces=self.traces,
-        )
+        out = ColumnarTrain(self.fields, self.columns, self.timestamps, traces=self.traces)
         out._tuples = self._tuples
         return out
 
@@ -214,32 +196,22 @@ class ColumnarTrain:
         How a hop re-stamps a train: the columns are shared, the row
         cache is not (materialized rows have their context baked in).
         """
-        return ColumnarTrain(
-            self.fields, self.columns, self.timestamps,
-            seqs=self.seqs, origins=self.origins, traces=traces,
-        )
+        return ColumnarTrain(self.fields, self.columns, self.timestamps, traces=traces)
 
     def select(self, mask: np.ndarray) -> "ColumnarTrain":
         """The sub-train of rows where ``mask`` is True (row order kept)."""
         columns = {f: arr[mask] for f, arr in self.columns.items()}
-        out = ColumnarTrain(
+        return ColumnarTrain(
             self.fields, columns, self.timestamps[mask],
-            seqs=self.seqs[mask] if self.seqs is not None else None,
-            origins=self.origins[mask] if self.origins is not None else None,
             traces=self.traces.select(mask) if self.traces is not None else None,
         )
-        return out
 
     def slice(self, start: int, stop: int) -> "ColumnarTrain":
         """Row range [start, stop) as a train of array views (no copies)."""
         columns = {f: arr[start:stop] for f, arr in self.columns.items()}
         out = ColumnarTrain(
             self.fields, columns, self.timestamps[start:stop],
-            seqs=self.seqs[start:stop] if self.seqs is not None else None,
-            origins=self.origins[start:stop] if self.origins is not None else None,
-            traces=(
-                self.traces.slice(start, stop) if self.traces is not None else None
-            ),
+            traces=self.traces.slice(start, stop) if self.traces is not None else None,
         )
         if self.enqueue_clocks is not None:
             out.enqueue_clocks = self.enqueue_clocks[start:stop]
@@ -260,27 +232,13 @@ class ColumnarTrain:
             f: np.concatenate([t.columns[f] for t in trains]) for f in fields
         }
         timestamps = np.concatenate([t.timestamps for t in trains])
-        seqs = origins = None
-        if any(t.seqs is not None for t in trains):
-            seqs = np.concatenate([
-                t.seqs if t.seqs is not None
-                else np.full(len(t), None, dtype=object)
-                for t in trains
-            ])
-        if any(t.origins is not None for t in trains):
-            origins = np.concatenate([
-                t.origins if t.origins is not None
-                else np.full(len(t), None, dtype=object)
-                for t in trains
-            ])
         pieces = []
         offset = 0
         for t in trains:
             if t.traces is not None:
                 pieces.append((t.traces, offset))
             offset += len(t)
-        return ColumnarTrain(fields, columns, timestamps, seqs=seqs,
-                             origins=origins,
+        return ColumnarTrain(fields, columns, timestamps,
                              traces=TraceColumn.concat(pieces) if pieces else None)
 
     def with_columns(
@@ -288,14 +246,10 @@ class ColumnarTrain:
     ) -> "ColumnarTrain":
         """A same-length train with replaced value columns (Map output).
 
-        Metadata (timestamps, lineage, traces) is inherited — the
-        columnar analogue of :meth:`StreamTuple.derive`.
+        Metadata (timestamps, traces) is inherited — the columnar
+        analogue of :meth:`StreamTuple.derive`.
         """
-        out = ColumnarTrain(
-            fields, columns, self.timestamps,
-            seqs=self.seqs, origins=self.origins, traces=self.traces,
-        )
-        return out
+        return ColumnarTrain(fields, columns, self.timestamps, traces=self.traces)
 
     # -- materialization ---------------------------------------------------
 
@@ -310,35 +264,18 @@ class ColumnarTrain:
             fields = self.fields
             cols = [self.columns[f].tolist() for f in fields]
             timestamps = self.timestamps.tolist()
-            seqs = self.seqs.tolist() if self.seqs is not None else None
-            origins = self.origins.tolist() if self.origins is not None else None
             traces = {} if self.traces is None else dict(
                 zip(self.traces.rows.tolist(), self.traces.contexts())
             )
             make = StreamTuple.from_parts
-            tuples = [
-                make(
-                    dict(zip(fields, row)),
-                    timestamps[i],
-                    seqs[i] if seqs is not None else None,
-                    origins[i] if origins is not None else None,
-                    traces.get(i),
-                )
+            self._tuples = [
+                make(dict(zip(fields, row)), timestamps[i], trace=traces.get(i))
                 for i, row in enumerate(zip(*cols))
             ] if fields else [
-                make({}, timestamps[i],
-                     seqs[i] if seqs is not None else None,
-                     origins[i] if origins is not None else None,
-                     traces.get(i))
+                make({}, timestamps[i], trace=traces.get(i))
                 for i in range(len(timestamps))
             ]
-            self._tuples = tuples
         return self._tuples
-
-    @property
-    def materialized(self) -> bool:
-        """True once :meth:`to_tuples` has run (cache present)."""
-        return self._tuples is not None
 
     def tuple_at(self, index: int) -> StreamTuple:
         """Materialize a single row (window kernels keep one open tuple).
@@ -353,16 +290,9 @@ class ColumnarTrain:
             col = self.columns[f]
             v = col[index]
             values[f] = v.item() if col.dtype.kind != "O" else v
-        seq = origin = None
-        if self.seqs is not None:
-            v = self.seqs[index]
-            seq = v.item() if isinstance(v, np.generic) else v
-        if self.origins is not None:
-            v = self.origins[index]
-            origin = v.item() if isinstance(v, np.generic) else v
         return StreamTuple.from_parts(
-            values, float(self.timestamps[index]), seq, origin,
-            self.traces.context_at(index) if self.traces is not None else None,
+            values, float(self.timestamps[index]),
+            trace=self.traces.context_at(index) if self.traces is not None else None,
         )
 
     def __iter__(self) -> Iterator[StreamTuple]:
@@ -376,15 +306,37 @@ _SCALAR_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "/": _operator.truediv, "//": _operator.floordiv, "%": _operator.mod,
     "<": _operator.lt, "<=": _operator.le, ">": _operator.gt,
     ">=": _operator.ge, "==": _operator.eq, "!=": _operator.ne,
-    "&": _operator.and_, "|": _operator.or_,
+    "&": lambda a, b: bool(a) and bool(b), "|": lambda a, b: bool(a) or bool(b),
 }
 
+
+def _number(value: Any) -> Any:
+    """Bools do arithmetic as the ints they are in Python (``True + True == 2``)."""
+    if isinstance(value, np.ndarray):
+        return value.astype(np.int64) if value.dtype == np.bool_ else value
+    return int(value) if isinstance(value, bool) else value
+
+
+def _arithmetic(ufunc: Callable[[Any, Any], Any], divides: bool = False):
+    def apply(left: Any, right: Any) -> Any:
+        if divides:  # NumPy yields inf/nan/0 with a warning; a row raises
+            zero = right == 0
+            if zero.any() if isinstance(zero, np.ndarray) else zero:
+                raise ZeroDivisionError("division by zero in a column expression")
+        return ufunc(_number(left), _number(right))
+
+    return apply
+
+
 _VECTOR_OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": np.add, "-": np.subtract, "*": np.multiply,
-    "/": np.true_divide, "//": np.floor_divide, "%": np.mod,
+    "+": _arithmetic(np.add), "-": _arithmetic(np.subtract),
+    "*": _arithmetic(np.multiply), "/": _arithmetic(np.true_divide, True),
+    "//": _arithmetic(np.floor_divide, True), "%": _arithmetic(np.mod, True),
     "<": np.less, "<=": np.less_equal, ">": np.greater,
     ">=": np.greater_equal, "==": np.equal, "!=": np.not_equal,
-    "&": np.logical_and, "|": np.logical_or,
+    # astype: on object columns logical_and/or hand back the operands.
+    "&": lambda a, b: np.logical_and(a, b).astype(bool, copy=False),
+    "|": lambda a, b: np.logical_or(a, b).astype(bool, copy=False),
 }
 
 

@@ -85,11 +85,7 @@ def _interior_kernel(operator: Operator) -> Kernel:
         make = StreamTuple
 
         def map_kernel(batch: list[StreamTuple]) -> list[StreamTuple]:
-            return [
-                make(func(t.values), timestamp=t.timestamp, seq=t.seq,
-                     origin=t.origin, trace=t.trace)
-                for t in batch
-            ]
+            return [make(func(t.values), t.timestamp, t.trace) for t in batch]
 
         return map_kernel
     process_batch = operator.process_batch

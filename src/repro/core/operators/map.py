@@ -49,11 +49,7 @@ class Map(StatelessOperator):
             raise ValueError(f"Map has a single input port, got {port}")
         func = self.func
         make = StreamTuple
-        return [
-            (0, make(func(t.values), timestamp=t.timestamp, seq=t.seq,
-                     origin=t.origin, trace=t.trace))
-            for t in tuples
-        ]
+        return [(0, make(func(t.values), t.timestamp, t.trace)) for t in tuples]
 
     @property
     def supports_columnar(self) -> bool:

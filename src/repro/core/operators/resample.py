@@ -75,13 +75,7 @@ class Resample(Operator):
             frac = (at - before.timestamp) / span
             v0, v1 = before[self.value_attr], after[self.value_attr]
             value = v0 + (v1 - v0) * frac
-        out = StreamTuple(
-            {self.time_attr: at, self.value_attr: value},
-            timestamp=before.timestamp,
-            seq=before.seq,
-            origin=before.origin,
-        )
-        return out
+        return before.derive({self.time_attr: at, self.value_attr: value})
 
     def snapshot(self) -> Any:
         return (self._previous, self._next_grid)

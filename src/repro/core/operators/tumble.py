@@ -56,12 +56,12 @@ def _prepend_row(
     """Fold one leading emission row into the block that follows it.
 
     Returns the widened ``(key_cols, results, timestamps)``, or None
-    when the row carries lineage/trace metadata or any value would
+    when the row carries a trace context or any value would
     change column dtype under concatenation (a dtype change would alter
     the materialized Python types, which must stay byte-identical to
     the scalar path's per-tuple emissions).
     """
-    if row.seq is not None or row.origin is not None or row.trace is not None:
+    if row.trace is not None:
         return None
     values = row.values
     fields = list(values)
@@ -116,8 +116,7 @@ class _WindowEmissions:
         if not rows:
             return
         self._rows = []
-        if all(t.seq is None and t.origin is None and t.trace is None
-               for t in rows):
+        if all(t.trace is None for t in rows):
             # Window emissions are built by derive() with exactly these
             # fields, so the train can be assembled directly — cheaper
             # than from_tuples' schema scan for the tiny carried-closure
@@ -301,7 +300,7 @@ class Tumble(Operator):
     def supports_columnar(self) -> bool:
         return True
 
-    def process_columnar(self, train: ColumnarTrain, port: int = 0) -> list[TrainEmission] | None:
+    def process_columnar(self, train: ColumnarTrain, port: int = 0) -> list[TrainEmission]:
         """Vectorized window evaluation over a columnar train.
 
         Run mode finds window boundaries with a key-change mask over the
@@ -313,17 +312,15 @@ class Tumble(Operator):
         and ``_fire_timeouts`` runs between the chunks.
 
         A closed window carries the trace context of its first row
-        (what ``first.derive()`` copies on the row path).  A train
-        carrying lineage metadata is declined before any state is
-        touched: the kernels' blocks carry no ``seq``/``origin``.
+        (what ``first.derive()`` copies on the row path).  No claim is
+        declined whole; ungroupable count-mode keys run the row kernel
+        in place, per chunk (below).
         """
         if port != 0:
             raise ValueError(f"Tumble has a single input port, got {port}")
         n = len(train)
         if n == 0:
             return []
-        if train.seqs is not None or train.origins is not None:
-            return None
         out = _WindowEmissions(self.groupby, self.result_attr)
         ts = train.timestamps
         chunks = [0]

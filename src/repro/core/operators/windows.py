@@ -197,7 +197,7 @@ class Slide(Operator):
         values), evaluated with exact scalar semantics (float sums run
         a strictly sequential accumulate chain seeded at 0.0, matching
         ``agg.apply``'s recomputation fold; max/min are pure selection).
-        Trains with lineage/trace metadata, non-kernel aggregates, or
+        Trains carrying a sampled row, non-kernel aggregates, or
         ungroupable/non-numeric columns are declined (None).  No group
         state is mutated until every group has passed eligibility, so
         every decline leaves the operator untouched.
@@ -208,12 +208,7 @@ class Slide(Operator):
         if n == 0:
             return []
         name = self.agg.name
-        if (
-            train.seqs is not None
-            or train.origins is not None
-            or train.traces
-            or name not in _SLIDE_KERNEL_AGGS
-        ):
+        if train.traces or name not in _SLIDE_KERNEL_AGGS:
             return None
         cols = [train.columns[g] for g in self.groupby]
         grouped = group_rows(cols)

@@ -24,6 +24,7 @@ import struct
 import tempfile
 
 from repro.core.tuples import StreamTuple
+from repro.obs.trace import TraceContext
 
 _LENGTH = struct.Struct("<I")
 
@@ -85,9 +86,10 @@ class SpillFile:
     # -- queue operations --------------------------------------------------------
 
     def append(self, tup: StreamTuple) -> None:
-        """Durably append one tuple."""
+        """Durably append one tuple (a sampled one with its trace ids)."""
+        ctx = tup.trace
         payload = pickle.dumps(
-            (tup.values, tup.timestamp, tup.seq, tup.origin),
+            (tup.values, tup.timestamp, ctx and (ctx.trace_id, ctx.span_id)),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         self._file.seek(0, io.SEEK_END)
@@ -106,12 +108,12 @@ class SpillFile:
         payload = self._file.read(length)
         if len(payload) < length:
             raise SpillError(f"corrupt record at offset {self._read_offset}")
-        values, timestamp, seq, origin = pickle.loads(payload)
+        values, timestamp, trace = pickle.loads(payload)
         self._read_offset += _LENGTH.size + length
         self._count -= 1
         if self._read_offset >= self.compact_threshold:
             self._compact()
-        return StreamTuple(values, timestamp=timestamp, seq=seq, origin=origin)
+        return StreamTuple(values, timestamp, trace and TraceContext(*trace))
 
     def _compact(self) -> None:
         """Drop the consumed prefix by rewriting the live suffix."""

@@ -3,8 +3,8 @@
 A *data stream* is a potentially unbounded sequence of tuples generated
 in real time by a data source.  Unlike relational tuples, stream tuples
 carry arrival metadata: a source timestamp (used for latency-based QoS)
-and, when flowing between servers, a sequence number (used by the
-high-availability machinery of Section 6).
+and, for sampled tuples, a trace context.  Section 6.2's per-server
+sequence numbers live on :class:`repro.ha.chain.HATuple`, in the recovery layer.
 """
 
 from __future__ import annotations
@@ -85,28 +85,18 @@ class StreamTuple:
             convention; operators build new tuples rather than mutating.
         timestamp: virtual time at which the tuple entered the system
             (drives latency-based QoS, Section 7.1).
-        seq: per-upstream-server sequence number assigned when the tuple
-            crosses a server boundary (drives k-safety, Section 6.2).
-        origin: name of the server/stream that assigned ``seq``.
         trace: observability trace context (:mod:`repro.obs.trace`) for
             sampled tuples; None (the overwhelmingly common case) for
             unsampled ones.
     """
 
-    __slots__ = ("values", "timestamp", "seq", "origin", "trace")
+    __slots__ = ("values", "timestamp", "trace")
 
     def __init__(
-        self,
-        values: Mapping[str, Any],
-        timestamp: float = 0.0,
-        seq: int | None = None,
-        origin: str | None = None,
-        trace: Any = None,
+        self, values: Mapping[str, Any], timestamp: float = 0.0, trace: Any = None
     ):
         self.values = dict(values)
         self.timestamp = timestamp
-        self.seq = seq
-        self.origin = origin
         self.trace = trace
 
     @classmethod
@@ -114,21 +104,21 @@ class StreamTuple:
         cls,
         values: dict[str, Any],
         timestamp: float,
-        seq: int | None,
-        origin: str | None,
-        trace: Any,
+        seq: None = None,
+        origin: None = None,
+        trace: Any = None,
     ) -> "StreamTuple":
         """Internal fast constructor: takes ownership of ``values``.
 
         Skips the defensive ``dict(values)`` copy in ``__init__``; used
         by bulk materialization (:mod:`repro.core.columnar`) where the
-        dict is freshly built and never shared.
+        dict is freshly built and never shared.  ``seq`` and ``origin``
+        are ignored: ``benchmarks/e2e/workloads.py`` passes five
+        positionals until ROADMAP item 1 drops the two slots.
         """
         tup = cls.__new__(cls)
         tup.values = values
         tup.timestamp = timestamp
-        tup.seq = seq
-        tup.origin = origin
         tup.trace = trace
         return tup
 
@@ -141,24 +131,16 @@ class StreamTuple:
     def derive(self, values: Mapping[str, Any]) -> "StreamTuple":
         """A new tuple with different values but inherited metadata.
 
-        Operators use this so that latency (timestamp), lineage
-        (origin/seq) and trace context propagate through the query
-        network.
+        Operators use this so that latency (timestamp) and trace
+        context propagate through the query network.
         """
-        return StreamTuple(
-            values, timestamp=self.timestamp, seq=self.seq, origin=self.origin,
-            trace=self.trace,
-        )
+        return StreamTuple(values, timestamp=self.timestamp, trace=self.trace)
 
-    def with_metadata(
-        self, timestamp: float | None = None, seq: int | None = None, origin: str | None = None
-    ) -> "StreamTuple":
-        """A copy with selectively replaced metadata."""
+    def with_metadata(self, timestamp: float | None = None) -> "StreamTuple":
+        """A copy with a replaced timestamp (None keeps this tuple's)."""
         return StreamTuple(
             self.values,
             timestamp=self.timestamp if timestamp is None else timestamp,
-            seq=self.seq if seq is None else seq,
-            origin=self.origin if origin is None else origin,
             trace=self.trace,
         )
 

@@ -10,7 +10,7 @@ format has three hard requirements:
   the decoder must never execute arbitrary constructors.  The payload is
   a closed tagged binary format over plain values (None, bool, int,
   float, str, bytes, list, tuple, dict) plus the stream-tuple metadata
-  the engine actually carries (timestamp, seq, origin, trace context).
+  the engine actually carries (timestamp, trace context).
 * **One column body.**  Section 4's transport ships tuple *trains*, so
   the schema is paid once per train, not once per value: every data
   frame is framed column-at-a-time — native dtypes as raw array bytes,
@@ -23,13 +23,12 @@ format has three hard requirements:
 Frame layout::
 
     byte 0   magic (0xA5)
-    byte 1   version (2)
+    byte 1   version (3)
     byte 2   kind: 0 control / 1 row train / 2 columnar train
     body     control: UTF-8 JSON object
              data:    route string, then the column body:
       u32 field count, then each field name (u32 length + UTF-8)
       one column per field, then the float64 timestamp column
-      flag byte + seq column, flag byte + origin column
       flag byte + three int64 columns: sampled rows, trace ids, span ids
     column   u8 dtype tag, u32 count, then count raw little-endian
              float64 / int64 / bool items or (tag 0xFF) tagged values
@@ -66,7 +65,7 @@ from repro.core.tuples import StreamTuple
 from repro.obs.trace import TraceColumn
 
 MAGIC = 0xA5
-VERSION = 2
+VERSION = 3
 
 KIND_CONTROL = 0
 KIND_ROWS = 1
@@ -255,16 +254,9 @@ def _encode_columnar(out: bytearray, train: ColumnarTrain, ragged: bool) -> None
         _encode_column(out, train.columns[field])
     _encode_column(out, train.timestamps)
     traces = train.traces
-    for group in (
-        (train.seqs,),
-        (train.origins,),
-        (traces.rows, traces.trace_ids, traces.span_ids) if traces else (None,),
-    ):
-        if group[0] is None:
-            out.append(0)
-            continue
-        out.append(1)
-        for column in group:
+    out.append(1 if traces else 0)
+    if traces:
+        for column in (traces.rows, traces.trace_ids, traces.span_ids):
             _encode_column(out, column)
 
 
@@ -277,8 +269,6 @@ def _decode_columnar(reader: _Reader) -> tuple[ColumnarTrain, bool]:
         raise FrameError("duplicate field name")
     columns = {field: _decode_column(reader) for field in fields}
     timestamps = _decode_column(reader, "<f8")
-    seqs = _decode_column(reader) if reader.u8() else None
-    origins = _decode_column(reader) if reader.u8() else None
     traces = None
     if reader.u8():
         rows, trace_ids, span_ids = (_decode_column(reader, "<i8") for _ in range(3))
@@ -289,12 +279,10 @@ def _decode_columnar(reader: _Reader) -> tuple[ColumnarTrain, bool]:
         ):
             raise FrameError("trace entry outside the train or out of order")
         traces = TraceColumn(rows, trace_ids, span_ids)
-    for column in (*columns.values(), seqs, origins):
-        if column is not None and len(column) != len(timestamps):
+    for column in columns.values():
+        if len(column) != len(timestamps):
             raise FrameError("columns differ in length")
-    return ColumnarTrain(
-        fields, columns, timestamps, seqs=seqs, origins=origins, traces=traces
-    ), ragged
+    return ColumnarTrain(fields, columns, timestamps, traces=traces), ragged
 
 
 # -- public frame API ---------------------------------------------------------
@@ -321,7 +309,7 @@ def encode_data(route: str, train: Train) -> bytes:
     ragged = body is None
     if ragged:  # key sets differ, or there are no rows: wrap each row's values
         make = StreamTuple.from_parts
-        wrapped = [make({"": t.values}, t.timestamp, t.seq, t.origin, t.trace) for t in train]
+        wrapped = [make({"": t.values}, t.timestamp, trace=t.trace) for t in train]
         body = ColumnarTrain.from_tuples(wrapped) or ColumnarTrain(
             ("",), {"": np.empty(0, dtype=object)}, np.empty(0)
         )
@@ -375,11 +363,3 @@ def decode_frame(frame: bytes) -> tuple[int, Any, Any]:
     except (ValueError, TypeError, RecursionError) as exc:
         # Bad UTF-8 or JSON, a non-numeric bigint, an unhashable dict key, deep nesting.
         raise FrameError(f"malformed frame: {exc}") from None
-
-
-def decode_data(frame: bytes) -> tuple[str, Train]:
-    """Parse a data frame; raises :class:`FrameError` on control frames."""
-    kind, route, train = decode_frame(frame)
-    if kind == KIND_CONTROL:
-        raise FrameError("expected a data frame, got a control frame")
-    return route, train

@@ -29,12 +29,9 @@ number of streams.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Sized
+from typing import Callable
 
 from repro.obs.registry import Counter, MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.network.framing import Train
 
 
 class StreamMessage:
@@ -100,83 +97,6 @@ class TupleTrainMessage(StreamMessage):
             enqueued_at=enqueued_at,
         )
         self.tuple_count = tuple_count
-
-    @classmethod
-    def from_train(
-        cls,
-        stream: str,
-        train: "Sized",
-        tuple_bytes: int,
-        header_bytes: int = 24,
-        enqueued_at: float = 0.0,
-    ) -> "TupleTrainMessage":
-        """Frame a train given in either representation.
-
-        ``train`` may be a ``list[StreamTuple]`` or a columnar
-        :class:`~repro.core.columnar.ColumnarTrain` — the wire frame only
-        needs the tuple count, so a columnar train is framed without
-        materializing its rows.
-        """
-        return cls(
-            stream,
-            tuple_count=len(train),
-            tuple_bytes=tuple_bytes,
-            header_bytes=header_bytes,
-            enqueued_at=enqueued_at,
-        )
-
-    # -- the real wire (repro.network.framing) -------------------------------
-    #
-    # The transports in this module are offline simulators, but the frame
-    # itself is real: the parallel execution plane (repro.parallel) ships
-    # TupleTrainMessage-framed byte strings through IPC queues.  The two
-    # methods below bridge the accounting object to actual bytes via the
-    # pickle-free codec, which frames either representation as columns.
-
-    def to_wire(self, train: "Train") -> bytes:
-        """Encode ``train`` as this frame's wire bytes (pickle-free).
-
-        ``train`` may be a ``list[StreamTuple]`` (transposed into
-        columns once, for the whole train) or a columnar
-        :class:`~repro.core.columnar.ColumnarTrain` (framed as it is,
-        never materializing rows); its length must match
-        ``tuple_count``.
-        """
-        from repro.network.framing import encode_data
-
-        if len(train) != self.tuple_count:
-            raise ValueError(
-                f"train carries {len(train)} tuples but the frame was sized "
-                f"for {self.tuple_count}"
-            )
-        return encode_data(self.stream, train)
-
-    @classmethod
-    def from_wire(
-        cls,
-        frame: bytes,
-        tuple_bytes: int,
-        header_bytes: int = 24,
-        enqueued_at: float = 0.0,
-    ) -> "tuple[TupleTrainMessage, Train]":
-        """Decode wire bytes back into ``(accounting frame, train)``.
-
-        The returned train keeps the representation it was framed in
-        (rows are materialized on arrival, columnar stays columnar, its
-        native columns read-only views of ``frame``), with tuple metadata
-        — timestamps, seq/origin lineage, trace contexts — intact.
-        """
-        from repro.network.framing import decode_data
-
-        stream, train = decode_data(frame)
-        message = cls(
-            stream,
-            tuple_count=len(train),
-            tuple_bytes=tuple_bytes,
-            header_bytes=header_bytes,
-            enqueued_at=enqueued_at,
-        )
-        return message, train
 
     def __repr__(self) -> str:
         return f"TupleTrainMessage({self.stream}, {self.tuple_count} tuples, {self.size}B)"

@@ -1,8 +1,8 @@
 """Real parallel execution plane (ROADMAP item 2).
 
 Aurora* nodes as actual worker processes: ``multiprocessing`` workers
-rebuilt from spawn-safe blueprints, ``TupleTrainMessage`` wire frames
-(pickle-free, row or columnar) over IPC queues, a coordinator owning
+rebuilt from spawn-safe blueprints, :mod:`repro.network.framing` wire
+frames (pickle-free, row or columnar) over IPC queues, a coordinator owning
 handshake/routing/liveness/drain, and a dual-backend oracle that holds
 the plane to the deterministic simulator's delivered outputs.
 

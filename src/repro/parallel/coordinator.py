@@ -3,7 +3,7 @@
 :class:`ParallelSystem` maps a query network's boxes onto real worker
 processes (``multiprocessing`` with the ``spawn`` start method — the
 portable, fork-safety-free choice), ships tuple trains to them as
-pickle-free ``TupleTrainMessage`` wire frames through IPC queues, and
+pickle-free :mod:`repro.network.framing` frames through IPC queues, and
 collects delivered output streams.  It owns:
 
 - **startup/handshake** — every worker announces itself with a HELLO
@@ -43,10 +43,12 @@ import numpy as np
 
 from repro.core.columnar import ColumnarTrain, OutputBuffer
 from repro.core.query import QueryNetwork
+# benchmarks/e2e/trace.py patches framing.encode_data, and this module's
+# decode_frame / encode_control, from outside: keep all three looked up so.
+from repro.network import framing
 from repro.network.framing import KIND_CONTROL, Train, decode_frame, encode_control
-from repro.network.transport import TupleTrainMessage
 from repro.parallel.blueprints import build_network
-from repro.parallel.worker import COORD, TUPLE_BYTES, worker_main
+from repro.parallel.worker import COORD, worker_main
 
 
 class ParallelError(RuntimeError):
@@ -254,8 +256,7 @@ class ParallelSystem:
             buffer.extend(train)
 
     def _send_data(self, worker: str, route: str, train: Train) -> None:
-        message = TupleTrainMessage.from_train(route, train, tuple_bytes=TUPLE_BYTES)
-        self._inboxes[worker].put(message.to_wire(train))
+        self._inboxes[worker].put(framing.encode_data(route, train))
         self._sent[worker] = self._sent.get(worker, 0) + 1
 
     def _send_control(self, worker: str, payload: dict) -> None:

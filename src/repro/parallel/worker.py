@@ -7,7 +7,7 @@ own private copy of the network from a spawn-safe blueprint (see
 :class:`~repro.core.engine.AuroraEngine` over the cut.  The worker
 itself only routes, looping on its inbox queue:
 
-- **data frames** (``TupleTrainMessage`` wire bytes, pickle-free) are
+- **data frames** (:mod:`repro.network.framing` bytes, pickle-free) are
   pushed into the engine, which runs until idle; what it then holds in
   its output buffers is shipped on, segment by segment — a columnar
   segment leaves as the column frame it is, never as rows;
@@ -32,23 +32,14 @@ from typing import TYPE_CHECKING
 
 from repro.core.engine import AuroraEngine
 from repro.core.query import QueryNetwork
-from repro.network.framing import (
-    KIND_CONTROL,
-    decode_frame,
-    encode_control,
-)
-from repro.network.transport import TupleTrainMessage
+from repro.network import framing
+from repro.network.framing import KIND_CONTROL, decode_frame, encode_control
 from repro.parallel.blueprints import build_network
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.queues import Queue as MPQueue
 
     from repro.network.framing import Train
-
-# Nominal per-tuple payload estimate used for TupleTrainMessage
-# accounting (the real wire size is len(frame); this feeds the same
-# size model the simulated transports use).
-TUPLE_BYTES = 32
 
 COORD = "coord"
 
@@ -122,9 +113,8 @@ class _WorkerState:
         self.inboxes[COORD].put(encode_control(payload))
 
     def send_data(self, dest: str, route: str, train: "Train") -> None:
-        """Frame a train as TupleTrainMessage wire bytes and ship it."""
-        message = TupleTrainMessage.from_train(route, train, tuple_bytes=TUPLE_BYTES)
-        wire = message.to_wire(train)
+        """Frame a train and ship it (data frames only feed the fence ledger)."""
+        wire = framing.encode_data(route, train)
         self.inboxes[dest].put(wire)
         self.sent[dest] = self.sent.get(dest, 0) + 1
         self.bytes_out += len(wire)

@@ -87,8 +87,8 @@ def partition(rng, stream):
 
 
 def canon(emissions):
-    """Emissions as comparable values: (port, values, timestamp, seq)."""
-    return [(p, t.values, t.timestamp, t.seq) for p, t in emissions]
+    """Emissions as comparable values: (port, values, timestamp)."""
+    return [(p, t.values, t.timestamp) for p, t in emissions]
 
 
 def drive_scalar(op, port_batches):
@@ -118,7 +118,7 @@ def assert_same_state(name, index, scalar_op, batch_op):
 class TestBatchEqualsScalar:
     def test_every_operator_over_random_trains(self):
         """Random train partitions of the same stream: identical
-        emissions (order, timestamps, seq) and identical final state."""
+        emissions (order, timestamps) and identical final state."""
         factories = fresh_operators()
         for index, rng, stream in random_streams():
             trains = [(0, batch) for batch in partition(rng, stream)]

@@ -5,17 +5,24 @@ bit-exactness contract; this file pins the mechanisms behind it:
 encode/decode fidelity, dtype fallback, exact vectorized accounting
 folds, queue-entry clock ownership, lazy output buffers, every
 ingestion/claim barrier (and the two observers that are not barriers:
-tracer and shedder), and the wire framing helper.
+tracer and shedder), and the compiled expression language, operator by
+operator (a row and a train must read every expression the same way).
 """
+
+import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.columnar import (
     ColumnarTrain,
     OutputBuffer,
     accumulate_chain,
     col,
+    lit,
     running_max,
     sequential_sum,
 )
@@ -28,7 +35,6 @@ from repro.core.operators.union import Union
 from repro.core.query import QueryNetwork
 from repro.core.shedder import LoadShedder
 from repro.core.tuples import StreamTuple, make_stream
-from repro.network.transport import TupleTrainMessage, train_frame_size
 from repro.obs.export import dumps, snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -39,7 +45,7 @@ def rows(n, start=0):
 
 
 def tuples_of(stream):
-    return [(t.values, t.timestamp, t.seq, t.origin) for t in stream]
+    return [(t.values, t.timestamp) for t in stream]
 
 
 # -- encode / decode ----------------------------------------------------------
@@ -47,8 +53,7 @@ def tuples_of(stream):
 
 def test_roundtrip_preserves_values_and_metadata():
     stream = [
-        StreamTuple({"A": i, "B": i * 0.5}, timestamp=0.1 * i, seq=i + 7,
-                    origin="node-1")
+        StreamTuple({"A": i, "B": i * 0.5}, timestamp=0.1 * i)
         for i in range(9)
     ]
     train = ColumnarTrain.from_tuples(stream)
@@ -390,15 +395,130 @@ def test_case_filter_columnar_counters_match_list_path():
     assert sum(routed) + dropped == 20 and dropped > 0
 
 
-# -- wire framing -------------------------------------------------------------
+# -- compiled expressions: a row and a train read them the same way -----------
+
+BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "//": operator.floordiv, "%": operator.mod,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne, "&": operator.and_, "|": operator.or_,
+}
+UNARY = {"~": operator.invert, "neg": operator.neg}
+
+# Inside +-2**31 no single operator leaves int64 (wrapping there is the
+# documented divergence of compiled arithmetic).
+INTS = st.integers(-(2**31), 2**31)
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+KINDS = {
+    "int": INTS,
+    "float": FLOATS,
+    "bool": st.booleans(),
+    "mixed": st.one_of(INTS, FLOATS, st.booleans()),  # an object column
+}
+SHAPES = {
+    "column-column": lambda op, k: op(col("A"), col("B")),
+    "column-constant": lambda op, k: op(col("A"), k),
+    "constant-column": lambda op, k: op(k, col("B")),  # the reflected forms
+    "literal-column": lambda op, k: op(lit(k), col("B")),
+}
 
 
-def test_tuple_train_message_from_columnar_train():
-    train = ColumnarTrain.from_tuples(make_stream(rows(16)))
-    message = TupleTrainMessage.from_train("s1", train, tuple_bytes=48)
-    assert message.tuple_count == 16
-    assert message.size == train_frame_size(16, 48, 24)
-    materialized = TupleTrainMessage.from_train(
-        "s1", train.to_tuples(), tuple_bytes=48
-    )
-    assert materialized.size == message.size
+def outcome(evaluate):
+    try:
+        return evaluate()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def same_value(got, want):
+    """Equal and of the same Python type; -0.0 is not 0.0, NaN is NaN."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, float):
+        if math.isnan(want):
+            return math.isnan(got)
+        return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    return got == want
+
+
+def assert_rows_equal_train(expr, stream):
+    train = ColumnarTrain.from_tuples(stream)
+    want = outcome(lambda: [expr(t.values) for t in stream])
+    with np.errstate(all="ignore"):  # inf - inf warns in NumPy only
+        got = outcome(lambda: expr.evaluate(train).tolist())
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want, (expr, got, want)
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert same_value(g, w), (expr, got, want)
+
+
+@st.composite
+def operand_columns(draw):
+    """Two columns of one kind each (1-6 rows) and a constant of a third."""
+    left, right, constant = (draw(st.sampled_from(sorted(KINDS))) for _ in range(3))
+    n = draw(st.integers(1, 6))
+    stream = make_stream([
+        {"A": draw(KINDS[left]), "B": draw(KINDS[right])} for _ in range(n)
+    ])
+    return stream, draw(KINDS[constant])
+
+
+class TestExpressionsReadRowsAndTrainsAlike:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("symbol", BINARY)
+    @settings(deadline=None)
+    @given(operand_columns())
+    def test_binary_operator(self, symbol, shape, operands):
+        stream, constant = operands
+        assert_rows_equal_train(SHAPES[shape](BINARY[symbol], constant), stream)
+
+    @pytest.mark.parametrize("symbol", UNARY)
+    @settings(deadline=None)
+    @given(operand_columns())
+    def test_unary_operator(self, symbol, operands):
+        stream, _constant = operands
+        assert_rows_equal_train(UNARY[symbol](col("A")), stream)
+        assert_rows_equal_train(UNARY[symbol](col("A") < col("B")), stream)
+
+    def test_and_or_are_logical_on_both_paths(self):
+        # Bitwise on the row path, logical on the columnar one, until
+        # this PR: (2, 1) passed as a train and was dropped as a row.
+        stream = make_stream([{"A": 2, "B": 1}, {"A": 3, "B": 1}, {"A": 4, "B": 0}])
+        both, either = col("A") & col("B"), col("A") | col("B")
+        assert [both(t.values) for t in stream] == [True, True, False]
+        assert [either(t.values) for t in stream] == [True, True, True]
+        assert_rows_equal_train(both, stream)
+        assert_rows_equal_train(either, stream)
+
+    @pytest.mark.parametrize("symbol", ["/", "//", "%"])
+    def test_a_zero_divisor_raises_on_both_paths(self, symbol):
+        stream = make_stream([{"A": 6, "B": 3}, {"A": 1.5, "B": 0}])
+        train = ColumnarTrain.from_tuples(stream)
+        for expr in (BINARY[symbol](col("A"), col("B")), BINARY[symbol](col("A"), 0)):
+            with pytest.raises(ZeroDivisionError):
+                [expr(t.values) for t in stream]
+            with pytest.raises(ZeroDivisionError):
+                expr.evaluate(train)
+
+    @pytest.mark.parametrize("symbol", [*BINARY, *UNARY])
+    def test_filter_and_map_in_the_engine(self, symbol):
+        """A Filter and a columnar_map built from the operator: the same
+        tuples, clock, steps and per-box counters as rows and as a train."""
+        if symbol in BINARY:  # 0..3 against 1..3: nothing divides by zero
+            expr = BINARY[symbol](col("A") % 4, col("B") % 3 + 1)
+        else:
+            expr = UNARY[symbol](col("A") % 4)
+
+        def net():
+            network = QueryNetwork()
+            network.add_box("m", columnar_map({"A": col("A"), "B": col("B"), "R": expr}))
+            network.add_box("f", Filter(expr))
+            network.connect("in:s", "m")
+            network.connect("m", "f")
+            network.connect("f", "out:o")
+            network.validate()
+            return network
+
+        assert_push_equivalent(net)

@@ -90,7 +90,7 @@ def run_engine(build, streams, *, batch, train_size, scheduler="round_robin",
 def observable(engine):
     return {
         "outputs": {
-            name: [(t.values, t.timestamp, t.seq) for t in tuples]
+            name: [(t.values, t.timestamp) for t in tuples]
             for name, tuples in engine.outputs.items()
         },
         "clock": engine.clock,

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.engine import AuroraEngine
 from repro.core.operators.join import Join, equijoin
 from repro.core.operators.resample import Resample
+from repro.core.query import QueryNetwork
 from repro.core.tuples import StreamTuple
+from repro.obs.trace import Tracer
 
 
 class TestJoin:
@@ -106,3 +109,28 @@ class TestResample:
         fresh.restore(box.snapshot())
         out = fresh.process(StreamTuple({"v": 2.0}, timestamp=1.0))
         assert [(t["time"], t["v"]) for _, t in out] == [(0.0, 0.0), (1.0, 2.0)]
+
+    def test_a_sampled_tuple_stays_sampled(self):
+        # Interpolated tuples are derived from the earlier observation,
+        # like every other operator's output: its timestamp AND its
+        # trace context (the hand-built tuple used to drop the trace,
+        # so the span chain ended here and no delivery was recorded).
+        ctx = object()
+        box = Resample("v", interval=1.0)
+        box.process(StreamTuple({"v": 0.0}, timestamp=0.0, trace=ctx))
+        out = box.process(StreamTuple({"v": 4.0}, timestamp=2.0))
+        assert [t.trace for _, t in out] == [ctx] * 3
+        assert [t.timestamp for _, t in out] == [0.0] * 3
+
+    def test_deliveries_behind_a_resample_box_are_traced(self):
+        net = QueryNetwork()
+        net.add_box("r", Resample("v", interval=1.0))
+        net.connect("in:s", "r")
+        net.connect("r", "out:o")
+        tracer = Tracer(sample_rate=1.0)
+        engine = AuroraEngine(net, tracer=tracer)
+        for i in range(4):
+            engine.push("s", StreamTuple({"v": float(i)}, timestamp=float(i)))
+        engine.run_until_idle()
+        assert len(engine.outputs["o"]) == 4
+        assert tracer.sink.count("deliver:o") == 4

@@ -70,11 +70,11 @@ class TestMap:
 
     def test_metadata_inherited(self):
         box = Map(lambda v: {"X": 1})
-        source = StreamTuple({"A": 1}, timestamp=4.2, seq=7, origin="s")
-        [(_, out)] = box.process(source)
-        assert out.timestamp == 4.2
-        assert out.seq == 7
-        assert out.origin == "s"
+        ctx = object()
+        source = StreamTuple({"A": 1}, timestamp=4.2, trace=ctx)
+        for [(_, out)] in (box.process(source), box.process_batch([source])):
+            assert out.timestamp == 4.2
+            assert out.trace is ctx
 
     def test_project_helper(self):
         box = project("A")

@@ -8,17 +8,26 @@ from hypothesis import strategies as st
 
 from repro.core.spill import SpillError, SpillFile
 from repro.core.tuples import StreamTuple
+from repro.obs.trace import TraceContext
 
 
 class TestFifoSemantics:
     def test_append_pop_roundtrip(self):
         with SpillFile() as spill:
-            spill.append(StreamTuple({"A": 1}, timestamp=2.5, seq=7, origin="s"))
+            spill.append(StreamTuple({"A": 1}, timestamp=2.5))
             out = spill.pop()
             assert out.values == {"A": 1}
             assert out.timestamp == 2.5
-            assert out.seq == 7
-            assert out.origin == "s"
+            assert out.trace is None
+
+    def test_a_sampled_tuple_keeps_its_trace_context(self):
+        # The record used to be (values, timestamp, seq, origin): a
+        # spilled tuple came back unsampled and its span chain ended.
+        with SpillFile() as spill:
+            spill.append(StreamTuple({"A": 1}, timestamp=2.5, trace=TraceContext(11, 4)))
+            out = spill.pop()
+            assert (out.values, out.timestamp) == ({"A": 1}, 2.5)
+            assert (out.trace.trace_id, out.trace.span_id) == (11, 4)
 
     def test_fifo_order(self):
         with SpillFile() as spill:

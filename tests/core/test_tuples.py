@@ -1,9 +1,14 @@
 """Tests for the stream data model (schemas and tuples)."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
+from repro.core.columnar import ColumnarTrain
 from repro.core.tuples import (
     FIGURE_2_STREAM,
     Schema,
@@ -80,20 +85,55 @@ class TestStreamTuple:
         assert tup.get("Z", 9) == 9
 
     def test_derive_inherits_metadata(self):
-        tup = StreamTuple({"A": 1}, timestamp=5.0, seq=42, origin="s1")
+        ctx = object()
+        tup = StreamTuple({"A": 1}, timestamp=5.0, trace=ctx)
         derived = tup.derive({"X": 99})
         assert derived["X"] == 99
         assert derived.timestamp == 5.0
-        assert derived.seq == 42
-        assert derived.origin == "s1"
+        assert derived.trace is ctx
 
     def test_with_metadata_replaces_selectively(self):
-        tup = StreamTuple({"A": 1}, timestamp=1.0, seq=2, origin="s1")
-        updated = tup.with_metadata(seq=7)
-        assert updated.seq == 7
-        assert updated.timestamp == 1.0
-        assert updated.origin == "s1"
+        ctx = object()
+        tup = StreamTuple({"A": 1}, timestamp=1.0, trace=ctx)
+        updated = tup.with_metadata(timestamp=7.0)
+        assert updated.timestamp == 7.0
+        assert updated.trace is ctx
         assert updated.values == tup.values
+        assert tup.with_metadata().timestamp == 1.0
+
+    def test_a_tuple_is_values_a_timestamp_and_a_trace(self):
+        assert StreamTuple.__slots__ == ("values", "timestamp", "trace")
+
+    def test_the_lineage_stays_out_of_the_data_planes(self):
+        """Section 6.2's sequence numbers live on ``repro.ha.chain.HATuple``:
+        no tuple, train, frame, spill record or worker names them — only
+        the two placeholder parameters ``from_parts`` ignores."""
+        assert not {"seqs", "origins"} & set(ColumnarTrain.__slots__)
+        package = Path(repro.__file__).parent
+        planes = [
+            path
+            for name in ("core", "parallel", "obs", "workloads", "distributed")
+            for path in sorted((package / name).rglob("*.py"))
+        ] + [package / "network" / "framing.py", package / "network" / "transport.py"]
+        word = re.compile(r"\b(?:seqs?|origins?)\b")
+        hits = {
+            path.relative_to(package).as_posix(): len(word.findall(path.read_text()))
+            for path in planes
+            if word.search(path.read_text())
+        }
+        assert len(planes) > 40 and list(hits) == ["core/tuples.py"], hits
+        source = (package / "core" / "tuples.py").read_text()
+        placeholders = source[source.index("def from_parts("):source.index("return tup")]
+        assert hits["core/tuples.py"] == len(word.findall(placeholders))
+
+    def test_from_parts_accepts_the_benchmark_call_shape(self):
+        # benchmarks/e2e/workloads.py (lines 245 and 396) passes five
+        # positionals until ROADMAP item 1 rewrites it; slots 3 and 4 are
+        # ignored, the fifth is the trace.
+        ctx = object()
+        tup = StreamTuple.from_parts({"k": 1}, 0.5, None, None, ctx)
+        assert (tup.values, tup.timestamp) == ({"k": 1}, 0.5)
+        assert tup.trace is ctx
 
     def test_key_projection(self):
         tup = StreamTuple({"A": 1, "B": 2, "C": 3})

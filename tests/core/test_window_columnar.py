@@ -10,7 +10,7 @@ contract (a kernel that cannot be exact returns None, state untouched,
 and the caller's row branch takes the claim).
 
 Every equivalence check compares a columnar-driven operator against a
-scalar twin on emissions (port, values, timestamp, seq, origin),
+scalar twin on emissions (port, values, timestamp),
 ``repr(snapshot())`` byte equality (dict insertion order included) and
 public counters.
 """
@@ -36,6 +36,7 @@ from repro.core.operators.windows import Slide
 from repro.core.operators.wsort import WSort
 from repro.core.columnar import col
 from repro.core.query import QueryNetwork
+from repro.core.scheduler import LongestQueueScheduler
 from repro.core.tuples import StreamTuple, make_stream
 from repro.obs.export import dumps, snapshot
 from repro.obs.registry import MetricsRegistry
@@ -69,7 +70,7 @@ def columnar_run(op, trains):
 
 def emission_key(emissions):
     return [
-        (port, list(t.values.items()), repr(t.timestamp), t.seq, t.origin)
+        (port, list(t.values.items()), repr(t.timestamp))
         for port, t in emissions
     ]
 
@@ -353,12 +354,6 @@ class TestDegenerateClaims:
 # -- exact or decline ---------------------------------------------------------
 
 
-def with_lineage(tuples):
-    for seq, tup in enumerate(tuples):
-        tup.seq, tup.origin = seq, "src"
-    return tuples
-
-
 def with_traces(tuples):
     for tup in tuples:
         tup.trace = ("span", tup.timestamp)
@@ -374,11 +369,6 @@ PLAIN = [{"G": i % 2, "A": i} for i in range(6)]
 # One row per whole-claim decline site (Slide's first site once per
 # condition): (operator, rows it has already seen, the claim it declines).
 DECLINES = {
-    "tumble-lineage": (
-        lambda: Tumble("sum", groupby=("G",), value_attr="A", mode="count", window_size=4),
-        PLAIN, with_lineage(stream_of(PLAIN)),
-    ),
-    "slide-lineage": (slide, PLAIN, with_lineage(stream_of(PLAIN))),
     "slide-traced": (slide, PLAIN, with_traces(stream_of(PLAIN))),
     "slide-unregistered-aggregate": (
         lambda: slide("avg_partial"), PLAIN, stream_of(PLAIN),
@@ -445,16 +435,20 @@ def test_no_operator_hides_a_row_barrier():
     ] == ["tumble.py"]
 
 
-def tumble_rounds():
-    # Round 2 reopens after a timeout gap: the first claim flushes a
-    # dozen windows as one train (more than ``m`` consumes per step),
-    # the lineage-carrying claim behind it is declined, and its rows
-    # queue behind the leftover segment — the mixed-queue barrier.
-    yield [stream_of([{"G": i % 12, "A": 3 * i + 1} for i in range(24)])]
+def slide_mixed_queue_rounds():
+    # A numeric train, then an object-valued one.  No box left in src/
+    # both bursts and declines, so a backlog behind ``w`` needs the
+    # ``backed_up`` engine below: ``w`` runs twice before ``m`` does,
+    # and the declined claim's rows queue behind the segment the first
+    # claim left there — the mixed-queue barrier.  Traced, ``Slide``
+    # declines a claim with a sampled row in it: the 1-in-4 sampler's
+    # first hit of round 2 (A == 42) is one ``f`` drops, so that first
+    # claim stays a segment there too.
+    yield [stream_of([{"G": i % 3, "A": i} for i in range(20)])]
     yield [
-        stream_of([{"G": 0, "A": 8 + i} for i in range(5)], start=2.0),
-        with_lineage(stream_of([{"G": 0, "A": 22 + i} for i in range(5)], start=2.01)),
-        stream_of([{"G": 0, "A": 36 + i} for i in range(10)], start=2.02),
+        stream_of([{"G": i % 3, "A": 39 + i} for i in range(10)], start=1.0),
+        stream_of([{"G": i % 3, "A": 2**70 + i} for i in range(10)], start=1.1),
+        stream_of([{"G": i % 3, "A": 60 + i} for i in range(10)], start=1.2),
     ]
 
 
@@ -471,20 +465,24 @@ def wsort_rounds():
     yield [stream_of([{"G": 0, "A": 5}, {"G": 1, "A": 30}], start=3.0)]
 
 
-# window -> (operator, pushes per round, share of its claims declined)
+def engine_slide():
+    return Slide("sum", groupby=("G",), value_attr="A", size=3, result_attr="A")
+
+
+def backed_up():
+    """Section 2.3's ablation engine (no train push-through) under the
+    longest-queue discipline: boxes run back to back, so arcs back up."""
+    return {"push_trains": False, "scheduler": LongestQueueScheduler()}
+
+
+# window -> (operator, pushes per round, share of its claims declined,
+# engine arguments beyond the default)
 ENGINE_DECLINES = {
-    "tumble-lineage": (
-        lambda: Tumble(
-            "sum", groupby=("G",), value_attr="A", result_attr="A",
-            mode="count", window_size=4, timeout=0.5,
-        ),
-        tumble_rounds, "some",
+    "slide-mixed-queue": (engine_slide, slide_mixed_queue_rounds, "some", backed_up),
+    "slide-object-values": (engine_slide, slide_rounds, "some", dict),
+    "wsort-finite-timeout": (
+        lambda: WSort(("A",), timeout=0.01), wsort_rounds, "all", dict,
     ),
-    "slide-object-values": (
-        lambda: Slide("sum", groupby=("G",), value_attr="A", size=3, result_attr="A"),
-        slide_rounds, "some",
-    ),
-    "wsort-finite-timeout": (lambda: WSort(("A",), timeout=0.01), wsort_rounds, "all"),
 }
 
 
@@ -494,7 +492,7 @@ class TestDeclinedClaimsInTheEngine:
     compiled ``m -> g`` tail downstream of the declining window."""
 
     def run(self, case, trains, fusion, sample_rate):
-        make, rounds, _share = ENGINE_DECLINES[case]
+        make, rounds, _share, engine_arguments = ENGINE_DECLINES[case]
         net = QueryNetwork()
         net.add_box("f", Filter(col("A") % 7 != 0))
         net.add_box("w", make())
@@ -505,10 +503,19 @@ class TestDeclinedClaimsInTheEngine:
         registry = MetricsRegistry()
         tracer = Tracer(sample_rate=sample_rate) if sample_rate else None
         engine = AuroraEngine(
-            net, train_size=5, fusion=fusion, metrics=registry, tracer=tracer
+            net, train_size=5, fusion=fusion, metrics=registry, tracer=tracer,
+            **engine_arguments(),
         )
         window = net.boxes["w"].operator
         kernel, declined = window.process_columnar, []
+        (behind_w,) = net.boxes["m"].input_arcs.values()
+        expand, mixed = behind_w.materialize_segments, []
+
+        def barrier():
+            mixed.append(0 < behind_w._segments < len(behind_w.queue))
+            expand()
+
+        behind_w.materialize_segments = barrier
 
         def spy(train, port=0):
             out = kernel(train, port=port)
@@ -524,8 +531,9 @@ class TestDeclinedClaimsInTheEngine:
                     engine.push_many("s", tuples)
             engine.run_until_idle()
         engine.flush()
+        assert any(mixed) == (trains and engine_arguments is backed_up)
         return declined, {
-            "outputs": [(t.values, t.timestamp, t.seq, t.origin) for t in engine.outputs["o"]],
+            "outputs": [(t.values, t.timestamp) for t in engine.outputs["o"]],
             "clock": engine.clock,
             "steps": engine.steps,
             "tuples_processed": engine.tuples_processed,

@@ -21,12 +21,10 @@ from repro.network.framing import (
     KIND_ROWS,
     MAGIC,
     FrameError,
-    decode_data,
     decode_frame,
     encode_control,
     encode_data,
 )
-from repro.network.transport import TupleTrainMessage, train_frame_size
 from repro.obs.trace import TraceContext
 
 
@@ -35,8 +33,6 @@ def make_rows():
         StreamTuple(
             {"sym": "A", "px": 10.5, "n": 3, "ok": True, "note": None},
             timestamp=0.25,
-            seq=7,
-            origin="feed",
             trace=TraceContext(11, 22),
         ),
         StreamTuple({"sym": "B", "px": -2.0, "n": 0, "ok": False, "note": None},
@@ -49,8 +45,6 @@ def assert_trains_equal(a, b):
     for left, right in zip(a, b):
         assert left.values == right.values
         assert left.timestamp == right.timestamp
-        assert left.seq == right.seq
-        assert left.origin == right.origin
         if left.trace is None:
             assert right.trace is None
         else:
@@ -68,10 +62,6 @@ class TestControlFrames:
         assert kind == KIND_CONTROL
         assert route is None
         assert decoded == payload
-
-    def test_data_decoder_rejects_control(self):
-        with pytest.raises(FrameError):
-            decode_data(encode_control({"type": "stop"}))
 
 
 class TestRowFrames:
@@ -99,7 +89,7 @@ class TestRowFrames:
                 timestamp=1.0,
             )
         ]
-        _route, train = decode_data(encode_data("a", rows))
+        _kind, _route, train = decode_frame(encode_data("a", rows))
         assert train[0].values == rows[0].values
 
     def test_unencodable_value_raises(self):
@@ -108,7 +98,7 @@ class TestRowFrames:
             encode_data("a", rows)
 
     def test_empty_train(self):
-        route, train = decode_data(encode_data("a", []))
+        _kind, route, train = decode_frame(encode_data("a", []))
         assert route == "a"
         assert train == []
 
@@ -128,7 +118,7 @@ class TestColumnarFrames:
         rows = [StreamTuple({"v": float(i), "k": i}, timestamp=i * 0.1)
                 for i in range(5)]
         columnar = ColumnarTrain.from_tuples(rows)
-        _route, train = decode_data(encode_data("a", columnar))
+        _kind, _route, train = decode_frame(encode_data("a", columnar))
         assert train.column("v").dtype == np.dtype("<f8")
         assert train.column("k").dtype == np.dtype("<i8")
         assert_trains_equal(rows, train.to_tuples())
@@ -136,7 +126,7 @@ class TestColumnarFrames:
     def test_object_column_fallback(self):
         rows = [StreamTuple({"tag": ("x", i)}, timestamp=float(i)) for i in range(3)]
         columnar = ColumnarTrain.from_tuples(rows)
-        _route, train = decode_data(encode_data("a", columnar))
+        _kind, _route, train = decode_frame(encode_data("a", columnar))
         assert isinstance(train, ColumnarTrain)
         assert_trains_equal(rows, train.to_tuples())
 
@@ -186,7 +176,7 @@ contexts = st.builds(
 @st.composite
 def row_trains(draw, max_rows=6):
     """A row train: homogeneous or ragged, keys reordered on some rows,
-    lineage and trace contexts on some, possibly empty or field-less."""
+    trace contexts on some, possibly empty or field-less."""
     fields = draw(st.lists(st.text(max_size=3), max_size=4, unique=True))
     kinds = {field: draw(column_kinds) for field in fields}
     ragged = draw(st.booleans())
@@ -199,9 +189,7 @@ def row_trains(draw, max_rows=6):
             StreamTuple.from_parts(
                 {name: draw(kinds.get(name, values)) for name in names},
                 draw(st.floats(allow_nan=False)),
-                draw(st.none() | st.integers(-(2**65), 2**65)),
-                draw(st.none() | st.text(max_size=4)),
-                draw(st.none() | contexts),
+                trace=draw(st.none() | contexts),
             )
         )
     return rows
@@ -237,8 +225,6 @@ def assert_type_exact(rows, back):
         assert type(got) is StreamTuple
         assert same(got.values, want.values), (got.values, want.values)
         assert same(got.timestamp, want.timestamp)
-        assert same(got.seq, want.seq)
-        assert same(got.origin, want.origin)
         assert (got.trace is None) == (want.trace is None)
         if want.trace is not None:
             assert same(
@@ -275,19 +261,19 @@ class TestTypeExactRoundTrip:
         rows = [StreamTuple({"n": n}, timestamp=0.0) for n in (2**63, -1)]
         train = ColumnarTrain.from_tuples(rows)
         assert train.columns["n"].dtype == object
-        assert_type_exact(rows, decode_data(encode_data("a", rows))[1])
+        assert_type_exact(rows, decode_frame(encode_data("a", rows))[2])
 
     def test_a_ragged_train_ships_one_object_column(self):
         rows = [
-            StreamTuple({"a": 1}, timestamp=0.5, seq=3, trace=TraceContext(5, 6)),
-            StreamTuple({"b": 2.0, "": None}, timestamp=0.75, origin="o"),
+            StreamTuple({"a": 1}, timestamp=0.5, trace=TraceContext(5, 6)),
+            StreamTuple({"b": 2.0, "": None}, timestamp=0.75),
         ]
         assert ColumnarTrain.from_tuples(rows) is None
-        assert_type_exact(rows, decode_data(encode_data("a", rows))[1])
+        assert_type_exact(rows, decode_frame(encode_data("a", rows))[2])
 
     def test_decoded_native_columns_are_views_of_the_frame(self):
         rows = [StreamTuple({"v": float(i)}, timestamp=float(i)) for i in range(4)]
-        _route, train = decode_data(encode_data("a", ColumnarTrain.from_tuples(rows)))
+        _kind, _route, train = decode_frame(encode_data("a", ColumnarTrain.from_tuples(rows)))
         column = train.column("v")
         assert not column.flags.owndata and not column.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -375,12 +361,14 @@ class TestFrameFuzz:
         with pytest.raises(FrameError, match="trace entry"):
             decode_frame(broken)
 
-    def test_a_v1_frame_is_rejected_with_the_version_message(self):
-        # A PR-21 row frame: route "arc", zero rows.
-        v1 = bytes([MAGIC, 1, KIND_ROWS]) + struct.pack("<I", 3) + b"arc"
-        v1 += struct.pack("<I", 0)
-        with pytest.raises(FrameError, match="version 1 does not match codec version 2"):
-            decode_frame(v1)
+    def test_a_v2_frame_is_rejected_with_the_version_message(self):
+        # What PR 22 put on the wire for an unsampled train: two absent
+        # lineage columns (a zero flag byte each) ahead of the trace flag.
+        v3 = encode_data("arc", make_rows()[1:])
+        assert v3[-1] == 0  # no sampled row
+        v2 = bytes([MAGIC, 2]) + v3[2:-1] + b"\x00\x00" + v3[-1:]
+        with pytest.raises(FrameError, match="version 2 does not match codec version 3"):
+            decode_frame(v2)
 
 
 class TestMalformedFrames:
@@ -404,29 +392,3 @@ class TestMalformedFrames:
     def test_empty(self):
         with pytest.raises(FrameError):
             decode_frame(b"")
-
-
-class TestTupleTrainMessageBridge:
-    def test_to_wire_from_wire(self):
-        rows = make_rows()
-        message = TupleTrainMessage.from_train("arc9", rows, tuple_bytes=32)
-        wire = message.to_wire(rows)
-        back, train = TupleTrainMessage.from_wire(wire, tuple_bytes=32)
-        assert back.stream == "arc9"
-        assert back.tuple_count == len(rows)
-        assert back.size == train_frame_size(len(rows), 32, 24)
-        assert_trains_equal(rows, train)
-
-    def test_columnar_train_frames_row_free(self):
-        rows = make_rows()
-        columnar = ColumnarTrain.from_tuples(rows)
-        message = TupleTrainMessage.from_train("arc9", columnar, tuple_bytes=32)
-        wire = message.to_wire(columnar)
-        _back, train = TupleTrainMessage.from_wire(wire, tuple_bytes=32)
-        assert isinstance(train, ColumnarTrain)
-
-    def test_length_mismatch_raises(self):
-        rows = make_rows()
-        message = TupleTrainMessage.from_train("arc9", rows, tuple_bytes=32)
-        with pytest.raises(ValueError):
-            message.to_wire(rows[:1])

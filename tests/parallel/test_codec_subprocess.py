@@ -4,8 +4,8 @@ A fresh interpreter (``subprocess``, not fork — nothing inherited) is
 handed raw frame bytes, decodes them with its own import of the codec,
 transforms the train, and frames the result back.  This is the property
 the parallel plane actually relies on: bytes produced in one process
-are a complete description of the train — values, timestamps, lineage,
-trace contexts — for any other process.
+are a complete description of the train — values, timestamps, trace
+contexts — for any other process.
 """
 
 import os
@@ -16,8 +16,7 @@ import pytest
 
 from repro.core.columnar import ColumnarTrain
 from repro.core.tuples import StreamTuple
-from repro.network.framing import decode_data, encode_data
-from repro.network.transport import TupleTrainMessage
+from repro.network.framing import decode_frame, encode_data
 from repro.obs.trace import TraceContext
 
 # The child re-frames the decoded train after bumping each tuple's "v"
@@ -26,18 +25,16 @@ CHILD_SCRIPT = """
 import sys
 from repro.core.columnar import ColumnarTrain
 from repro.core.tuples import StreamTuple
-from repro.network.framing import decode_data, encode_data
+from repro.network.framing import decode_frame, encode_data
 
 frame = sys.stdin.buffer.read()
-route, train = decode_data(frame)
+_kind, route, train = decode_frame(frame)
 columnar = isinstance(train, ColumnarTrain)
 rows = train.to_tuples() if columnar else train
 bumped = [
     StreamTuple(
         dict(tup.values, v=tup.values["v"] + 1000),
         timestamp=tup.timestamp,
-        seq=tup.seq,
-        origin=tup.origin,
         trace=tup.trace,
     )
     for tup in rows
@@ -59,7 +56,7 @@ def round_trip_through_child(frame: bytes) -> tuple[str, list]:
         timeout=60,
     )
     assert result.returncode == 0, result.stderr.decode()
-    route, train = decode_data(result.stdout)
+    _kind, route, train = decode_frame(result.stdout)
     rows = train.to_tuples() if isinstance(train, ColumnarTrain) else train
     return route, rows
 
@@ -69,8 +66,6 @@ def make_rows():
         StreamTuple(
             {"v": i, "label": f"t{i}", "scale": i * 0.5},
             timestamp=i * 0.125,
-            seq=i,
-            origin="gen",
             trace=TraceContext(trace_id=100 + i, span_id=200 + i),
         )
         for i in range(4)
@@ -81,8 +76,7 @@ def make_rows():
 def test_cross_process_round_trip(representation):
     rows = make_rows()
     train = ColumnarTrain.from_tuples(rows) if representation == "columnar" else rows
-    frame = TupleTrainMessage.from_train("arc7", train, tuple_bytes=32).to_wire(train)
-    route, back = round_trip_through_child(frame)
+    route, back = round_trip_through_child(encode_data("arc7", train))
     assert route == "arc7:echoed"
     assert len(back) == len(rows)
     for original, echoed in zip(rows, back):
@@ -90,8 +84,6 @@ def test_cross_process_round_trip(representation):
         assert echoed.values["label"] == original.values["label"]
         assert echoed.values["scale"] == original.values["scale"]
         assert echoed.timestamp == original.timestamp
-        assert echoed.seq == original.seq
-        assert echoed.origin == original.origin
 
 
 @pytest.mark.parametrize("representation", ["rows", "columnar"])
