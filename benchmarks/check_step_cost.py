@@ -1,0 +1,103 @@
+"""CI gate: a scheduling step is never paid to learn "nothing queued".
+
+    python benchmarks/check_step_cost.py [--seed N]
+
+Two checks on the end-to-end harness, both counts (nothing is timed, so
+the step cannot flake):
+
+1. Every target in ``benchmarks/e2e/trace.py::PATCHES`` still resolves.
+   The tracer patches the program from outside; a refactor that renames
+   a target makes its layer read zero while every workload stays
+   correct.
+2. ``scenario_flash_crowd`` at smoke size calls ``AuroraEngine.step``
+   exactly as often as the engine made scheduling decisions (the
+   registry's ``engine.scheduler.decisions`` total of the same run).  An
+   idle ``step()`` — a call that pays ``choose()`` to be told the queued
+   index is empty — shows up as an excess.
+
+The same workload is also run once under ``--trace 1`` so the patches
+are exercised for real; its ``core.engine.step.calls`` is printed, not
+gated: that counter also counts an entry into ``run_until_idle`` that
+returns at its own idle test (the runner's closing call and
+``flush()``'s, two per run).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+
+
+def unresolved_patches() -> list[str]:
+    from benchmarks.e2e.trace import PATCHES, _resolve
+
+    missing = []
+    for _layer, target, _measure in PATCHES:
+        try:
+            owner, attr = _resolve(target)
+            getattr(owner, attr)
+        except (ImportError, AttributeError) as exc:
+            missing.append(f"{target}: {exc}")
+    return missing
+
+
+def traced_step_calls(seed: int) -> int:
+    """``core.engine.step.calls`` of one traced smoke run (a subprocess:
+    the recorder patches classes process-wide)."""
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks/e2e/run.py"),
+         "--workload", "scenario_flash_crowd", "--smoke", "--trace", "1",
+         "--seed", str(seed), "--seconds", "1"],
+        check=True, capture_output=True, text=True, cwd=ROOT,
+    ).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit("scenario_flash_crowd reported correct=false")
+    return int(result["metrics"]["core.engine.step.calls"]["value"])
+
+
+def steps_and_decisions(seed: int) -> tuple[int, int]:
+    """``AuroraEngine.step`` calls and scheduling decisions of the same
+    scenario at the same size and seed, untraced."""
+    from benchmarks.e2e.workloads import ScenarioFlashCrowd
+    from repro.core.engine import AuroraEngine
+
+    real, calls = AuroraEngine.step, [0]
+
+    def counted(engine):
+        calls[0] += 1
+        return real(engine)
+
+    workload = ScenarioFlashCrowd(seed, smoke=True)
+    workload.setup()
+    AuroraEngine.step = counted
+    try:
+        workload.run()
+    finally:
+        AuroraEngine.step = real
+    return calls[0], int(workload.result.registry.total("engine.scheduler.decisions"))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=7)
+    seed = parser.parse_args().seed
+    missing = unresolved_patches()
+    for line in missing:
+        print(f"PATCHES target does not resolve: {line}")
+    steps, decided = steps_and_decisions(seed)
+    print(f"AuroraEngine.step calls {steps}, engine.scheduler.decisions {decided}")
+    if steps != decided:
+        print(f"{steps - decided} step() calls made no decision (idle steps)")
+    print(f"traced core.engine.step.calls {traced_step_calls(seed)}")
+    return 1 if missing or steps != decided else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -136,9 +136,6 @@ class AuroraEngine:
         self._m_tuples = self.metrics.counter("engine.tuples_processed")
         self._m_emitted = self.metrics.counter("engine.tuples_emitted")
         self._m_train_hist = self.metrics.histogram("engine.train.tuples")
-        self._m_decisions: dict[str, Counter] = {}
-        self._m_box_in: dict[str, Counter] = {}
-        self._m_box_out: dict[str, Counter] = {}
         self._m_ingest: dict[str, Counter] = {}
         self._m_delivered: dict[str, Counter] = {}
         self._m_shed: dict[str, Counter] = {}
@@ -152,12 +149,18 @@ class AuroraEngine:
         # inside ``step()``.
         self.outputs: dict[str, Union[list[StreamTuple], OutputBuffer]] = {}
         self.box_order: list[str] = []
-        # Public scheduler-facing indexes (see the scheduler module):
-        # queued_counts holds only boxes with queued tuples, so choice
-        # is O(non-empty boxes); topo_position breaks ties the same way
+        # The queued index (see the scheduler module): queued_counts
+        # holds only the boxes with queued tuples and queued_total their
+        # sum, both kept current by every enqueue and claim the engine
+        # makes, so a decision, a train push and the idle test cost what
+        # is queued, not what exists; topo_position breaks ties the way
         # a topological scan would.
         self.topo_position: dict[str, int] = {}
         self.queued_counts: dict[str, int] = {}
+        self.queued_total = 0
+        # What _sync compiles per box and per input (_Route, _hop).
+        self._routes: dict[str, _Route] = {}
+        self._input_hops: dict[str, tuple[_Hop, ...]] = {}
         self._reach_cache: dict[str, frozenset[str]] = {}
         self._input_reach_cache: dict[str, frozenset[str]] = {}
         self._runs: dict[str, FusedChain] = {}
@@ -174,9 +177,13 @@ class AuroraEngine:
     # -- topology caches -----------------------------------------------------
 
     def invalidate_caches(self) -> None:
-        """Force :meth:`_sync` after an edit that bypassed the network's
-        mutators (straight to its ``boxes`` / ``arcs`` dicts).  Nothing
-        that rewrites through the mutators needs to call this."""
+        """Force :meth:`_sync` after a change that bypassed the engine
+        and the network's mutators: an edit made straight to the
+        network's ``boxes`` / ``arcs`` dicts, or tuples enqueued on an
+        arc behind the engine's back (``arc.push``) — the queued index
+        is what every scheduler and the idle test read, and this call is
+        how an outside enqueue enters it.  Nothing that rewrites through
+        the mutators or ingests through the engine needs to call this."""
         self.network.touch()
         self._sync()
 
@@ -189,11 +196,13 @@ class AuroraEngine:
         change queue state compare it on entry, so a rewrite needs no
         bracket: everything derived from topology is refreshed before
         the next tuple moves — reachability, scheduling order, the
-        queued-count index, the output buffers (streams a rewrite
-        removed drop their buffers instead of lingering) and the
-        superbox fusion overlay, which re-runs from scratch (defuse +
-        refuse).  The scheduler is notified last, so cursors cannot
-        point past a shrunken ``box_order``.
+        queued index (rebuilt from ``Box.queued()``, its from-scratch
+        definition), the per-box routes and per-input hops a train
+        follows, the output buffers (streams a rewrite removed drop
+        their buffers instead of lingering) and the superbox fusion
+        overlay, which re-runs from scratch (defuse + refuse).  The
+        scheduler is notified last, so cursors cannot point past a
+        shrunken ``box_order``.
         """
         revision = self.network.revision
         if self._revision == revision:
@@ -210,20 +219,22 @@ class AuroraEngine:
             name: (self.outputs[name] if name in self.outputs else fresh())
             for name in self.network.outputs
         }
+        # Routes are rebuilt over the live boxes only, so the obs handles
+        # they hold never outlive a box a rewrite *removed* (under
+        # elastic churn replica ids are never reused).  The registry
+        # keeps the underlying counters: lifetime totals survive, and a
+        # surviving box re-binds its handles on first use.
         self.queued_counts = {}
+        self._routes = {}
         for box_id, box in self.network.boxes.items():
             queued = box.queued()
             if queued:
                 self.queued_counts[box_id] = queued
-        # Boxes *removed* by a rewrite (a merge, a replica retirement)
-        # must not linger in the per-box obs handle caches: under
-        # elastic churn replica ids are never reused, so stale handles
-        # would accumulate without bound.  The registry keeps the
-        # underlying counters, so lifetime totals survive the prune.
-        live = self.network.boxes
-        for cache in (self._m_box_in, self._m_box_out, self._m_decisions):
-            for stale in [box_id for box_id in cache if box_id not in live]:
-                del cache[stale]
+            self._routes[box_id] = _Route(box)
+        self.queued_total = sum(self.queued_counts.values())
+        self._input_hops = {
+            name: tuple(map(_hop, arcs)) for name, arcs in self.network.inputs.items()
+        }
         # Superbox compilation (repro.core.fusion).  Every run is
         # compiled even with fusion off: train pushing and flushing visit
         # a run's members consecutively in both modes, so fused and
@@ -236,6 +247,13 @@ class AuroraEngine:
         hook = getattr(self.scheduler, "network_changed", None)
         if hook is not None:
             hook(self)
+
+    @property
+    def idle(self) -> bool:
+        """True when nothing is queued at any box: one test of the index."""
+        if self._revision != self.network.revision:  # _sync's test, inlined
+            self._sync()
+        return not self.queued_counts
 
     def defuse(self, box_id: str | None = None) -> None:
         """Dissolve superboxes — all of them, or the one containing ``box_id``.
@@ -315,6 +333,14 @@ class AuroraEngine:
             handle = cache[value] = self.metrics.counter(name, **{label: value})
         return handle
 
+    def _bind(self, route: "_Route", slot: str) -> Counter:
+        """First use of one of a route's per-box counters: a box that
+        never runs (or never emits, or is never scheduled) exports no
+        series, so the handles cannot be made at ``_sync``."""
+        handle = self.metrics.counter(_Route.METRICS[slot], box=route.box.id)
+        setattr(route, slot, handle)
+        return handle
+
     def record_shed(self, input_name: str, count: int = 1) -> None:
         """Account shedder drops at an input (called by the shedder)."""
         self._counter_for(
@@ -332,7 +358,8 @@ class AuroraEngine:
         """
         if self._revision != self.network.revision:  # _sync's test, inlined
             self._sync()
-        if input_name not in self.network.inputs:
+        hops = self._input_hops.get(input_name)
+        if hops is None:
             raise KeyError(f"engine network has no input {input_name!r}")
         self.clock = max(self.clock, tup.timestamp)
         if self.shedder is not None and not self.shedder.admit(self, input_name):
@@ -347,8 +374,8 @@ class AuroraEngine:
             tup.trace = self.tracer.start_trace(
                 f"source:{input_name}", at=tup.timestamp
             )
-        for arc in self.network.inputs[input_name]:
-            self._hand_off(arc, [tup])
+        for hop in hops:
+            self._hand_off(hop, [tup])
         return True
 
     def _train_arc(self, input_name: str) -> Arc | None:
@@ -356,12 +383,15 @@ class AuroraEngine:
         in one go, or None at an ingestion barrier: input fan-out, a
         connection point (history recording is per-tuple) or a
         pass-through stream (delivered at ingestion, tuple by tuple)."""
-        if input_name not in self.network.inputs:
+        hops = self._input_hops.get(input_name)
+        if hops is None:
             raise KeyError(f"engine network has no input {input_name!r}")
-        arcs = self.network.inputs[input_name]
-        if len(arcs) != 1 or arcs[0].connection_point is not None or arcs[0].is_output:
+        if len(hops) != 1:
             return None
-        return arcs[0]
+        arc, kind, _ref, connection_point = hops[0]
+        if connection_point is not None or kind == "out":
+            return None
+        return arc
 
     def _note_ingested(self, input_name: str, arc: Arc, n: int) -> None:
         """Account ``n`` tuples just enqueued on an input arc.  No-op for
@@ -371,6 +401,7 @@ class AuroraEngine:
             return
         counts, target = self.queued_counts, arc.target[0]
         counts[target] = counts.get(target, 0) + n
+        self.queued_total += n
         self._counter_for(
             self._m_ingest, "engine.ingest.tuples", "input", input_name
         ).inc(n)
@@ -459,11 +490,13 @@ class AuroraEngine:
     def _drop_queued(self, box_id: str, n: int) -> None:
         """Account ``n`` tuples consumed at a box in the queued index."""
         counts = self.queued_counts
-        left = counts.get(box_id, 0) - n
-        if left > 0:
-            counts[box_id] = left
-        else:
-            counts.pop(box_id, None)
+        had = counts.get(box_id, 0)
+        if had > n:
+            counts[box_id] = had - n
+            self.queued_total -= n
+        elif had:
+            del counts[box_id]
+            self.queued_total -= had
 
     # -- execution ---------------------------------------------------------------
     #
@@ -481,15 +514,14 @@ class AuroraEngine:
         box_id = self.scheduler.choose(self)
         if box_id is None:
             return 0.0
-        self._counter_for(
-            self._m_decisions, "engine.scheduler.decisions", "box", box_id
-        ).inc()
+        route = self._routes[box_id]
+        (route.decisions or self._bind(route, "decisions")).inc()
         self.clock += self.scheduling_overhead
         consumed = self.scheduling_overhead
         consumed += self._run_train(box_id)
         if self.push_trains:
             consumed += self._push_downstream(box_id)
-        io = self.storage.rebalance(self.network)
+        io = self.storage.rebalance(self.network, self.queued_total)
         self.clock += io
         consumed += io
         self.steps += 1
@@ -507,48 +539,48 @@ class AuroraEngine:
         deltas, so every execution mode exports identical totals.
         """
         budget = self.train_size if limit is None else limit
+        routes = self._routes
+        route = routes[box_id]
+        # Superbox membership is read per train: defuse() dissolves a
+        # chain without touching the network.
         chain = self._fused.get(box_id)
-        stages = chain.stages if chain is not None else (self.network.boxes[box_id],)
-        head = stages[0]
+        stages = chain.stages if chain is not None else route.stages
+        head = route.box
         before = list(map(_traffic, stages))
         if self.batch_execution:
             # The scheduler only needs a positive work signal, not the
             # exact float chain (no contract compares step() returns).
             start = self.clock
-            fan_in = len(head.input_arcs) > 1
             while budget > 0:
-                claim = self._claim(head, budget)
+                claim = self._claim(route, budget)
                 if claim is None:
                     break
-                arc, batch, times, first_read = claim
+                port, batch, times, first_read = claim
                 budget -= len(batch)
-                port = int(arc.target[1])
                 self._thread(stages, chain, batch, times, first_read, port)
-                if not fan_in:
+                if route.lone is not None:
                     break  # a lone arc gives all it has in one claim
             consumed = self.clock - start
         else:
-            consumed = self._run_train_scalar(head, budget)
+            consumed = self._run_train_scalar(route, budget)
         for box, (seen, emitted) in zip(stages, before):
             n = box.tuples_in - seen
             if not n:
                 continue
-            self._counter_for(
-                self._m_box_in, "engine.box.tuples_in", "box", box.id
-            ).inc(n)
+            stage = routes[box.id]
+            (stage.tuples_in or self._bind(stage, "tuples_in")).inc(n)
             emitted = box.tuples_out - emitted
             if emitted:
-                self._counter_for(
-                    self._m_box_out, "engine.box.tuples_out", "box", box.id
-                ).inc(emitted)
+                (stage.tuples_out or self._bind(stage, "tuples_out")).inc(emitted)
                 self._m_emitted.inc(emitted)
             self._m_tuples.inc(n)
             self._m_train_hist.observe(n)
         self._drop_queued(box_id, head.tuples_in - before[0][0])
         return consumed
 
-    def _run_train_scalar(self, box: Box, budget: int) -> float:
+    def _run_train_scalar(self, route: "_Route", budget: int) -> float:
         """The per-tuple reference path: one full engine round per tuple."""
+        box = route.box
         consumed = 0.0
         tracing = self._tracing
         while budget > 0:
@@ -576,7 +608,7 @@ class AuroraEngine:
                 )
             emissions = box.operator.process(tup, port=port)
             box.tuples_out += len(emissions)
-            self._emit(box, [(out_port, [out]) for out_port, out in emissions])
+            self._emit(route, [(out_port, [out]) for out_port, out in emissions])
             box.latency_sum += self.clock - enqueued_at
             box.latency_count += 1
             budget -= 1
@@ -595,11 +627,11 @@ class AuroraEngine:
         return best
 
     def _claim(
-        self, box: Box, budget: int
-    ) -> tuple[Arc, ColumnarTrain | list[StreamTuple], Any, int] | None:
-        """Claim the next batch at ``box``, or None when nothing is queued.
+        self, route: "_Route", budget: int
+    ) -> tuple[int, ColumnarTrain | list[StreamTuple], Any, int] | None:
+        """Claim the next batch at a box, or None when nothing is queued.
 
-        Returns ``(arc, batch, enqueue clocks, first_read)``.  A lone
+        Returns ``(input port, batch, enqueue clocks, first_read)``.  A lone
         input arc holding only columnar segments yields a train (clocks
         as an array).  At the barriers — fan-in (multi-arc claims
         interleave per tuple), a queue mixing rows with segments, a
@@ -610,22 +642,26 @@ class AuroraEngine:
         (:func:`claim_run`); ``first_read`` is the index of the first
         row read back from spill (``len(batch)`` if none).
         """
-        input_arcs = box.input_arcs
-        if len(input_arcs) == 1:
-            (arc,) = input_arcs.values()
+        lone = route.lone
+        if lone is not None:
+            arc, port = lone
             if arc._segments:
                 if arc._segments == len(arc.queue):
                     queued = arc.queued_tuples()
                     n = min(budget, queued)
                     if queued - self.storage.spilled_on(arc) >= n:
                         train, times = self._dequeue_segments(arc, n)
-                        return arc, train, times, n
+                        return port, train, times, n
                 arc.materialize_segments()
             n = min(budget, len(arc.queue))  # claim_run's lone-arc rule
         else:
-            for arc in input_arcs.values():
+            box = route.box
+            for arc in box.input_arcs.values():
                 arc.materialize_segments()
             arc, n = claim_run(box, budget, _enqueue_keys)
+            if arc is None:
+                return None
+            port = int(arc.target[1])
         if not n:
             return None
         # Charge storage against the pre-pop queue length: the per-tuple
@@ -634,7 +670,7 @@ class AuroraEngine:
         _read_cost, first_read = self.storage.charge_consume_batch(arc, n)
         batch = pop_head(arc.queue, n)
         times = pop_head(arc.queue_times, min(n, len(arc.queue_times)))
-        return arc, batch, times, first_read
+        return port, batch, times, first_read
 
     def _dequeue_segments(
         self, arc: Arc, n: int
@@ -743,7 +779,7 @@ class AuroraEngine:
             rows = operator.process_batch(batch, port=port)
             box.tuples_out += len(rows)
             emissions = _by_port(rows)
-        self._emit(box, emissions)
+        self._emit(self._routes[box.id], emissions)
 
     def _stamp_spans(
         self, box: Box, batch: ColumnarTrain | list[StreamTuple], ends: Any, cost: float
@@ -771,7 +807,8 @@ class AuroraEngine:
         return batch
 
     def _advance_run(self, box_id: str) -> tuple[str, float]:
-        """After running ``box_id``, bring the rest of its run current.
+        """After running ``box_id``, the head of a run, bring the rest of
+        the run current.
 
         Returns (frontier expansion point, virtual time consumed).  A
         fused chain already ran in one pass; an unfused (or defused) run
@@ -779,30 +816,32 @@ class AuroraEngine:
         fused pass uses, which keeps the two modes clock-identical even
         in fan-out topologies where the push frontier holds siblings.
         """
-        run = self._runs.get(box_id)
-        if run is None:
-            return box_id, 0.0
+        run = self._runs[box_id]
         consumed = 0.0
         if box_id not in self._fused:
+            counts = self.queued_counts
             for member in run.stages[1:]:
-                if member.queued():
+                if member.id in counts:
                     consumed += self._run_train(member.id)
         return run.tail.id, consumed
 
     def _push_downstream(self, box_id: str) -> float:
         """Push a train's outputs through downstream boxes (train scheduling)."""
-        start, consumed = self._advance_run(box_id)
-        frontier = deque(dict.fromkeys(self.network.downstream_boxes(start)))
+        routes, counts, runs = self._routes, self.queued_counts, self._runs
+        consumed = 0.0
+        if box_id in runs:
+            box_id, consumed = self._advance_run(box_id)
+        frontier = deque(routes[box_id].downstream)
         seen = set(frontier)
         while frontier:
             current = frontier.popleft()
-            box = self.network.boxes[current]
-            if box.queued() == 0:
+            if current not in counts:
                 continue
             consumed += self._run_train(current)
-            expand, extra = self._advance_run(current)
-            consumed += extra
-            for succ in self.network.downstream_boxes(expand):
+            if current in runs:
+                current, extra = self._advance_run(current)
+                consumed += extra
+            for succ in routes[current].downstream:
                 if succ not in seen:
                     seen.add(succ)
                     frontier.append(succ)
@@ -810,7 +849,7 @@ class AuroraEngine:
 
     def _emit(
         self,
-        box: Box,
+        route: "_Route",
         emissions: Iterable[tuple[int, ColumnarTrain | list[StreamTuple]]],
     ) -> None:
         """Route ``(port, batch)`` emissions to every arc on their ports.
@@ -819,13 +858,13 @@ class AuroraEngine:
         single source port, so per-arc queue order matches the per-tuple
         path).
         """
-        output_arcs = box.output_arcs
+        ports = route.ports
         for out_port, batch in emissions:
             if not batch:
                 continue
-            arcs = output_arcs.get(out_port, ())
+            hops = ports.get(out_port, ())
             if (
-                len(arcs) > 1
+                len(hops) > 1
                 and self._tracing
                 and isinstance(batch, ColumnarTrain)
                 and batch.traces is not None
@@ -834,10 +873,10 @@ class AuroraEngine:
                 # object on the row path, re-stamped by each consumer in
                 # turn; only shared rows reproduce that lineage.
                 batch = batch.to_tuples()
-            for arc in arcs:
-                self._hand_off(arc, batch)
+            for hop in hops:
+                self._hand_off(hop, batch)
 
-    def _hand_off(self, arc: Arc, batch: ColumnarTrain | list[StreamTuple]) -> None:
+    def _hand_off(self, hop: "_Hop", batch: ColumnarTrain | list[StreamTuple]) -> None:
         """Hand a row list or a whole train to one arc, stamped with the
         current clock (for a train's emissions: the train-end clock).
 
@@ -848,9 +887,9 @@ class AuroraEngine:
         queue entry.
         """
         n = len(batch)
-        kind, ref = arc.target
+        arc, kind, ref, connection_point = hop
         counts = self.queued_counts
-        if arc.connection_point is not None:
+        if connection_point is not None:
             if isinstance(batch, ColumnarTrain):
                 batch = batch.to_tuples()
             for tup in batch:
@@ -862,6 +901,7 @@ class AuroraEngine:
                 else:
                     arc.queue_times.append(self.clock)
                     counts[kind] = counts.get(kind, 0) + 1
+                    self.queued_total += 1
             return
         if kind == "out":
             arc.tuples_transferred += n
@@ -876,6 +916,7 @@ class AuroraEngine:
             arc.queue_times.extend([self.clock] * n)
             arc.tuples_transferred += n
         counts[kind] = counts.get(kind, 0) + n
+        self.queued_total += n
 
     def _deliver(
         self, output_name: str, batch: ColumnarTrain | list[StreamTuple]
@@ -926,11 +967,12 @@ class AuroraEngine:
         """
         self._sync()
         drained = 0
+        counts = self.queued_counts
         for box_id in sorted(box_ids, key=lambda b: self.topo_position.get(b, 0)):
             self.defuse(box_id)
             box = self.network.boxes[box_id]
             for _ in range(max_rounds):
-                queued = box.queued()
+                queued = counts.get(box_id, 0)
                 if queued == 0:
                     break
                 before = box.tuples_in
@@ -945,13 +987,18 @@ class AuroraEngine:
         return drained
 
     def run_until_idle(self, max_steps: int = 1_000_000) -> float:
-        """Step until the scheduler chooses no box.  Returns time consumed.
+        """Step until nothing is queued (or the scheduler chooses no
+        box).  Returns time consumed.
 
-        Idle is ``steps`` standing still, not a step that consumed 0.0:
-        with no scheduling overhead a train of zero-cost tuples is free.
+        Idle is the queued index standing empty — no decision is paid
+        to learn it — or ``steps`` standing still, never a step that
+        consumed 0.0: with no scheduling overhead a train of zero-cost
+        tuples is free.
         """
         consumed = 0.0
         for _ in range(max_steps):
+            if self.idle:
+                return consumed
             steps = self.steps
             consumed += self.step()
             if self.steps == steps:
@@ -965,8 +1012,18 @@ class AuroraEngine:
         so a flushed aggregate still flows through its merge network.
         A fused run drains and flushes as one group (members back to
         back — the same schedule whether or not fusion is active).
+        Raises if the queues hold tuples the queued index does not (an
+        ``arc.push`` from outside without ``invalidate_caches()``).
         """
         self._sync()
+        if self.queued_total != self.network.total_queued():
+            # Once per stream, so the arcs can afford the walk: tuples
+            # the index does not know of would be left behind silently.
+            raise RuntimeError(
+                f"{self.network.total_queued()} tuples are queued but the engine "
+                f"counted {self.queued_total}: call invalidate_caches() after "
+                "enqueueing on an arc directly"
+            )
         visited: set[str] = set()
         for box_id in self.network.topological_order():
             if box_id in visited:
@@ -991,26 +1048,39 @@ class AuroraEngine:
         operators.  Emissions are handed off as steady-state traffic is
         — one train per port, or tuple by tuple on the per-tuple path —
         so end-of-stream accounting matches."""
+        counts = self.queued_counts
         for box in group:
-            while box.queued() > 0:
-                self._run_train(box.id, limit=box.queued())
+            while box.id in counts:
+                self._run_train(box.id, limit=counts[box.id])
         for box in group:
             emissions = box.operator.flush()
             if not emissions:
                 continue
             box.tuples_out += len(emissions)
+            route = self._routes[box.id]
             if self.batch_execution:
-                self._emit(box, _by_port(emissions))
+                self._emit(route, _by_port(emissions))
             else:
-                self._emit(box, [(port, [tup]) for port, tup in emissions])
+                self._emit(route, [(port, [tup]) for port, tup in emissions])
 
     # -- load signals -------------------------------------------------------------
 
     def queued_work(self) -> float:
-        """CPU-seconds of work currently queued across all boxes."""
+        """CPU-seconds of work currently queued across all boxes.
+
+        Summed in ``network.boxes`` order whatever order the index
+        filled in: the float total feeds the shedder's drop
+        probabilities, and float addition is not associative.
+        """
+        if self._revision != self.network.revision:  # _sync's test, inlined
+            self._sync()
         total = 0.0
-        for box in self.network.boxes.values():
-            total += box.queued() * box.operator.cost_per_tuple
+        counts = self.queued_counts
+        if counts:
+            for box_id, box in self.network.boxes.items():
+                queued = counts.get(box_id)
+                if queued:
+                    total += queued * box.operator.cost_per_tuple
         return total / self.cpu_capacity
 
     def load_factor(self) -> float:
@@ -1044,6 +1114,62 @@ class AuroraEngine:
             f"AuroraEngine({self.network.name!r}, clock={self.clock:.4f}, "
             f"scheduler={self.scheduler.name})"
         )
+
+
+# -- what _sync compiles ----------------------------------------------------------
+#
+# Everything here is a function of the network's shape alone, so it is
+# current exactly as long as ``network.revision`` stands still.  What
+# can change without a revision bump stays a call-time read: the
+# engine's ``cpu_capacity`` (a capacity fault sets it mid-run),
+# ``train_size`` and ``scheduler``, an operator's ``cost_per_tuple``,
+# superbox membership (``defuse()``) and a chain's kernel lists
+# (profilers swap entries).
+
+# One arc as a train sees it: (arc, target kind, target ref, connection
+# point or None) — ``arc.target`` and ``arc.connection_point`` unpacked.
+_Hop = tuple[Arc, Any, Any, Any]
+
+
+def _hop(arc: Arc) -> _Hop:
+    kind, ref = arc.target
+    return arc, kind, ref, arc.connection_point
+
+
+class _Route:
+    """One box's part of every train that passes through it."""
+
+    __slots__ = (
+        "box", "stages", "lone", "ports", "downstream",
+        "decisions", "tuples_in", "tuples_out",
+    )
+    # The per-box obs counters, by the slot that holds their handle.
+    METRICS = {
+        "decisions": "engine.scheduler.decisions",
+        "tuples_in": "engine.box.tuples_in",
+        "tuples_out": "engine.box.tuples_out",
+    }
+
+    def __init__(self, box: Box):
+        self.box = box
+        self.stages = (box,)  # a box is a run of one stage
+        # The lone input arc and its port, or None at fan-in.
+        self.lone: tuple[Arc, int] | None = None
+        if len(box.input_arcs) == 1:
+            ((port, arc),) = box.input_arcs.items()
+            self.lone = (arc, port)
+        self.ports: dict[int, tuple[_Hop, ...]] = {
+            port: tuple(map(_hop, arcs)) for port, arcs in box.output_arcs.items()
+        }
+        # ``network.downstream_boxes`` order, de-duplicated.
+        self.downstream: tuple[str, ...] = tuple(dict.fromkeys(
+            kind for hops in self.ports.values()
+            for _arc, kind, _ref, _cp in hops if kind != "out"
+        ))
+        # Bound on first use (``AuroraEngine._bind``).
+        self.decisions: Counter | None = None
+        self.tuples_in: Counter | None = None
+        self.tuples_out: Counter | None = None
 
 
 # -- the two encodings of a train -----------------------------------------------

@@ -125,7 +125,12 @@ class Arc:
         return self.target[0] == "out"
 
     def push(self, tup: StreamTuple) -> bool:
-        """Enqueue a tuple; returns False if held at a choked connection point."""
+        """Enqueue a tuple; returns False if held at a choked connection point.
+
+        An engine running this network counts what it enqueues itself; a
+        caller pushing here directly must follow with the engine's
+        ``invalidate_caches()``, or no scheduler, ``flush()`` or
+        ``run_until_idle()`` will see the tuple."""
         cp = self.connection_point
         if cp is not None:
             if cp.choked:

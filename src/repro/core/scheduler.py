@@ -25,12 +25,17 @@ if TYPE_CHECKING:  # pragma: no cover
 class Scheduler:
     """Strategy interface: pick the next box to run.
 
-    ``choose`` may consult the engine's scheduler-facing indexes:
-    ``engine.queued_counts`` maps only the boxes with queued input to
-    their counts (kept current by the enqueue/consume paths), so a
-    decision costs O(non-empty boxes) instead of a scan of the whole
-    network; ``engine.topo_position`` gives each box's rank in
-    ``engine.box_order`` for deterministic tie-breaking.
+    ``choose`` reads the engine's queued index and nothing else about
+    queue state: ``engine.queued_counts`` maps only the boxes with
+    queued input to their counts (kept current by the engine's enqueue
+    and claim paths), so a decision costs O(non-empty boxes) instead of
+    a scan of the whole network; ``engine.topo_position`` gives each
+    box's rank in ``engine.box_order`` for deterministic tie-breaking.
+
+    The index is the truth, for every discipline alike: a tuple put on
+    an arc behind the engine's back (``arc.push``) is invisible to all
+    of them until ``engine.invalidate_caches()`` rebuilds the index from
+    the queues, and visible to all of them after it.
     """
 
     name = "abstract"
@@ -56,15 +61,22 @@ class RoundRobinScheduler(Scheduler):
         self._cursor = 0
 
     def choose(self, engine: "AuroraEngine") -> str | None:
-        box_ids = engine.box_order
-        if not box_ids:
+        counts = engine.queued_counts
+        if not counts:
             return None
-        for offset in range(len(box_ids)):
-            box_id = box_ids[(self._cursor + offset) % len(box_ids)]
-            if engine.network.boxes[box_id].queued() > 0:
-                self._cursor = (self._cursor + offset + 1) % len(box_ids)
-                return box_id
-        return None
+        # Rank the queued boxes by distance from the cursor: the box a
+        # walk of box_order from the cursor would meet first, without
+        # walking the empty stretch.
+        size = len(engine.box_order)
+        cursor = self._cursor
+        position = engine.topo_position
+        offset = size
+        for queued_id in counts:
+            distance = (position[queued_id] - cursor) % size
+            if distance < offset:
+                offset, box_id = distance, queued_id
+        self._cursor = (cursor + offset + 1) % size
+        return box_id
 
     def network_changed(self, engine: "AuroraEngine") -> None:
         # A rewrite that shrinks box_order would otherwise leave the

@@ -64,18 +64,23 @@ class StorageManager:
         queued = network.total_queued()
         return queued - sum(self._spilled.values())
 
-    def rebalance(self, network: QueryNetwork) -> float:
+    def rebalance(self, network: QueryNetwork, queued: int | None = None) -> float:
         """Spill or unspill to respect the memory budget.
 
+        ``queued`` is the caller's count of the tuples queued across the
+        network (the engine passes its running total, so an uncongested
+        step never walks the arcs); omitted, it is counted from scratch.
         Returns the I/O time charged by this call (the engine adds it
         to its virtual clock).
         """
-        overflow = self.total_in_memory(network) - self.memory_budget
-        if overflow <= 0 and not self._spilled:
+        if queued is None:
+            queued = network.total_queued()
+        if not self._spilled and queued <= self.memory_budget:
             # Nothing spilled and nothing to spill: skip the victim walk
             # and the redundant gauge write (this is every step of an
             # uncongested run).
             return 0.0
+        overflow = queued - sum(self._spilled.values()) - self.memory_budget
         charged = 0.0
         if overflow > 0:
             charged += self._spill(network, overflow)

@@ -139,7 +139,7 @@ class AuroraNode:
         """Longest-queue-first among this node's runnable boxes."""
         best: Box | None = None
         best_queued = 0
-        for box_id in self.system.boxes_on(self.name):
+        for box_id in self.system.hosted_boxes(self.name):
             if box_id in self.system.migrating:
                 continue
             box = self.system.network.boxes[box_id]
@@ -177,6 +177,7 @@ class AuroraNode:
         budget = self.train_size
         tracing = self.system._tracing
         processed = 0
+        lone = len(box.input_arcs) == 1
         while budget > 0:
             arc, n = claim_run(box, budget, timestamp_keys)
             if arc is None:
@@ -197,6 +198,8 @@ class AuroraNode:
             emissions.extend(out)
             box.tuples_out += len(out)
             budget -= n
+            if lone:
+                break  # a lone arc gives all it has in one claim
         if processed:
             self.tuples_processed += processed
             self._m_tuples.inc(processed)
@@ -293,7 +296,7 @@ class AuroraNode:
     def queued_work(self) -> float:
         """CPU-seconds of work queued at this node's boxes."""
         total = 0.0
-        for box_id in self.system.boxes_on(self.name):
+        for box_id in self.system.hosted_boxes(self.name):
             box = self.system.network.boxes[box_id]
             total += box.queued() * box.operator.cost_per_tuple
         return total / self.cpu_capacity

@@ -13,7 +13,7 @@ refines it at run time.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.query import Arc, QueryNetwork
 from repro.core.tuples import StreamTuple
@@ -150,13 +150,18 @@ class AuroraStarSystem:
 
     def boxes_on(self, node_name: str) -> list[str]:
         """Box ids currently hosted by a node (topological order)."""
+        return list(self.hosted_boxes(node_name))
+
+    def hosted_boxes(self, node_name: str) -> Sequence[str]:
+        """:meth:`boxes_on` without the copy: the cached grouping
+        itself, for the node's per-work-event reads.  Do not mutate."""
         key = (self.network.revision, self._placement_revision)
         if self._hosted[0] != key:
             hosted: dict[str, list[str]] = {}
             for box_id in self.network.topological_order():
                 hosted.setdefault(self.placement.get(box_id), []).append(box_id)
             self._hosted = (key, hosted)
-        return list(self._hosted[1].get(node_name, ()))
+        return self._hosted[1].get(node_name, ())
 
     # -- ingestion ----------------------------------------------------------------
 

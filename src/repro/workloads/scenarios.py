@@ -328,8 +328,9 @@ class ScenarioRunner:
         engine = self.engine
         while engine.clock < when:
             steps = engine.steps
-            engine.step()
-            if engine.steps == steps:  # the scheduler chose no box
+            if not engine.idle:
+                engine.step()
+            if engine.steps == steps:  # nothing queued (or no box chosen)
                 engine.clock = when
                 break
 
@@ -367,7 +368,7 @@ class ScenarioRunner:
             Probe(
                 time=clock,
                 queued_work=engine.queued_work(),
-                backlog_tuples=sum(engine.queued_counts.values()),
+                backlog_tuples=engine.queued_total,
                 staleness=staleness,
             )
         )
@@ -431,7 +432,7 @@ class ScenarioRunner:
         # drains shows up as a failed recovery SLO, not a hang.
         when = scenario.duration
         deadline = scenario.duration + scenario.drain_grace
-        while self.engine.queued_counts and when < deadline:
+        while not self.engine.idle and when < deadline:
             when += scenario.tick
             self._advance_to(when)
             self._probe()

@@ -284,10 +284,11 @@ class TestRemovalInvalidation:
     def test_metric_handle_caches_pruned_to_live_boxes(self):
         engine, removed = self.elastic_cycle()
         engine.step()  # idle; any public call revalidates against the network
-        for cache in (engine._m_box_in, engine._m_box_out, engine._m_decisions):
-            assert set(cache) <= set(engine.network.boxes)
-            for box_id in removed:
-                assert box_id not in cache
+        # The per-box handles live on the routes _sync compiles, and
+        # routes exist for live boxes only.
+        assert set(engine._routes) == set(engine.network.boxes)
+        for box_id in removed:
+            assert box_id not in engine._routes
         # The registry keeps the removed boxes' lifetime totals: pruning
         # drops handles, never history.
         per_box = engine.metrics.label_values("engine.box.tuples_in", "box")

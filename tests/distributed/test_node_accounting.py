@@ -89,6 +89,23 @@ def test_fan_in_trains_take_several_claims(monkeypatch):
     assert len(claims) > 3 * union_trains
 
 
+def test_a_lone_arc_train_is_one_claim(monkeypatch):
+    """A lone arc gives all it has in the first claim (``min(budget,
+    len(queue))``), so asking again is a call that always finds nothing;
+    the pinned literals below hold with or without it."""
+    claims = {"a": 0, "b": 0, "m": 0}
+
+    def counting(box, budget, keys):
+        if box.id in claims:
+            claims[box.id] += 1
+        return claim_run(box, budget, keys)
+
+    monkeypatch.setattr(node_module, "claim_run", counting)
+    _system, boxes, _nodes = observe()
+    # latency_count is the box's train count (one coarse sample a train).
+    assert claims == {box_id: boxes[box_id][4] for box_id in claims}
+
+
 def test_three_node_fan_in_chain_is_bit_identical():
     system, boxes, nodes = observe()
     assert system.sim.now == PINNED["now"]
