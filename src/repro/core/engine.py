@@ -87,8 +87,17 @@ class AuroraEngine:
             spans are still emitted exactly as the unfused network would
             emit them.  Effective only with ``push_trains`` **and**
             ``batch_execution`` (the fused pass is the compiled form of
-            the train push; the per-tuple reference path runs box by
-            box).
+            the train push; the per-tuple path runs box by box).
+
+    ``decision_log`` is None unless a caller sets it to a list; then the
+    engine appends what :func:`repro.reference.replay` needs to re-run
+    the schedule tuple by tuple — ``("ingest", input, offered rows,
+    admitted mask or None)``, ``("step", scheduling_overhead)``,
+    ``("train", box id, budget, superbox member ids or None,
+    cpu_capacity)``, ``("rebalance", memory_budget, write_cost,
+    read_cost)`` closing a step, ``("flush", box ids)`` for a flush
+    group's operators, ``("until", when)`` for an idle clock jump and
+    ``("revision", revision)`` when the network's shape changes.
     """
 
     def __init__(
@@ -165,6 +174,7 @@ class AuroraEngine:
         self._input_reach_cache: dict[str, frozenset[str]] = {}
         self._runs: dict[str, FusedChain] = {}
         self._fused: dict[str, FusedChain] = {}
+        self.decision_log: list[tuple] | None = None
         self._revision = -1
         self._sync()
 
@@ -207,6 +217,8 @@ class AuroraEngine:
         revision = self.network.revision
         if self._revision == revision:
             return
+        if self.decision_log is not None:
+            self.decision_log.append(("revision", revision))
         self.box_order = self.network.topological_order()
         self._revision = revision
         self.topo_position = {b: i for i, b in enumerate(self.box_order)}
@@ -362,7 +374,12 @@ class AuroraEngine:
         if hops is None:
             raise KeyError(f"engine network has no input {input_name!r}")
         self.clock = max(self.clock, tup.timestamp)
-        if self.shedder is not None and not self.shedder.admit(self, input_name):
+        admitted = self.shedder is None or self.shedder.admit(self, input_name)
+        if self.decision_log is not None:
+            self.decision_log.append(
+                ("ingest", input_name, (tup,), None if admitted else (False,))
+            )
+        if not admitted:
             return False
         self._counter_for(
             self._m_ingest, "engine.ingest.tuples", "input", input_name
@@ -433,14 +450,20 @@ class AuroraEngine:
             return self.push_many(input_name, train.to_tuples())
         clocks = running_max(self.clock, train.timestamps)
         self.clock = float(clocks[-1])
-        if self.shedder is not None:
-            keep = self.shedder.admit_train(self, input_name, n)
-            if keep is not None:
-                train = train.select(keep)
-                clocks = clocks[keep]
-                n = len(train)
-                if n == 0:
-                    return 0
+        keep = None if self.shedder is None else self.shedder.admit_train(
+            self, input_name, n
+        )
+        if self.decision_log is not None:
+            self.decision_log.append((
+                "ingest", input_name, train.to_tuples(),
+                None if keep is None else keep.tolist(),
+            ))
+        if keep is not None:
+            train = train.select(keep)
+            clocks = clocks[keep]
+            n = len(train)
+            if n == 0:
+                return 0
         traces = None
         if self._tracing:
             traces = self.tracer.start_train(f"source:{input_name}", train.timestamps)
@@ -472,6 +495,9 @@ class AuroraEngine:
             or self._tracing
         ):
             return sum(self.push(input_name, tup) for tup in tuples)
+        if self.decision_log is not None:
+            tuples = list(tuples)
+            self.decision_log.append(("ingest", input_name, tuples, None))
         queue = arc.queue
         queue_times = arc.queue_times
         clock = self.clock
@@ -516,12 +542,20 @@ class AuroraEngine:
             return 0.0
         route = self._routes[box_id]
         (route.decisions or self._bind(route, "decisions")).inc()
+        log = self.decision_log
+        if log is not None:
+            log.append(("step", self.scheduling_overhead))
         self.clock += self.scheduling_overhead
         consumed = self.scheduling_overhead
         consumed += self._run_train(box_id)
         if self.push_trains:
             consumed += self._push_downstream(box_id)
-        io = self.storage.rebalance(self.network, self.queued_total)
+        storage = self.storage
+        io = storage.rebalance(self.network, self.queued_total)
+        if log is not None:
+            log.append((
+                "rebalance", storage.memory_budget, storage.write_cost, storage.read_cost,
+            ))
         self.clock += io
         consumed += io
         self.steps += 1
@@ -545,6 +579,11 @@ class AuroraEngine:
         # chain without touching the network.
         chain = self._fused.get(box_id)
         stages = chain.stages if chain is not None else route.stages
+        if self.decision_log is not None:
+            self.decision_log.append((
+                "train", box_id, budget,
+                None if chain is None else chain.member_ids(), self.cpu_capacity,
+            ))
         head = route.box
         before = list(map(_traffic, stages))
         if self.batch_execution:
@@ -1005,6 +1044,20 @@ class AuroraEngine:
                 return consumed
         raise RuntimeError(f"engine did not go idle within {max_steps} steps")
 
+    def run_until(self, when: float) -> None:
+        """Step until the clock reaches ``when``; an engine that goes idle
+        first (or whose scheduler chooses no box) jumps its clock there —
+        how a virtual-time run waits for its next arrival."""
+        while self.clock < when:
+            steps = self.steps
+            if not self.idle:
+                self.step()
+            if self.steps == steps:
+                if self.decision_log is not None:
+                    self.decision_log.append(("until", when))
+                self.clock = when
+                return
+
     def flush(self) -> None:
         """End-of-stream: flush windowed boxes in topological order.
 
@@ -1052,6 +1105,8 @@ class AuroraEngine:
         for box in group:
             while box.id in counts:
                 self._run_train(box.id, limit=counts[box.id])
+        if self.decision_log is not None:
+            self.decision_log.append(("flush", tuple(box.id for box in group)))
         for box in group:
             emissions = box.operator.flush()
             if not emissions:

@@ -4,7 +4,7 @@ Aurora* nodes as actual worker processes: ``multiprocessing`` workers
 rebuilt from spawn-safe blueprints, :mod:`repro.network.framing` wire
 frames (pickle-free, row or columnar) over IPC queues, a coordinator owning
 handshake/routing/liveness/drain, and a dual-backend oracle that holds
-the plane to the deterministic simulator's delivered outputs.
+the plane to the reference semantics' delivered outputs.
 
 See docs/parallel.md for the architecture and the oracle guarantee.
 """
@@ -21,7 +21,6 @@ from repro.parallel.oracle import (
     DualResult,
     run_dual,
     run_parallel,
-    run_reference,
 )
 
 __all__ = [
@@ -35,6 +34,5 @@ __all__ = [
     "partition_boxes",
     "run_dual",
     "run_parallel",
-    "run_reference",
     "scenario_network",
 ]

@@ -1,9 +1,8 @@
-"""The dual-backend oracle: simulator vs real worker processes.
+"""The dual-backend oracle: reference semantics vs real worker processes.
 
-The deterministic virtual-time engine is the reference semantics of
-this repo; the parallel plane is a performance backend.  ``run_dual``
-runs the *same* scenario traffic through both and checks that they
-delivered the same thing:
+The parallel plane is a performance backend.  ``run_dual`` runs the
+*same* scenario traffic through the reference and through the workers
+and checks that they delivered the same thing:
 
 - **per-stream multiset equality** — every output stream must carry
   the same bag of ``(timestamp, values)`` tuples.  Multisets, not
@@ -13,12 +12,14 @@ delivered the same thing:
   order-sensitive operators (Tumble run-windows) deterministic, so the
   bags must match exactly;
 - **obs counter reconciliation** — per-box ``tuples_in``/``tuples_out``
-  must agree between the engine's boxes and the workers' boxes.
+  must agree between the reference's boxes and the workers' boxes.
 
-The oracle guarantee holds with load shedding off and no fault
-injection (both are wall-clock-dependent policies, not semantics); the
-reference engine is built accordingly (``shedder=None``, no tracer)
-and the workers never shed.
+The oracle side is :func:`repro.reference.execute` on a fresh copy of
+the scenario's network: the reference semantics say what a network
+delivers, and no scheduling decision of either backend enters into it.
+The guarantee holds with load shedding off and no fault injection (both
+are wall-clock-dependent policies, not semantics); the workers never
+shed.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.engine import AuroraEngine
 from repro.core.tuples import StreamTuple
 from repro.parallel.blueprints import blueprint
 from repro.parallel.coordinator import ParallelSystem
+from repro.reference import execute
 
 # Scenarios the equivalence suite runs by default (>= 3 registered SLO
 # scenarios, per the oracle gate): a CaseFilter routing tree, a sensor
@@ -89,33 +90,6 @@ class DualResult:
         return "\n".join(lines)
 
 
-def run_reference(
-    name: str, scale: float = 0.25, seed: int = 0, train_size: int = 50
-) -> tuple[dict[str, list[StreamTuple]], dict[str, dict[str, int]]]:
-    """Run a scenario on the virtual-time engine (the oracle side)."""
-    from repro.workloads.scenarios import make_scenario
-
-    scenario = make_scenario(name, scale)
-    network, _qos = scenario.build()
-    engine = AuroraEngine(network, train_size=train_size)  # no shedder, no tracer
-    traffic = scenario.traffic(seed)
-    merged: list[tuple[float, str, int, StreamTuple]] = []
-    for input_name, tuples in traffic.items():
-        for position, tup in enumerate(tuples):
-            merged.append((tup.timestamp, input_name, position, tup))
-    merged.sort(key=lambda item: (item[0], item[1], item[2]))
-    for _ts, input_name, _pos, tup in merged:
-        engine.push(input_name, tup)
-    engine.run_until_idle()
-    engine.flush()
-    outputs = {stream: list(buffer) for stream, buffer in engine.outputs.items()}
-    boxes = {
-        box_id: {"tuples_in": box.tuples_in, "tuples_out": box.tuples_out}
-        for box_id, box in network.boxes.items()
-    }
-    return outputs, boxes
-
-
 def run_parallel(
     name: str,
     scale: float = 0.25,
@@ -156,7 +130,15 @@ def run_dual(
     drain_timeout: float = 120.0,
 ) -> DualResult:
     """Run both backends and reconcile outputs + per-box counters."""
-    ref_outputs, ref_boxes = run_reference(name, scale, seed, train_size)
+    from repro.workloads.scenarios import make_scenario
+
+    scenario = make_scenario(name, scale)
+    network, _qos = scenario.build()
+    ref_outputs = execute(network, scenario.traffic(seed))
+    ref_boxes = {
+        box_id: {"tuples_in": box.tuples_in, "tuples_out": box.tuples_out}
+        for box_id, box in network.boxes.items()
+    }
     par_outputs, par_boxes, wall = run_parallel(
         name, scale, seed, n_workers, train_size, log_dir, drain_timeout
     )

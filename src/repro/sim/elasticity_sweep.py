@@ -3,7 +3,8 @@
 The headline verification for ``repro.core.elasticity``: over seeded
 random pipelines × random traffic, a controller-driven run (splits,
 re-splits, merges happening mid-stream) must be *indistinguishable* from
-an untouched reference run —
+the reference semantics (:func:`repro.reference.execute` over the same
+pipeline, untouched) —
 
 * per-stream output multisets equal (the split-equivalence contract the
   PR 1 property tests established for static splits), and
@@ -48,6 +49,7 @@ from repro.core.query import QueryNetwork
 from repro.core.scheduler import LongestQueueScheduler
 from repro.core.tuples import StreamTuple
 from repro.distributed.system import AuroraStarSystem
+from repro.reference import execute
 
 
 def output_key(tup: StreamTuple) -> tuple:
@@ -202,20 +204,6 @@ class SeedReport:
         return dict(self.__dict__)
 
 
-def _run_reference(network_seed: int, tuples: list[StreamTuple], stateless_only: bool):
-    """The no-controller run: same pipeline, same tuples, fresh engine."""
-    net, _ = build_pipeline(network_seed, stateless_only)
-    engine = AuroraEngine(net, scheduler=LongestQueueScheduler(), load_window=0.02)
-    for tup in tuples:
-        engine.push("src", StreamTuple(dict(tup.values), timestamp=tup.timestamp))
-    engine.run_until_idle()
-    engine.flush()
-    engine.run_until_idle()
-    sink = Counter(output_key(t) for t in engine.outputs["sink"])
-    e_in = engine.metrics.label_values("engine.box.tuples_in", "box").get("E", 0)
-    return sink, int(e_in)
-
-
 def run_engine_seed(seed: int) -> SeedReport:
     """One property-harness seed on the engine plane.
 
@@ -287,7 +275,8 @@ def run_engine_seed(seed: int) -> SeedReport:
         report.fail("vacuous seed: controller never merged")
 
     sink = Counter(output_key(t) for t in engine.outputs["sink"])
-    ref_sink, ref_e_in = _run_reference(seed, tuples, stateless_only=False)
+    ref_net, _ = build_pipeline(seed)
+    ref_sink = Counter(output_key(t) for t in execute(ref_net, {"src": tuples})["sink"])
     missing = ref_sink - sink
     extra = sink - ref_sink
     report.missing = sum(missing.values())
@@ -302,6 +291,7 @@ def run_engine_seed(seed: int) -> SeedReport:
     elastic_in = int(
         sum(v for b, v in per_box.items() if b == "E" or b.startswith("E__r"))
     )
+    ref_e_in = ref_net.boxes["E"].tuples_in
     if elastic_in != ref_e_in:
         report.fail(
             f"counter reconciliation: elastic-group tuples_in {elastic_in} "
@@ -397,7 +387,8 @@ def run_crash_seed(seed: int) -> SeedReport:
         report.fail("vacuous crash seed: controller never split")
 
     sink = Counter(output_key(t) for t in system.outputs.get("sink", []))
-    ref_sink, _ = _run_reference(seed, tuples, stateless_only=True)
+    ref_net, _ = build_pipeline(seed, stateless_only=True)
+    ref_sink = Counter(output_key(t) for t in execute(ref_net, {"src": tuples})["sink"])
     missing = ref_sink - sink
     extra = sink - ref_sink
     report.missing = sum(missing.values())

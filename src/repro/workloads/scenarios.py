@@ -267,17 +267,9 @@ class ScenarioRunner:
         scenario: what to run.
         seed: drives traffic generation, shedder coin flips and any
             scenario hook randomness — same seed, same run.
-        batch_execution / fusion: engine execution mode (the equivalence
-            tests run all three combinations over one scenario).
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        seed: int = 0,
-        batch_execution: bool = True,
-        fusion: bool = True,
-    ):
+    def __init__(self, scenario: Scenario, seed: int = 0):
         self.scenario = scenario
         self.seed = seed
         self.registry = MetricsRegistry()
@@ -306,8 +298,6 @@ class ScenarioRunner:
             load_window=scenario.load_window,
             metrics=self.registry,
             tracer=tracer,
-            batch_execution=batch_execution,
-            fusion=fusion,
         )
         self.controller: ElasticityController | None = None
         if scenario.elasticity is not None:
@@ -323,17 +313,6 @@ class ScenarioRunner:
 
     # -- virtual-time mechanics ------------------------------------------------
 
-    def _advance_to(self, when: float) -> None:
-        """Run the engine until its clock reaches ``when`` (idle jumps)."""
-        engine = self.engine
-        while engine.clock < when:
-            steps = engine.steps
-            if not engine.idle:
-                engine.step()
-            if engine.steps == steps:  # nothing queued (or no box chosen)
-                engine.clock = when
-                break
-
     def _probe(self) -> None:
         """Record one health observation at the current engine clock.
 
@@ -341,8 +320,7 @@ class ScenarioRunner:
         engine's own step-count cadence is too coarse for an
         event-driven run (a handful of large trains per second), so the
         drop probabilities are refreshed here at a fixed virtual-time
-        cadence — identically in every execution mode, since all modes
-        are clock-identical.
+        cadence.
         """
         engine = self.engine
         # Elasticity first: a split that lands this tick changes the
@@ -404,7 +382,7 @@ class ScenarioRunner:
 
         outage_counters: dict[str, object] = {}
         for when, _priority, _order, kind, payload in events:
-            self._advance_to(when)
+            self.engine.run_until(when)
             if kind == "apply":
                 assert isinstance(payload, Fault)
                 payload.apply(self)
@@ -434,7 +412,7 @@ class ScenarioRunner:
         deadline = scenario.duration + scenario.drain_grace
         while not self.engine.idle and when < deadline:
             when += scenario.tick
-            self._advance_to(when)
+            self.engine.run_until(when)
             self._probe()
         self.engine.run_until_idle()
         self.engine.flush()
@@ -466,20 +444,9 @@ class ScenarioRunner:
         )
 
 
-def run_scenario(
-    name: str,
-    scale: float = 1.0,
-    seed: int = 0,
-    batch_execution: bool = True,
-    fusion: bool = True,
-) -> ScenarioResult:
+def run_scenario(name: str, scale: float = 1.0, seed: int = 0) -> ScenarioResult:
     """Convenience: build the named scenario at ``scale`` and run it."""
-    return ScenarioRunner(
-        make_scenario(name, scale=scale),
-        seed=seed,
-        batch_execution=batch_execution,
-        fusion=fusion,
-    ).run()
+    return ScenarioRunner(make_scenario(name, scale=scale), seed=seed).run()
 
 
 # -- shared pieces -----------------------------------------------------------

@@ -197,8 +197,7 @@ def run_network(make_net, push, *, engine_kwargs=None, n=24, train=8):
     net = make_net()
     registry = MetricsRegistry()
     engine = AuroraEngine(
-        net, train_size=train, batch_execution=True,
-        scheduling_overhead=0.001, metrics=registry,
+        net, train_size=train, scheduling_overhead=0.001, metrics=registry,
         **(engine_kwargs() if engine_kwargs else {}),
     )
     stream = make_stream(rows(n), spacing=0.01)
@@ -274,7 +273,7 @@ def test_connection_point_is_an_ingestion_barrier():
     assert result == run_network(net, "many")
     # And the connection point actually recorded history per tuple.
     fresh = net()
-    engine = AuroraEngine(fresh, batch_execution=True)
+    engine = AuroraEngine(fresh)
     engine.push_train("s", ColumnarTrain.from_tuples(make_stream(rows(6))))
     arc = next(iter(fresh.boxes["f"].input_arcs.values()))
     assert len(arc.connection_point.history) == 6
@@ -286,7 +285,7 @@ def test_shedder_is_not_an_ingestion_barrier():
 
     assert_push_equivalent(pipeline_net, engine_kwargs=kwargs)
     net = pipeline_net()
-    engine = AuroraEngine(net, batch_execution=True, **kwargs())
+    engine = AuroraEngine(net, **kwargs())
     assert engine.columnar is True
     train = ColumnarTrain.from_tuples(make_stream(rows(8), spacing=0.01))
     assert engine.push_train("s", train) == 8
@@ -325,7 +324,7 @@ def test_tracing_keeps_columnar_mode(monkeypatch):
 
     network = net()
     tracer = Tracer(sample_rate=1.0)
-    engine = AuroraEngine(network, batch_execution=True, tracer=tracer)
+    engine = AuroraEngine(network, tracer=tracer)
     assert engine.columnar is True
     train = ColumnarTrain.from_tuples(make_stream(rows(8), spacing=0.01))
     assert engine.push_train("s", train) == 8
@@ -337,8 +336,7 @@ def test_tracing_keeps_columnar_mode(monkeypatch):
 
 def test_mixed_queue_materializes_segments():
     net = pipeline_net()
-    engine = AuroraEngine(net, train_size=64, batch_execution=True,
-                          scheduling_overhead=0.001)
+    engine = AuroraEngine(net, train_size=64, scheduling_overhead=0.001)
     stream = make_stream(rows(12), spacing=0.01)
     engine.push_many("s", stream[:4])
     engine.push_train("s", ColumnarTrain.from_tuples(stream[4:8]))
@@ -379,7 +377,7 @@ def test_case_filter_columnar_counters_match_list_path():
         network.connect(("c", 0), "out:zero")
         network.connect(("c", 1), "out:one")
         network.validate()
-        engine = AuroraEngine(network, train_size=8, batch_execution=True)
+        engine = AuroraEngine(network, train_size=8)
         stream = make_stream(rows(20), spacing=0.01)
         if push == "train":
             engine.push_train("s", ColumnarTrain.from_tuples(stream))

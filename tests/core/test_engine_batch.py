@@ -1,18 +1,18 @@
-"""Engine batch execution ≡ scalar execution.
+"""The batched engine ≡ the per-tuple schedule replay.
 
-``AuroraEngine(batch_execution=True)`` dequeues whole trains, charges
-storage and accounting once per run, and emits whole lists — but the
-observable semantics must match the per-tuple path exactly: same
-output values, timestamps, and order; identical virtual clock (exact
-float equality — the batched accounting accumulates the same chain of
-additions); same step and tuple counts; same per-box counters; same
-spill accounting.
+The engine dequeues whole trains, charges storage and accounting once
+per run, and emits whole lists — but the observable semantics must
+match :func:`repro.reference.replay` of its own decision log, which
+re-runs the same schedule one tuple at a time: same output values,
+timestamps, and order; identical virtual clock (exact float equality —
+the batched accounting accumulates the same chain of additions); same
+step count; same per-box counters; same spill accounting.
 
 One documented deviation (see docs/architecture.md): a train's
 emissions are stamped with the train-end clock when enqueued
 downstream, so *intra-train* queue-time and QoS-latency breakdowns may
 differ; totals and outputs do not.  These tests therefore do not
-compare per-arc queue_times.
+compare per-arc queue_times or latency sums.
 """
 
 import random
@@ -27,6 +27,7 @@ from repro.core.query import QueryNetwork
 from repro.core.scheduler import make_scheduler
 from repro.core.storage import StorageManager
 from repro.core.tuples import make_stream
+from repro.reference import box_stats, replay
 
 SEED = 0xE2B47C
 N_RUNS = 12
@@ -70,16 +71,16 @@ def windowed_join_network():
     return net
 
 
-def run_engine(build, streams, *, batch, train_size, scheduler="round_robin",
+def run_engine(build, streams, *, train_size, scheduler="round_robin",
                storage=None):
     engine = AuroraEngine(
         build(),
         scheduler=make_scheduler(scheduler),
         train_size=train_size,
-        batch_execution=batch,
         scheduling_overhead=0.003,
         storage=storage,
     )
+    engine.decision_log = []
     for name, stream in streams.items():
         engine.push_many(name, stream)
     engine.run_until_idle()
@@ -87,38 +88,36 @@ def run_engine(build, streams, *, batch, train_size, scheduler="round_robin",
     return engine
 
 
-def observable(engine):
+def observable(result, boxes):
+    """What an engine and a replay must agree on; ``boxes`` are the
+    per-box stats (:func:`box_stats` of an engine's network)."""
     return {
         "outputs": {
             name: [(t.values, t.timestamp) for t in tuples]
-            for name, tuples in engine.outputs.items()
+            for name, tuples in result.outputs.items()
         },
-        "clock": engine.clock,
-        "steps": engine.steps,
-        "tuples_processed": engine.tuples_processed,
+        "clock": result.clock,
+        "steps": result.steps,
         "boxes": {
-            box_id: (box.tuples_in, box.tuples_out)
-            for box_id, box in engine.network.boxes.items()
+            box_id: (stats.tuples_in, stats.tuples_out)
+            for box_id, stats in boxes.items()
         },
     }
 
 
 def assert_equivalent(build, streams, *, train_size, scheduler="round_robin",
                       storage_factory=None, context=""):
-    scalar = run_engine(
-        build, streams, batch=False, train_size=train_size,
-        scheduler=scheduler,
-        storage=storage_factory() if storage_factory else None,
-    )
     batch = run_engine(
-        build, streams, batch=True, train_size=train_size,
-        scheduler=scheduler,
+        build, streams, train_size=train_size, scheduler=scheduler,
         storage=storage_factory() if storage_factory else None,
     )
-    assert observable(scalar) == observable(batch), (
-        f"batch/scalar engines diverged ({context})"
+    reference = replay(build(), batch.decision_log)
+    assert observable(batch, box_stats(batch.network)) == observable(
+        reference, reference.boxes
+    ), (
+        f"batched engine and replay diverged ({context})"
     )
-    return scalar, batch
+    return reference.storage, batch
 
 
 def random_workload(rng, n=None):
@@ -168,29 +167,26 @@ class TestEngineBatchEqualsScalar:
         rng = random.Random(SEED + 3)
         for run in range(6):
             streams = {"src": random_workload(rng, n=70)}
-            scalar, batch = assert_equivalent(
+            replayed, batch = assert_equivalent(
                 pipeline_network, streams, train_size=13,
                 storage_factory=lambda: StorageManager(memory_budget=20),
                 context=f"spill, run={run}",
             )
-            assert scalar.storage.tuples_unspilled == batch.storage.tuples_unspilled
-            assert scalar.storage.io_time == batch.storage.io_time
+            assert replayed.tuples_unspilled == batch.storage.tuples_unspilled
+            assert replayed.io_time == batch.storage.io_time
 
     def test_incremental_pushes_between_runs(self):
         """Work arriving in waves (run_until_idle between pushes)."""
         rng = random.Random(SEED + 4)
-        engines = {
-            mode: AuroraEngine(
-                fanout_union_network(), train_size=9,
-                batch_execution=(mode == "batch"), scheduling_overhead=0.003,
-            )
-            for mode in ("scalar", "batch")
-        }
+        engine = AuroraEngine(
+            fanout_union_network(), train_size=9, scheduling_overhead=0.003
+        )
+        engine.decision_log = []
         for _wave in range(5):
-            wave = random_workload(rng, n=20)
-            for engine in engines.values():
-                engine.push_many("src", wave)
-                engine.run_until_idle()
-        for engine in engines.values():
-            engine.flush()
-        assert observable(engines["scalar"]) == observable(engines["batch"])
+            engine.push_many("src", random_workload(rng, n=20))
+            engine.run_until_idle()
+        engine.flush()
+        reference = replay(fanout_union_network(), engine.decision_log)
+        assert observable(engine, box_stats(engine.network)) == observable(
+            reference, reference.boxes
+        )

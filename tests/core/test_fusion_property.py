@@ -1,23 +1,27 @@
 """Property test: superbox fusion is semantically invisible.
 
 For dozens of seeded random query networks, running the same workload
-with fusion on and off must produce — within each execution mode
-(scalar or batched) — identical delivered outputs, identical virtual
-clocks and step counts, identical per-box logical statistics
-(tuples_in/out, busy_time, latency accounting), and byte-identical
-observability snapshots (metrics and, on traced seeds, span trees).
-Across execution modes the repo's existing guarantee holds unchanged:
-same outputs, same clock, same snapshots (per-box latency stamping
-granularity legitimately differs between scalar and batched trains, so
-box latency_sum is only compared within a mode).
+with fusion on and off must produce identical delivered outputs,
+identical virtual clocks and step counts, identical per-box logical
+statistics (tuples_in/out, busy_time, latency accounting), and
+byte-identical observability snapshots (metrics and, on traced seeds,
+span trees).
 
 The generator mixes opaque lambdas with compiled column expressions
 (roughly half and half), and each seed additionally runs two columnar
 configurations — the same workload admitted as
 :class:`~repro.core.columnar.ColumnarTrain` segments via
 ``push_train`` — which must be bit-identical to their list-pushed
-batched twins on *every* axis, per-box stats and snapshot included:
-the struct-of-arrays representation is an encoding, not a semantic.
+twins on *every* axis, per-box stats and snapshot included: the
+struct-of-arrays representation is an encoding, not a semantic.
+
+Every configuration runs with the engine's decision log on, and the
+schedule replay (:func:`repro.reference.replay`) of that log on a fresh
+twin of the network is the reference: same outputs per stream in order,
+clock, steps and per-box ``tuples_in/out``.  ``busy_time`` and latency
+sums are granularity-exempt against it (a batched train books them per
+train); the hand-over test holds them, too, equal to the per-tuple
+engine the replay replaces.
 """
 
 import random
@@ -36,6 +40,9 @@ from repro.core.tuples import make_stream
 from repro.obs.export import dumps, snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.reference import box_stats, replay
+
+from tests.core.test_reference import rows_of, traffic
 
 N_SEEDS = 60
 TRACED_SEEDS = frozenset(range(0, N_SEEDS, 10))  # tracing is heavy; sample it
@@ -151,7 +158,7 @@ def random_network(rng):
     return net
 
 
-def run_config(seed, batch_execution, fusion, columnar_push=False):
+def run_config(seed, fusion, columnar_push=False, **flags):
     rng = random.Random(seed)
     net = random_network(rng)
     registry = MetricsRegistry()
@@ -160,11 +167,12 @@ def run_config(seed, batch_execution, fusion, columnar_push=False):
         net,
         train_size=rng.randint(3, 9),
         scheduling_overhead=0.0003,
-        batch_execution=batch_execution,
         fusion=fusion,
         metrics=registry,
         tracer=tracer,
+        **flags,
     )
+    engine.decision_log = []
     inputs = sorted(net.inputs)
     n_tuples = rng.randint(30, 60)
     # Interleave pushes and draining so trains start from varied queue depths.
@@ -187,64 +195,55 @@ def run_config(seed, batch_execution, fusion, columnar_push=False):
                 engine.push_many(name, stream)
         engine.run_until_idle()
     engine.flush()
+    reference = replay(random_network(random.Random(seed)), engine.decision_log)
     return {
-        "outputs": {
-            name: [(t.values, t.timestamp) for t in tuples]
-            for name, tuples in engine.outputs.items()
-        },
+        "outputs": rows_of(engine.outputs),
         "clock": engine.clock,
         "steps": engine.steps,
         "tuples_processed": engine.tuples_processed,
-        "stats": {
-            box_id: (
-                box.tuples_in,
-                box.tuples_out,
-                box.busy_time,
-                box.latency_sum,
-                box.latency_count,
-            )
-            for box_id, box in net.boxes.items()
-        },
+        "stats": box_stats(net),
         "snapshot": dumps(
             snapshot(registry, sink=tracer.sink if tracer else None)
         ),
         "fused_runs": sorted(engine.fused_runs()),
+        "reference": {
+            "outputs": rows_of(reference.outputs),
+            "clock": reference.clock,
+            "steps": reference.steps,
+            "stats": reference.boxes,
+        },
     }
+
+
+def assert_replays(result, label):
+    reference = result["reference"]
+    assert result["outputs"] == reference["outputs"], label
+    assert result["clock"] == reference["clock"], label
+    assert result["steps"] == reference["steps"], label
+    assert traffic(result["stats"]) == traffic(reference["stats"]), label
 
 
 def test_fusion_is_invisible_across_random_networks():
     seeds_with_fusion = 0
     for seed in range(N_SEEDS):
-        results = {
-            (batch, fused): run_config(seed, batch, fused)
-            for batch in (False, True)
-            for fused in (False, True)
-        }
-        for batch in (False, True):
-            unfused, fused = results[(batch, False)], results[(batch, True)]
-            label = ("batch" if batch else "scalar", seed)
-            # Fused == unfused, bit-exact, within each execution mode.
-            assert fused["outputs"] == unfused["outputs"], label
-            assert fused["clock"] == unfused["clock"], label
-            assert fused["steps"] == unfused["steps"], label
-            assert fused["tuples_processed"] == unfused["tuples_processed"], label
-            assert fused["stats"] == unfused["stats"], label
-            assert fused["snapshot"] == unfused["snapshot"], label
-        # Across modes: the repo's scalar-vs-batch guarantee, with fusion on.
-        scalar, batch = results[(False, True)], results[(True, True)]
-        assert scalar["outputs"] == batch["outputs"], seed
-        assert scalar["clock"] == batch["clock"], seed
-        assert scalar["steps"] == batch["steps"], seed
-        assert scalar["snapshot"] == batch["snapshot"], seed
+        unfused, fused = run_config(seed, False), run_config(seed, True)
+        # Fused == unfused, bit-exact, and both are the replay of their
+        # own schedule.
+        assert fused["outputs"] == unfused["outputs"], seed
+        assert fused["clock"] == unfused["clock"], seed
+        assert fused["steps"] == unfused["steps"], seed
+        assert fused["tuples_processed"] == unfused["tuples_processed"], seed
+        assert fused["stats"] == unfused["stats"], seed
+        assert fused["snapshot"] == unfused["snapshot"], seed
+        assert_replays(unfused, ("unfused", seed))
+        assert_replays(fused, ("fused", seed))
         # The columnar axis: ColumnarTrain segments pushed via
-        # push_train must be bit-identical to the list-pushed batched
-        # twin on EVERY axis — including per-box stats and the obs
-        # snapshot, which are only latency-granularity-exempt across
-        # the scalar/batch divide, not across representations.
-        for fused in (False, True):
-            columnar = run_config(seed, True, fused, columnar_push=True)
-            twin = results[(True, fused)]
-            label = ("columnar", "fused" if fused else "unfused", seed)
+        # push_train must be bit-identical to the list-pushed twin on
+        # EVERY axis — including per-box stats and the obs snapshot.
+        for twin in (unfused, fused):
+            is_fused = twin is fused
+            columnar = run_config(seed, is_fused, columnar_push=True)
+            label = ("columnar", "fused" if is_fused else "unfused", seed)
             assert columnar["outputs"] == twin["outputs"], label
             assert columnar["clock"] == twin["clock"], label
             assert columnar["steps"] == twin["steps"], label
@@ -252,10 +251,28 @@ def test_fusion_is_invisible_across_random_networks():
             assert columnar["stats"] == twin["stats"], label
             assert columnar["snapshot"] == twin["snapshot"], label
             assert columnar["fused_runs"] == twin["fused_runs"], label
-        if results[(True, True)]["fused_runs"]:
+            assert_replays(columnar, label)
+        if fused["fused_runs"]:
             seeds_with_fusion += 1
     # The generator must actually exercise fusion, not vacuously pass.
     assert seeds_with_fusion >= N_SEEDS // 3
+
+
+def test_replay_is_the_per_tuple_engine():
+    """The hand-over: over the whole corpus the schedule replay equals
+    the per-tuple engine (``batch_execution=False``) on every axis,
+    ``busy_time`` and latency sums included, so the replay can take over
+    as the reference that engine was.  The per-tuple engine's obs
+    snapshot — which the replay does not model — still equals the
+    fused engine's."""
+    for seed in range(N_SEEDS):
+        per_tuple = run_config(seed, False, batch_execution=False)
+        reference = per_tuple["reference"]
+        assert per_tuple["outputs"] == reference["outputs"], seed
+        assert per_tuple["clock"] == reference["clock"], seed
+        assert per_tuple["steps"] == reference["steps"], seed
+        assert per_tuple["stats"] == reference["stats"], seed
+        assert per_tuple["snapshot"] == run_config(seed, True)["snapshot"], seed
 
 
 def test_mid_run_defuse_and_refuse_random_networks():

@@ -688,9 +688,7 @@ class TestFusedWindowTail:
 
     def run(self, fusion, columnar):
         net = self.network()
-        engine = AuroraEngine(
-            net, train_size=5, batch_execution=True, fusion=fusion
-        )
+        engine = AuroraEngine(net, train_size=5, fusion=fusion)
         for chunk in range(3):
             stream = stream_of(
                 [{"G": (i // 2) % 3, "A": i + chunk} for i in range(20)],

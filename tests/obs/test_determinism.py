@@ -115,8 +115,7 @@ class TestMetricsContent:
         registry = MetricsRegistry()
         tracer = Tracer(sample_rate=1.0)
         engine = AuroraEngine(
-            build_network(), train_size=9, batch_execution=True,
-            metrics=registry, tracer=tracer,
+            build_network(), train_size=9, metrics=registry, tracer=tracer,
         )
         engine.push_many("src", stream)
         engine.run_until_idle()
@@ -132,8 +131,7 @@ class TestMetricsContent:
     def test_disabled_registry_runs_clean(self):
         stream = workload(SEED + 5)
         engine = AuroraEngine(
-            build_network(), train_size=9, batch_execution=True,
-            metrics=MetricsRegistry(enabled=False),
+            build_network(), train_size=9, metrics=MetricsRegistry(enabled=False),
         )
         engine.push_many("src", stream)
         engine.run_until_idle()

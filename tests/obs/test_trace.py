@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.trace import SpanSink, TraceColumn, TraceContext, Tracer
 
@@ -143,6 +145,34 @@ class TestTrainSampling:
                        if (tid := train.sample()) is not None]
             assert got == expected
             assert train._accumulator == one._accumulator
+        assert (train.offers, train.traces_started) == (one.offers, one.traces_started)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rate=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.sampled_from([0.05, 0.1, 1 / 3, 1.0]),
+        ),
+        offers=st.lists(
+            st.tuples(st.sampled_from(["train", "tuples"]), st.integers(0, 5000)),
+            max_size=6,
+        ),
+    )
+    def test_sample_train_is_n_samples_at_any_rate_and_length(self, rate, offers):
+        """Trains up to 5000 rows at arbitrary rates (and the grid rates a
+        closed form gets wrong), interleaved with per-tuple offers: the
+        admitted positions, trace ids, counters and the trailing
+        accumulator, bit for bit, are those of ``n`` calls of sample()."""
+        one, train = Tracer(sample_rate=rate), Tracer(sample_rate=rate)
+        for kind, n in offers:
+            expected = [(i, tid) for i in range(n) if (tid := one.sample()) is not None]
+            if kind == "train":
+                rows, trace_ids = train.sample_train(n)
+                got = list(zip(rows.tolist(), trace_ids.tolist()))
+            else:
+                got = [(i, tid) for i in range(n) if (tid := train.sample()) is not None]
+            assert got == expected
+            assert train._accumulator.hex() == one._accumulator.hex()
         assert (train.offers, train.traces_started) == (one.offers, one.traces_started)
 
     def test_start_train_records_roots_at_timestamps(self):

@@ -28,10 +28,10 @@ from repro.parallel import (
     blueprint,
     build_network,
     partition_boxes,
-    run_reference,
 )
 from repro.parallel.oracle import stream_multisets
 from repro.parallel.worker import COORD, _WorkerState, cut_network
+from repro.reference import execute
 from repro.workloads.scenarios import make_scenario
 
 
@@ -133,7 +133,9 @@ class InProcessPlane:
 @pytest.mark.parametrize("name", ORACLE_SCENARIOS)
 def test_oracle_scenarios_match_reference(name, n_workers):
     spec = blueprint("repro.parallel.blueprints:scenario_network", name, scale=0.25)
-    want_outputs, want_boxes = run_reference(name, scale=0.25, seed=0)
+    reference = build_network(spec)
+    want_outputs = execute(reference, make_scenario(name, 0.25).traffic(0))
+    want_boxes = box_counters(reference)
     assert sum(len(v) for v in want_outputs.values()) > 0
     # Row frames, then column frames: the kernels of the second run
     # read columns that are read-only views of the frames' bytes, so

@@ -2,12 +2,12 @@
 
 Two families of guarantees:
 
-* **Execution-mode equivalence** — the scalar, batched and fused
-  engines are clock-identical, so a scenario's delivered-tuple and
-  shed-tuple accounting (and therefore its SLO verdicts) must be
-  *exactly* equal across all three modes, even with a probabilistic
-  shedder in the loop: the coin flips happen at identical engine
-  states.
+* **Replay equivalence** — a scenario run is the schedule its engine
+  logged: :func:`repro.reference.replay` of the decision log, with the
+  shedder's coin flips taken from the log, reproduces every output
+  stream in order, the virtual clock, the step count and the per-box
+  traffic, even with a probabilistic shedder in the loop.  Keeping the
+  log changes nothing the run reports.
 * **QoS-driven ordering** — when the shedder does engage, drops must
   follow the declared loss curves: the low-importance bronze tenant
   absorbs the overload, the gold tenant is protected, and under a
@@ -16,6 +16,7 @@ Two families of guarantees:
 
 import pytest
 
+from repro.reference import box_stats, replay
 from repro.workloads.scenarios import (
     ScenarioRunner,
     make_scenario,
@@ -24,46 +25,45 @@ from repro.workloads.scenarios import (
 )
 from repro.workloads.slo import shed_fraction
 
+from tests.core.test_reference import rows_of, traffic
+
 SCALE = 0.1
 SEED = 42
 
-MODES = {
-    "scalar": dict(batch_execution=False, fusion=False),
-    "batch": dict(batch_execution=True, fusion=False),
-    "fused": dict(batch_execution=True, fusion=True),
-}
 
-
-def run_modes(name):
-    return {
-        mode: run_scenario(name, scale=SCALE, seed=SEED, **flags)
-        for mode, flags in MODES.items()
-    }
+def logged_run(name):
+    """One scenario run with the decision log kept, and its log."""
+    runner = ScenarioRunner(make_scenario(name, scale=SCALE), seed=SEED)
+    runner.engine.decision_log = []
+    return runner.run(), runner.engine.decision_log
 
 
 class TestModeEquivalence:
+    """The two modes are the engine's run and the replay of its log."""
+
     @pytest.mark.parametrize("name", ["tenant_mix", "flash_crowd"])
     def test_accounting_identical_across_modes(self, name):
-        results = run_modes(name)
-        scalar = results["scalar"]
-        assert scalar.shed > 0, "scenario must actually shed to be a real test"
-        for mode, result in results.items():
-            assert result.ingested == scalar.ingested, mode
-            assert result.delivered == scalar.delivered, mode
-            assert result.shed == scalar.shed, mode
+        result, log = logged_run(name)
+        assert result.shed > 0, "scenario must actually shed to be a real test"
+        reference = replay(make_scenario(name, scale=SCALE).build()[0], log)
+        engine = result.engine
+        assert rows_of(engine.outputs) == rows_of(reference.outputs)
+        assert engine.clock == reference.clock
+        assert engine.steps == reference.steps
+        assert traffic(box_stats(engine.network)) == traffic(reference.boxes)
+        assert result.delivered == sum(map(len, reference.outputs.values()))
 
     @pytest.mark.parametrize("name", ["tenant_mix", "flash_crowd"])
     def test_full_summary_identical_across_modes(self, name):
-        # Stronger than counts: per-objective observed values (trace
-        # latencies, staleness, recovery) agree to the last digit.
-        results = run_modes(name)
-        summaries = {m: r.summary() for m, r in results.items()}
-        assert summaries["scalar"] == summaries["batch"] == summaries["fused"]
+        # Per-objective observed values (trace latencies, staleness,
+        # recovery) agree to the last digit with the log on and off.
+        logged, _log = logged_run(name)
+        assert logged.summary() == run_scenario(name, scale=SCALE, seed=SEED).summary()
 
     def test_metrics_snapshots_identical_across_modes(self):
-        results = run_modes("tenant_mix")
-        snapshots = {m: r.registry.snapshot() for m, r in results.items()}
-        assert snapshots["scalar"] == snapshots["batch"] == snapshots["fused"]
+        logged, _log = logged_run("tenant_mix")
+        plain = run_scenario("tenant_mix", scale=SCALE, seed=SEED)
+        assert logged.registry.snapshot() == plain.registry.snapshot()
 
 
 class TestDeliveredAccounting:

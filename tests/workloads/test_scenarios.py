@@ -174,7 +174,7 @@ class TestRunnerMechanics:
         arrivals = scenario.traffic(1)["src"][:7]
         for tup in arrivals:
             runner.engine.push("src", tup)
-        runner._advance_to(arrivals[-1].timestamp + 0.5)
+        runner.engine.run_until(arrivals[-1].timestamp + 0.5)
         assert runner.engine.queued_counts == {}
         assert len(runner.engine.outputs["sink"]) == 7
         assert runner.engine.clock == arrivals[-1].timestamp + 0.5
