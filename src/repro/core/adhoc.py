@@ -20,6 +20,8 @@ from typing import Iterable
 from repro.core.query import ConnectionPoint, QueryNetwork, execute
 from repro.core.tuples import StreamTuple
 
+HISTORY_INPUT = "history"  # the input an attached query reads history from
+
 
 class AdHocError(RuntimeError):
     """Raised for invalid ad-hoc attachments."""
@@ -29,7 +31,7 @@ def run_adhoc(
     network: QueryNetwork,
     arc_id: str,
     query: QueryNetwork,
-    input_name: str = "history",
+    input_name: str = HISTORY_INPUT,
 ) -> dict[str, list[StreamTuple]]:
     """Evaluate ``query`` once over a connection point's history.
 
@@ -58,19 +60,17 @@ def run_adhoc(
 class AttachedQuery:
     """A continuous ad-hoc query: history first, then the live stream.
 
-    Attach with :func:`attach_adhoc`; the engine (or any caller pushing
-    tuples through the arc) must invoke :meth:`feed` for tuples that
-    cross the connection point after attachment — the
-    :class:`~repro.core.engine.AuroraEngine` does this automatically
-    for queries attached via its :meth:`~repro.core.engine.AuroraEngine.attach_adhoc`.
+    Attach with :func:`attach_adhoc`.  The query reads from its input
+    :data:`HISTORY_INPUT`; tuples that cross the connection point after
+    attachment reach :meth:`feed` through the connection point's
+    subscription (``live=True``) or from whoever pushes them.
     """
 
-    def __init__(self, query: QueryNetwork, input_name: str = "history"):
+    def __init__(self, query: QueryNetwork):
         query.validate()
-        if input_name not in query.inputs:
-            raise AdHocError(f"ad-hoc query has no input {input_name!r}")
+        if HISTORY_INPUT not in query.inputs:
+            raise AdHocError(f"ad-hoc query has no input {HISTORY_INPUT!r}")
         self.query = query
-        self.input_name = input_name
         self.outputs: dict[str, list[StreamTuple]] = {
             name: [] for name in query.outputs
         }
@@ -82,13 +82,13 @@ class AttachedQuery:
         if not batch:
             return
         self.tuples_seen += len(batch)
-        results = execute(self.query, {self.input_name: batch}, flush=False)
+        results = execute(self.query, {HISTORY_INPUT: batch}, flush=False)
         for name, emitted in results.items():
             self.outputs[name].extend(emitted)
 
     def finish(self) -> dict[str, list[StreamTuple]]:
         """Flush windowed state and return all outputs."""
-        results = execute(self.query, {self.input_name: []}, flush=True)
+        results = execute(self.query, {HISTORY_INPUT: []}, flush=True)
         for name, emitted in results.items():
             self.outputs[name].extend(emitted)
         return self.outputs
@@ -97,7 +97,6 @@ class AttachedQuery:
 def attach_adhoc(
     connection_point: ConnectionPoint,
     query: QueryNetwork,
-    input_name: str = "history",
     live: bool = True,
 ) -> AttachedQuery:
     """Create an attached query seeded with the retained history.
@@ -106,7 +105,7 @@ def attach_adhoc(
     connection point, receiving every subsequent tuple automatically;
     call :func:`detach_adhoc` to stop.
     """
-    attached = AttachedQuery(query, input_name=input_name)
+    attached = AttachedQuery(query)
     attached.feed(connection_point.read_history())
     if live:
         connection_point.subscribe(attached.feed)

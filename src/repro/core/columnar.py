@@ -588,8 +588,8 @@ class OutputBuffer:
 
     __slots__ = ("_tuples", "_pending")
 
-    def __init__(self, iterable: Sequence[StreamTuple] = ()):
-        self._tuples: list[StreamTuple] = list(iterable)
+    def __init__(self):
+        self._tuples: list[StreamTuple] = []
         self._pending: list[ColumnarTrain] = []
 
     # engine-facing writers ----------------------------------------------

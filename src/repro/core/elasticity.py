@@ -66,7 +66,7 @@ from repro.core.operators.partition import PartitionRouter
 from repro.core.operators.tumble import Tumble
 from repro.core.operators.union import Union
 from repro.core.tuples import key_getter
-from repro.network.dht import ConsistentHashRing
+from repro.network.dht import ConsistentHashRing, partition_key
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -104,12 +104,12 @@ class PartitionRing:
     victim's port (a dead node, on the repair path) undeclared.
     """
 
-    def __init__(self, fields: Iterable[str], replicas: int = 64):
+    def __init__(self, fields: Iterable[str]):
         self.fields = tuple(fields)
         if not self.fields:
             raise ElasticityError("partition fields must be non-empty")
         self._key_of = key_getter(self.fields)
-        self._ring = ConsistentHashRing(replicas=replicas)
+        self._ring = ConsistentHashRing()
         self._slots: list[str] = []
         self.ports: dict[str, int] = {}
         self._created = 0
@@ -156,11 +156,11 @@ class PartitionRing:
 
     def owner_port(self, key: tuple) -> int:
         """Router output port owning a partition-key tuple."""
-        return self.ports[self._ring.owner(repr(key))]
+        return self.ports[self._ring.owner(partition_key(key))]
 
     def route(self, values: Mapping[str, Any]) -> tuple[int, str]:
         """(output port, slot name) owning a tuple's values dict."""
-        name = self._ring.owner(repr(self._key_of(values)))
+        name = self._ring.owner(partition_key(self._key_of(values)))
         return self.ports[name], name
 
     def __repr__(self) -> str:
@@ -992,10 +992,6 @@ class ElasticityController:
             self._m_lost.inc(count)
 
     # -- introspection -----------------------------------------------------
-
-    def replica_count(self, box_id: str) -> int:
-        group = self.groups[box_id]
-        return len(group.replicas) if group.split else 1
 
     def describe(self) -> dict[str, dict[str, Any]]:
         """Snapshot of per-group controller state (for reports/tests)."""

@@ -33,6 +33,8 @@ from repro.core.tuples import StreamTuple
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.trace import Tracer
 
+DRAIN_ROUNDS = 1_000_000  # trains drain_boxes runs at one box before giving up
+
 
 class AuroraEngine:
     """A scheduled, QoS-monitored executor for one query network.
@@ -210,7 +212,7 @@ class AuroraEngine:
         definition), the per-box routes and per-input hops a train
         follows, the output buffers (streams a rewrite removed drop
         their buffers instead of lingering) and the superbox fusion
-        overlay, which re-runs from scratch (defuse + refuse).  The
+        overlay, which is recompiled from scratch.  The
         scheduler is notified last, so cursors cannot point past a
         shrunken ``box_order``.
         """
@@ -266,26 +268,6 @@ class AuroraEngine:
         if self._revision != self.network.revision:  # _sync's test, inlined
             self._sync()
         return not self.queued_counts
-
-    def defuse(self, box_id: str | None = None) -> None:
-        """Dissolve superboxes — all of them, or the one containing ``box_id``.
-
-        Safe at any scheduling boundary: fusion never removed the
-        constituent boxes or arcs from the network (it only redirects
-        execution), a fused train always runs through every stage so
-        interior arcs are empty, and any queued tuples already sit on
-        the superbox input — the head box's own input arc.  Dropping the
-        overlay therefore restores per-box execution with no state
-        hand-back, and the run is still *pushed* member-by-member in
-        the fused order, so even the virtual clock is unaffected.
-        """
-        if box_id is None:
-            self._fused.clear()
-            return
-        for head, chain in self._fused.items():
-            if box_id in chain.member_ids():
-                del self._fused[head]
-                return
 
     def fused_runs(self) -> list[list[str]]:
         """Box-id runs currently compiled into superboxes."""
@@ -575,8 +557,6 @@ class AuroraEngine:
         budget = self.train_size if limit is None else limit
         routes = self._routes
         route = routes[box_id]
-        # Superbox membership is read per train: defuse() dissolves a
-        # chain without touching the network.
         chain = self._fused.get(box_id)
         stages = chain.stages if chain is not None else route.stages
         if self.decision_log is not None:
@@ -850,7 +830,7 @@ class AuroraEngine:
         the run current.
 
         Returns (frontier expansion point, virtual time consumed).  A
-        fused chain already ran in one pass; an unfused (or defused) run
+        fused chain already ran in one pass; an unfused run
         processes each member consecutively — the same schedule the
         fused pass uses, which keeps the two modes clock-identical even
         in fan-out topologies where the push frontier holds siblings.
@@ -993,7 +973,7 @@ class AuroraEngine:
             self._m_delivered, "engine.delivered.tuples", "stream", output_name
         ).inc(len(batch))
 
-    def drain_boxes(self, box_ids: Iterable[str], max_rounds: int = 1_000_000) -> int:
+    def drain_boxes(self, box_ids: Iterable[str]) -> int:
         """Synchronously run the given boxes until their queues are empty.
 
         The elasticity controller's quiesce step: before moving window
@@ -1001,16 +981,16 @@ class AuroraEngine:
         boxes run in topological order — then the replicas), so no
         in-flight tuple of a migrating key can reach its old owner after
         the ring changes.  Runs through :meth:`_run_train`, so queued
-        counts, busy time and obs accounting stay exact.  Returns the
-        number of tuples drained.
+        counts, busy time and obs accounting stay exact; a fused head
+        drains through its superbox, whose interior arcs stay empty.
+        Returns the number of tuples drained.
         """
         self._sync()
         drained = 0
         counts = self.queued_counts
         for box_id in sorted(box_ids, key=lambda b: self.topo_position.get(b, 0)):
-            self.defuse(box_id)
             box = self.network.boxes[box_id]
-            for _ in range(max_rounds):
+            for _ in range(DRAIN_ROUNDS):
                 queued = counts.get(box_id, 0)
                 if queued == 0:
                     break
@@ -1022,7 +1002,7 @@ class AuroraEngine:
                     )
                 drained += box.tuples_in - before
             else:
-                raise RuntimeError(f"drain of {box_id!r} exceeded {max_rounds} rounds")
+                raise RuntimeError(f"drain of {box_id!r} exceeded {DRAIN_ROUNDS} rounds")
         return drained
 
     def run_until_idle(self, max_steps: int = 1_000_000) -> float:
@@ -1177,9 +1157,8 @@ class AuroraEngine:
 # current exactly as long as ``network.revision`` stands still.  What
 # can change without a revision bump stays a call-time read: the
 # engine's ``cpu_capacity`` (a capacity fault sets it mid-run),
-# ``train_size`` and ``scheduler``, an operator's ``cost_per_tuple``,
-# superbox membership (``defuse()``) and a chain's kernel lists
-# (profilers swap entries).
+# ``train_size`` and ``scheduler``, an operator's ``cost_per_tuple``
+# and a chain's kernel lists (profilers swap entries).
 
 # One arc as a train sees it: (arc, target kind, target ref, connection
 # point or None) — ``arc.target`` and ``arc.connection_point`` unpacked.

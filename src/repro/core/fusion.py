@@ -36,8 +36,7 @@ ground-truth graph.  The engine simply schedules the run as one unit
 (under the head box's id) and keeps *logical* attribution: per-
 constituent ``tuples_in/out``, ``busy_time``, latency sums, obs
 counters and trace spans are emitted exactly as the unfused network
-would emit them.  ``defuse()`` is therefore trivially safe at any
-scheduling boundary: a fused train always runs through every stage, so
+would emit them.  A fused train always runs through every stage, so
 interior arcs are empty by construction and any queued tuples are
 already sitting at the superbox input (the head's input arc).
 """

@@ -69,10 +69,6 @@ class PartitionRouter(StatelessOperator):
             append((index, tup))
         return emissions
 
-    def routed_total(self) -> int:
-        """Tuples routed across all slots (== this box's tuples_out)."""
-        return sum(self.routed.values())
-
     def describe(self) -> str:
         fields = ",".join(self.ring.fields)
         return f"PartitionRouter({fields} -> {self.ring.size} slots)"

@@ -59,13 +59,13 @@ class DeviationReport:
 
 
 def _group_values(
-    outputs: list[StreamTuple], key_attrs: tuple[str, ...], value_attr: str
+    outputs: list[StreamTuple], key_attrs: tuple[str, ...]
 ) -> dict[tuple, float]:
-    """Sum the value attribute per group key (aggregate comparison)."""
+    """Sum the ``result`` field per group key (aggregate comparison)."""
     groups: dict[tuple, float] = {}
     for tup in outputs:
         key = tup.key(key_attrs)
-        groups[key] = groups.get(key, 0.0) + float(tup[value_attr])
+        groups[key] = groups.get(key, 0.0) + float(tup["result"])
     return groups
 
 
@@ -73,17 +73,19 @@ def measure_deviation(
     precise: list[StreamTuple],
     approximate: list[StreamTuple],
     key_attrs: tuple[str, ...],
-    value_attr: str = "result",
 ) -> DeviationReport:
     """Compare an approximate aggregate output against the precise one.
+
+    The compared value is each tuple's ``result`` field (the aggregate
+    boxes' default ``result_attr``).
 
     Aggregates are compared as per-group totals (the natural invariant
     for windowed sums/counts whose window boundaries may shift under
     shedding).  Relative error per group is
     ``|approx - exact| / max(|exact|, 1)``.
     """
-    exact = _group_values(precise, key_attrs, value_attr)
-    approx = _group_values(approximate, key_attrs, value_attr)
+    exact = _group_values(precise, key_attrs)
+    approx = _group_values(approximate, key_attrs)
     if not exact and not approx:
         return DeviationReport(0.0, 0.0, 0.0, 0.0, 0)
 

@@ -485,9 +485,9 @@ class QueryNetwork:
 
     # -- introspection -------------------------------------------------------
 
-    def upstream_box(self, box_id: str, port: int = 0) -> str | None:
-        """The box feeding ``box_id``'s input ``port``, or None for inputs."""
-        arc = self._box(box_id).input_arcs.get(port)
+    def upstream_box(self, box_id: str) -> str | None:
+        """The box feeding ``box_id``'s input port 0, or None for inputs."""
+        arc = self._box(box_id).input_arcs.get(0)
         if arc is None or arc.source[0] == "in":
             return None
         return str(arc.source[0])

@@ -81,7 +81,7 @@ class RoundRobinScheduler(Scheduler):
     def network_changed(self, engine: "AuroraEngine") -> None:
         # A rewrite that shrinks box_order would otherwise leave the
         # cursor pointing past the end, silently skewing the rotation's
-        # starting point after defuse/refuse cycles.
+        # starting point after the rewrite.
         if self._cursor >= len(engine.box_order):
             self._cursor = 0
 

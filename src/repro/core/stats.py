@@ -118,14 +118,8 @@ def publish_network_stats(network: QueryNetwork, registry: MetricsRegistry) -> N
     registry.gauge("network.queued_tuples").set(network.total_queued())
 
 
-def summarize_network(network: QueryNetwork, registry: MetricsRegistry | None = None) -> str:
-    """A tabular snapshot of every box's measured statistics.
-
-    When ``registry`` is given, the same statistics are also published
-    as gauges via :func:`publish_network_stats` before rendering.
-    """
-    if registry is not None:
-        publish_network_stats(network, registry)
+def summarize_network(network: QueryNetwork) -> str:
+    """A tabular snapshot of every box's measured statistics."""
     header = (
         f"{'box':<22} {'operator':<38} {'in':>8} {'out':>8} "
         f"{'select':>7} {'T_B':>10}"

@@ -24,10 +24,12 @@ from typing import TYPE_CHECKING
 
 from repro.core.tuples import StreamTuple
 from repro.distributed.splitting import SplitResult
-from repro.network.dht import stable_hash
+from repro.network.dht import partition_key, stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.distributed.system import AuroraStarSystem
+
+FRACTION_BAND = (0.05, 0.95)  # a rebalanced split fraction starves neither side
 
 
 class AdaptiveSplitPredicate:
@@ -57,8 +59,7 @@ class AdaptiveSplitPredicate:
         self._threshold = int(fraction * self.HASH_SPACE)
 
     def __call__(self, tup: StreamTuple) -> bool:
-        key = repr(tup.key(self.fields))
-        return stable_hash(key, bits=32) < self._threshold
+        return stable_hash(partition_key(tup.key(self.fields)), bits=32) < self._threshold
 
     @property
     def __name__(self) -> str:  # keeps Filter's describe() informative
@@ -84,13 +85,11 @@ def rebalance_split(
     predicate: AdaptiveSplitPredicate,
     target: float = 0.5,
     gain: float = 0.5,
-    min_fraction: float = 0.05,
-    max_fraction: float = 0.95,
 ) -> float:
     """Adjust the router's fraction toward a target traffic balance.
 
     Proportional control: the fraction moves against the observed
-    imbalance, scaled by ``gain`` and clamped to a sane band.  Counters
+    imbalance, scaled by ``gain`` and clamped to :data:`FRACTION_BAND`.  Counters
     on both halves are reset so the next adjustment sees fresh traffic.
     Returns the new fraction.
     """
@@ -98,9 +97,8 @@ def rebalance_split(
         raise ValueError("target must be in (0, 1)")
     observed = observed_imbalance(system, split)
     error = target - observed
-    new_fraction = min(
-        max(predicate.fraction + gain * error, min_fraction), max_fraction
-    )
+    low, high = FRACTION_BAND
+    new_fraction = min(max(predicate.fraction + gain * error, low), high)
     predicate.set_fraction(new_fraction)
     predicate.adjustments.append(new_fraction)
     for box_id in (split.original, split.copy):

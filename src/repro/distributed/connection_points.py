@@ -26,9 +26,12 @@ from typing import TYPE_CHECKING
 from repro.core.query import ConnectionPoint
 from repro.core.tuples import StreamTuple
 from repro.network.overlay import Message
+from repro.network.transport import MESSAGE_HEADER_BYTES, TUPLE_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.distributed.system import AuroraStarSystem
+
+REPLICATION_HORIZON = 10.0  # seconds in which a replica must pay for itself
 
 
 class ConnectionPointError(RuntimeError):
@@ -100,13 +103,13 @@ def split_connection_point(
 
     # Bulk copy of the existing history.
     history = cp.read_history()
-    size = system.message_header_bytes + len(history) * system.tuple_bytes
+    size = MESSAGE_HEADER_BYTES + len(history) * TUPLE_BYTES
     system.overlay.send(home, to_node, Message("cp_copy", {"arc": arc_id}, size=size))
     replica.apply_update(history)
 
     # Keep it fresh: forward every subsequently recorded tuple.
     def forward(tuples: list[StreamTuple]) -> None:
-        update_size = system.message_header_bytes + len(tuples) * system.tuple_bytes
+        update_size = MESSAGE_HEADER_BYTES + len(tuples) * TUPLE_BYTES
         system.overlay.send(
             home, to_node, Message("cp_update", {"arc": arc_id}, size=update_size)
         )
@@ -140,11 +143,11 @@ def read_history_from(
     if reader_node not in system.nodes:
         raise ConnectionPointError(f"unknown node {reader_node!r}")
     history = cp.read_history()
-    request = Message("cp_read", {"arc": arc_id}, size=system.message_header_bytes)
+    request = Message("cp_read", {"arc": arc_id}, size=MESSAGE_HEADER_BYTES)
     system.nodes[home].overlay_node.on("cp_read", lambda m: None)
     system.nodes[reader_node].overlay_node.on("cp_data", lambda m: None)
     system.overlay.send(reader_node, home, request)
-    response_size = system.message_header_bytes + len(history) * system.tuple_bytes
+    response_size = MESSAGE_HEADER_BYTES + len(history) * TUPLE_BYTES
     system.overlay.send(
         home, reader_node, Message("cp_data", {"arc": arc_id}, size=response_size)
     )
@@ -156,15 +159,17 @@ def replication_pays_off(
     history_size: int,
     update_rate: float,
     tuple_bytes: int,
-    horizon: float = 10.0,
 ) -> bool:
-    """The paper's investment decision, in bytes over a horizon.
+    """The paper's investment decision, in bytes over
+    :data:`REPLICATION_HORIZON` seconds.
 
     Splitting costs one bulk copy (history) plus continuous updates
     (update_rate tuples/s); leaving it intact costs each ad-hoc read a
     remote fetch of the full history.  Replicate when the read traffic
     saved exceeds the replication traffic spent.
     """
-    replicate_cost = history_size * tuple_bytes + update_rate * horizon * tuple_bytes
-    remote_cost = adhoc_reads_per_second * horizon * history_size * tuple_bytes
+    replicate_cost = (
+        history_size * tuple_bytes + update_rate * REPLICATION_HORIZON * tuple_bytes
+    )
+    remote_cost = adhoc_reads_per_second * REPLICATION_HORIZON * history_size * tuple_bytes
     return remote_cost > replicate_cost

@@ -38,9 +38,8 @@ class LoadShareDaemon:
 
     Args:
         system: the Aurora* deployment.
-        node_name: the host node.
-        neighbors: nodes this daemon may interact with pairwise
-            (default: every other node).
+        node_name: the host node; it interacts pairwise with every
+            other node of the domain.
         period: daemon wake-up interval (virtual seconds).
         thresholds: initiation policy (high/low water, cooldown).
         allow_split: whether box splitting may be used when sliding
@@ -54,14 +53,12 @@ class LoadShareDaemon:
         self,
         system: "AuroraStarSystem",
         node_name: str,
-        neighbors: list[str] | None = None,
         period: float = 0.5,
         thresholds: Thresholds | None = None,
         allow_split: bool = True,
     ):
         self.system = system
         self.node_name = node_name
-        self.neighbors = neighbors
         self.period = period
         self.thresholds = thresholds or Thresholds()
         self.allow_split = allow_split
@@ -114,13 +111,8 @@ class LoadShareDaemon:
 
     # -- pairwise probing ---------------------------------------------------------------
 
-    def _neighbor_names(self) -> list[str]:
-        if self.neighbors is not None:
-            return [n for n in self.neighbors if n != self.node_name]
-        return sorted(n for n in self.system.nodes if n != self.node_name)
-
     def _probe_neighbors(self) -> None:
-        for neighbor in self._neighbor_names():
+        for neighbor in sorted(n for n in self.system.nodes if n != self.node_name):
             message = Message(
                 "load_probe",
                 {"from": self.node_name, "period": self.period},

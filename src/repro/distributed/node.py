@@ -18,10 +18,12 @@ from repro.core.engine import claim_run, pop_head
 from repro.core.query import Arc, Box
 from repro.core.tuples import StreamTuple
 from repro.network.overlay import Message
-from repro.network.transport import train_frame_size
+from repro.network.transport import MESSAGE_HEADER_BYTES, TUPLE_BYTES, train_frame_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.distributed.system import AuroraStarSystem
+
+SCHEDULING_OVERHEAD = 0.0002  # virtual seconds per scheduling decision
 
 
 class timestamp_keys:
@@ -53,8 +55,8 @@ class AuroraNode:
         name: overlay address of the node.
         cpu_capacity: CPU-seconds of box work completed per virtual
             second (relative node speed).
-        train_size: tuples processed per scheduling decision.
-        scheduling_overhead: virtual seconds charged per decision.
+        train_size: tuples processed per scheduling decision (each
+            decision costs :data:`SCHEDULING_OVERHEAD`).
     """
 
     def __init__(
@@ -63,7 +65,6 @@ class AuroraNode:
         name: str,
         cpu_capacity: float = 1.0,
         train_size: int = 20,
-        scheduling_overhead: float = 0.0002,
     ):
         if cpu_capacity <= 0:
             raise ValueError("cpu_capacity must be positive")
@@ -71,7 +72,6 @@ class AuroraNode:
         self.name = name
         self.cpu_capacity = cpu_capacity
         self.train_size = train_size
-        self.scheduling_overhead = scheduling_overhead
         self.overlay_node = system.overlay.add_node(name)
         self.overlay_node.on("tuples", self._on_tuples)
         # Control messages (slide state transfers, split negotiation)
@@ -91,10 +91,6 @@ class AuroraNode:
         self._m_frames: dict[str, tuple] = {}
         self.failed = False
         self._work_scheduled = False
-        # Lifecycle observers: callbacks fired as (event, node_name, time)
-        # on "fail"/"recover".  The fault injector and invariant
-        # checkers subscribe here to build the replayable event trace.
-        self._lifecycle_hooks: list = []
 
     # -- ingress --------------------------------------------------------------
 
@@ -171,7 +167,7 @@ class AuroraNode:
         of it once per train, however many claims fan-in took, for the
         load-share daemon and the box-sliding cost model.
         """
-        consumed = self.scheduling_overhead
+        consumed = SCHEDULING_OVERHEAD
         emissions: list[tuple[int, StreamTuple]] = []
         cost = box.operator.cost_per_tuple / self.cpu_capacity
         budget = self.train_size
@@ -230,7 +226,7 @@ class AuroraNode:
         """Deliver a train's outputs: locally, to applications, or remotely.
 
         Remote tuples are batched per destination arc into one message
-        (size = header + n * tuple_bytes).
+        (size = header + n * tuple payload, see :func:`train_frame_size`).
         """
         remote_batches: dict[tuple[str, str], list[StreamTuple]] = {}
         for out_port, tup in emissions:
@@ -248,9 +244,7 @@ class AuroraNode:
         system = self.system
         tracing = system._tracing
         for (owner, arc_id), tuples in sorted(remote_batches.items()):
-            size = train_frame_size(
-                len(tuples), system.tuple_bytes, system.message_header_bytes
-            )
+            size = train_frame_size(len(tuples), TUPLE_BYTES, MESSAGE_HEADER_BYTES)
             handles = self._m_frames.get(owner)
             if handles is None:
                 metrics = system.metrics
@@ -303,27 +297,16 @@ class AuroraNode:
 
     # -- failures (Section 6) ----------------------------------------------------------
 
-    def on_lifecycle(self, callback) -> None:
-        """Register a callback fired as ``(event, name, time)`` on
-        "fail"/"recover" transitions."""
-        self._lifecycle_hooks.append(callback)
-
-    def _notify(self, event: str) -> None:
-        for callback in self._lifecycle_hooks:
-            callback(event, self.name, self.system.sim.now)
-
     def fail(self) -> None:
         """Crash-stop: stop processing and drop all traffic."""
         self.failed = True
         self.overlay_node.fail()
-        self._notify("fail")
 
     def recover(self) -> None:
         self.failed = False
         self.overlay_node.recover()
         self.busy_until = self.system.sim.now
         self.kick()
-        self._notify("recover")
 
     def __repr__(self) -> str:
         state = "failed" if self.failed else "up"

@@ -14,10 +14,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.tuples import StreamTuple
-from repro.network.dht import stable_hash
+from repro.network.dht import partition_key, stable_hash
+from repro.network.transport import TUPLE_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.distributed.system import AuroraStarSystem
+
+BANDWIDTH_WEIGHT = 1e-6  # score cost of one byte/s of added overlay traffic
 
 
 @dataclass
@@ -84,7 +87,7 @@ def bandwidth_delta(
             continue  # unbound source: delivered wherever the box lives
         before = producer != from_node
         after = producer != to_node
-        delta += (int(after) - int(before)) * rate_in * system.tuple_bytes
+        delta += (int(after) - int(before)) * rate_in * TUPLE_BYTES
     for arcs in box.output_arcs.values():
         for arc in arcs:
             consumer = consumer_node(system, arc)
@@ -92,7 +95,7 @@ def bandwidth_delta(
                 continue  # application outputs are delivered locally
             before = consumer != from_node
             after = consumer != to_node
-            delta += (int(after) - int(before)) * rate_out * system.tuple_bytes
+            delta += (int(after) - int(before)) * rate_out * TUPLE_BYTES
     return delta
 
 
@@ -106,7 +109,6 @@ def choose_offload_candidate(
     system: "AuroraStarSystem",
     from_node: str,
     to_node: str,
-    bandwidth_weight: float = 1e-6,
     bandwidth_headroom: float | None = None,
 ) -> str | None:
     """Pick the box on ``from_node`` whose slide to ``to_node`` helps most.
@@ -125,7 +127,7 @@ def choose_offload_candidate(
         bw = bandwidth_delta(system, box_id, to_node)
         if bandwidth_headroom is not None and bw > bandwidth_headroom:
             continue
-        score = relief - bandwidth_weight * max(bw, 0.0)
+        score = relief - BANDWIDTH_WEIGHT * max(bw, 0.0)
         if score > best_score:
             best, best_score = box_id, score
     return best
@@ -162,8 +164,7 @@ def hash_fraction_predicate(
     fields = tuple(fields)
 
     def predicate(tup: StreamTuple) -> bool:
-        key = repr(tup.key(fields))
-        return stable_hash(key, bits=32) < threshold
+        return stable_hash(partition_key(tup.key(fields)), bits=32) < threshold
 
     predicate.__name__ = f"hash({','.join(fields)})<{fraction:g}"
     return predicate

@@ -32,12 +32,14 @@ from repro.network.overlay import Message
 if TYPE_CHECKING:  # pragma: no cover
     from repro.distributed.system import AuroraStarSystem
 
+STATE_ITEM_BYTES = 50  # wire bytes per item of a shipped operator snapshot
+
 
 class SlideError(RuntimeError):
     """Raised when a slide request is invalid."""
 
 
-def estimate_state_size(system: "AuroraStarSystem", box_id: str, per_item_bytes: int = 50) -> int:
+def estimate_state_size(system: "AuroraStarSystem", box_id: str) -> int:
     """Rough wire size of a box's operator state (bytes)."""
     operator = system.network.boxes[box_id].operator
     snapshot = operator.snapshot() if operator.stateful else None
@@ -47,14 +49,13 @@ def estimate_state_size(system: "AuroraStarSystem", box_id: str, per_item_bytes:
         n_items = len(snapshot)
     except TypeError:
         n_items = 1
-    return 16 + per_item_bytes * max(n_items, 1)
+    return 16 + STATE_ITEM_BYTES * max(n_items, 1)
 
 
 def slide_box(
     system: "AuroraStarSystem",
     box_id: str,
     to_node: str,
-    drain: bool = True,
 ) -> float:
     """Move one box to a neighboring node.  Returns the completion time.
 
@@ -74,9 +75,8 @@ def slide_box(
 
     box = system.network.boxes[box_id]
 
-    # 1. choke: stop scheduling the box (a migrating box is in no
-    # superbox, so draining and per-box scheduling see its real arcs);
-    # choke upstream connection points.
+    # 1. choke: stop scheduling the box; choke upstream connection
+    # points.
     system.migrating.add(box_id)
     choked = []
     for arc in box.input_arcs.values():
@@ -85,8 +85,7 @@ def slide_box(
             choked.append(arc)
 
     # 2. drain the queued tuples at the old node (charged to its CPU).
-    if drain:
-        system.nodes[from_node].drain_box(box_id)
+    system.nodes[from_node].drain_box(box_id)
 
     # 3. ship the state: a control message from old to new owner.
     state_size = estimate_state_size(system, box_id)

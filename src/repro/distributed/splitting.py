@@ -53,11 +53,6 @@ class SplitResult:
     merge_boxes: list[str] = field(default_factory=list)
 
     @property
-    def merge_output(self) -> str:
-        """The box whose output now feeds the original consumers."""
-        return self.merge_boxes[-1]
-
-    @property
     def new_boxes(self) -> list[str]:
         return [self.router, self.copy, *self.merge_boxes]
 
@@ -203,16 +198,13 @@ def split_box_distributed(
     predicate: Callable[[StreamTuple], bool],
     to_node: str,
     predicate_name: str | None = None,
-    router_node: str | None = None,
-    merge_node: str | None = None,
     wsort_timeout: float = float("inf"),
     group_stable: bool = False,
 ) -> SplitResult:
     """Split a box in a running Aurora* deployment (Figure 7's remapping).
 
-    The copy runs on ``to_node``; the router stays with the original box
-    (or on ``router_node``), and the merge network runs on the original
-    box's node (or ``merge_node``).
+    The copy runs on ``to_node``; the router and the merge network stay
+    on the original box's node.
     """
     if to_node not in system.nodes:
         raise SplitError(f"unknown node {to_node!r}")
@@ -225,10 +217,10 @@ def split_box_distributed(
         wsort_timeout=wsort_timeout,
         group_stable=group_stable,
     )
-    system.set_placement(result.router, router_node or home)
+    system.set_placement(result.router, home)
     system.set_placement(result.copy, to_node)
     for merge_box in result.merge_boxes:
-        system.set_placement(merge_box, merge_node or home)
+        system.set_placement(merge_box, home)
     system.control_messages += 1  # the pair-wise negotiation (Section 5.1)
     for node_name in {system.placement[b] for b in result.new_boxes}:
         system.nodes[node_name].kick()

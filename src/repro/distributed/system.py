@@ -19,7 +19,12 @@ from repro.core.query import Arc, QueryNetwork
 from repro.core.tuples import StreamTuple
 from repro.distributed.node import AuroraNode
 from repro.network.catalog import IntraParticipantCatalog
-from repro.network.overlay import Overlay
+from repro.network.overlay import Message, Overlay
+from repro.network.transport import (
+    MESSAGE_HEADER_BYTES,
+    TUPLE_BYTES,
+    train_frame_size,
+)
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sim import Simulator
@@ -35,9 +40,7 @@ class AuroraStarSystem:
     Args:
         network: the (single, global) query network.
         sim: discrete-event simulator; a fresh one is created if omitted.
-        default_bandwidth / default_latency: overlay link defaults.
-        tuple_bytes: wire size of one tuple (drives link serialization).
-        message_header_bytes: fixed framing per tuple batch message.
+        default_latency: overlay link latency.
         metrics: shared observability registry; a fresh enabled one is
             created if omitted.  Nodes and transports fold their
             counters into it.
@@ -50,23 +53,14 @@ class AuroraStarSystem:
         self,
         network: QueryNetwork,
         sim: Simulator | None = None,
-        default_bandwidth: float = 1e6,
         default_latency: float = 0.001,
-        tuple_bytes: int = 100,
-        message_header_bytes: int = 40,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ):
         network.validate()
         self.network = network
         self.sim = sim or Simulator()
-        self.overlay = Overlay(
-            self.sim,
-            default_bandwidth=default_bandwidth,
-            default_latency=default_latency,
-        )
-        self.tuple_bytes = tuple_bytes
-        self.message_header_bytes = message_header_bytes
+        self.overlay = Overlay(self.sim, default_latency=default_latency)
         self.nodes: dict[str, AuroraNode] = {}
         self.placement: dict[str, str] = {}
         self.migrating: set[str] = set()
@@ -210,10 +204,7 @@ class AuroraStarSystem:
             ):
                 # The event must cross from the ingress node to the
                 # consumer's node.
-                from repro.network.overlay import Message
-                from repro.network.transport import train_frame_size
-
-                size = train_frame_size(1, self.tuple_bytes, self.message_header_bytes)
+                size = train_frame_size(1, TUPLE_BYTES, MESSAGE_HEADER_BYTES)
                 message = Message("tuples", {"arc": arc.id, "tuples": [tup]}, size=size)
                 self.overlay.send(ingress, self.place(str(kind)), message)
             else:
@@ -306,9 +297,9 @@ class AuroraStarSystem:
             return 0.0
         return len(self.outputs.get(output_name, [])) / self.sim.now
 
-    def node_utilizations(self, horizon: float | None = None) -> dict[str, float]:
-        """Busy fraction per node over the whole run (or ``horizon``)."""
-        span = horizon if horizon is not None else self.sim.now
+    def node_utilizations(self) -> dict[str, float]:
+        """Busy fraction per node over the whole run."""
+        span = self.sim.now
         if span <= 0:
             return {name: 0.0 for name in self.nodes}
         return {

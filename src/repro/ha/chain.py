@@ -77,13 +77,12 @@ class HATuple:
         value: Any,
         lineage: dict[str, int],
         high: dict[str, int] | None = None,
-        trace: Any = None,
     ):
         self.value = value
         self.lineage = dict(lineage)
         self.high = dict(high) if high is not None else dict(lineage)
         # Observability trace context for sampled tuples (None otherwise).
-        self.trace = trace
+        self.trace = None
 
     def __repr__(self) -> str:
         return f"HATuple({self.value!r}, {self.lineage})"
@@ -196,10 +195,6 @@ class HAServer:
         # just before entries leave the output log.  Invariant checkers
         # (repro.sim.invariants) use it to verify truncation safety.
         self.truncate_hook: Callable[["HAServer", int, list], None] | None = None
-
-    def op_templates(self) -> list[ServerOp]:
-        """Fresh copies of this server's pipeline (for rebuild/replay)."""
-        return [op.clone() for op in self.ops]
 
     def ingest(self, tup: HATuple, sender: str) -> list[HATuple]:
         """Process one input tuple; returns the output tuples (logged).

@@ -182,7 +182,6 @@ def run_failure_experiment(
     fail_at: int,
     fail_servers: list[str],
     flow_every: int = 10,
-    terminal: str | None = None,
 ) -> ExperimentResult:
     """Inject failures mid-stream and measure loss and recovery cost.
 
@@ -194,8 +193,8 @@ def run_failure_experiment(
         fail_servers: servers to crash simultaneously.
         flow_every: a flow round runs every this-many tuples
             (controls how aggressively queues truncate).
-        terminal: the terminal server whose delivered output is
-            compared (default: the chain's unique terminal).
+
+    The delivered output compared is the chain's unique terminal's.
 
     The headline metric is ``lost_messages``: output tuples (compared
     as a value multiset, so corrupted window contents register as loss
@@ -207,7 +206,7 @@ def run_failure_experiment(
 
     def drive(chain: ServerChain, inject_failure: bool):
         protocol = FlowProtocol(chain)
-        term = terminal or _unique_terminal(chain)
+        term = _unique_terminal(chain)
         peak_log = 0
         recovery = RecoveryStats()
         for i in range(n_tuples):

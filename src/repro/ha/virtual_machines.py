@@ -85,25 +85,16 @@ class VirtualMachineChain:
     """A single physical server split into K virtual machines.
 
     Args:
-        ops_per_stage: the pipeline partitioned into K sub-pipelines.
-        boxes_per_stage: work units (box count) of each stage; defaults
-            to the number of ops in the stage.
+        ops_per_stage: the pipeline partitioned into K sub-pipelines;
+            a stage's work units (box count) are its number of ops.
     """
 
-    def __init__(
-        self,
-        ops_per_stage: list[list[ServerOp]],
-        boxes_per_stage: list[int] | None = None,
-    ):
+    def __init__(self, ops_per_stage: list[list[ServerOp]]):
         if not ops_per_stage:
             raise ValueError("need at least one stage")
-        if boxes_per_stage is None:
-            boxes_per_stage = [max(len(ops), 1) for ops in ops_per_stage]
-        if len(boxes_per_stage) != len(ops_per_stage):
-            raise ValueError("boxes_per_stage must match ops_per_stage")
         self.stages = [
-            VMStage(f"vm{i}", ops, boxes)
-            for i, (ops, boxes) in enumerate(zip(ops_per_stage, boxes_per_stage))
+            VMStage(f"vm{i}", ops, max(len(ops), 1))
+            for i, ops in enumerate(ops_per_stage)
         ]
         self.delivered: list[HATuple] = []
 

@@ -22,14 +22,15 @@ from __future__ import annotations
 from repro.medusa.contracts import MovementContract, MovementPlan
 from repro.medusa.federation import Federation, FederationError
 
+TOLERANCE = 1e-9  # a profit change an oracle treats as none
+
 
 class Oracle:
     """The plan-evaluation agent of one participant."""
 
-    def __init__(self, federation: Federation, participant: str, tolerance: float = 1e-9):
+    def __init__(self, federation: Federation, participant: str):
         self.federation = federation
         self.participant = participant
-        self.tolerance = tolerance
         self.proposals_made = 0
         self.proposals_accepted = 0
 
@@ -47,7 +48,7 @@ class Oracle:
         current = contract.current_host
         alternative = contract.second if current == contract.first else contract.first
         if self.profit_under(contract, alternative) > (
-            self.profit_under(contract, current) + self.tolerance
+            self.profit_under(contract, current) + TOLERANCE
         ):
             return alternative
         return None
@@ -58,7 +59,7 @@ class Oracle:
         gain = self.profit_under(contract, proposed_host) - self.profit_under(
             contract, current
         )
-        return gain >= -self.tolerance
+        return gain >= -TOLERANCE
 
 
 def make_movement_contract(
@@ -120,18 +121,15 @@ def run_market(
     federation: Federation,
     contracts: list[MovementContract],
     rounds: int,
-    oracles: dict[str, Oracle] | None = None,
 ) -> dict:
-    """Run market rounds with oracle negotiation after each round.
+    """Run market rounds with oracle negotiation after each round, one
+    fresh :class:`Oracle` per participant.
 
     Returns a summary: per-round profits/loads (federation.history),
     total switches, and the round after which the allocation stopped
     changing (the annealing point), or None if it never settled.
     """
-    if oracles is None:
-        oracles = {
-            name: Oracle(federation, name) for name in federation.participants
-        }
+    oracles = {name: Oracle(federation, name) for name in federation.participants}
     total_switches = 0
     settled_at: int | None = None
     for round_index in range(rounds):

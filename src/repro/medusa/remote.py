@@ -32,9 +32,7 @@ class RemoteOperator:
     instance: str
 
 
-def remote_define(
-    host: Participant, definer: str, template: str, instance: str | None = None
-) -> RemoteOperator:
+def remote_define(host: Participant, definer: str, template: str) -> RemoteOperator:
     """Instantiate ``template`` at ``host`` on behalf of ``definer``.
 
     Raises :class:`RemoteDefinitionError` unless the host both offers
@@ -54,7 +52,7 @@ def remote_define(
         definer=definer,
         host=host.name,
         template=template,
-        instance=instance or f"{definer}.{template}@{host.name}",
+        instance=f"{definer}.{template}@{host.name}",
     )
 
 

@@ -131,8 +131,8 @@ class InterParticipantCatalog:
     catalog directly.
     """
 
-    def __init__(self, ring: ChordRing | None = None):
-        self.ring = ring or ChordRing()
+    def __init__(self):
+        self.ring = ChordRing()
 
     def join(self, participant_node: str) -> None:
         """A participant node starts holding part of the shared catalog."""

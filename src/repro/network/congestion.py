@@ -77,18 +77,12 @@ class UdpMultiplexedTransport:
     Args:
         link: the bottleneck.
         weights: per-stream relative weights (SFQ tags, as for TCP mux).
-        controller: AIMD state (a fresh one if omitted).
     """
 
-    def __init__(
-        self,
-        link: DatagramLink,
-        weights: dict[str, float] | None = None,
-        controller: AIMDController | None = None,
-    ):
+    def __init__(self, link: DatagramLink, weights: dict[str, float] | None = None):
         self.link = link
         self.weights = dict(weights or {})
-        self.controller = controller or AIMDController()
+        self.controller = AIMDController()
         self._queues: dict[str, deque[tuple[float, int]]] = {}
         self._last_finish: dict[str, float] = {}
         self._virtual_time = 0.0

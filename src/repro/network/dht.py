@@ -21,6 +21,8 @@ import hashlib
 from bisect import bisect_right
 from typing import Any, Iterator
 
+import numpy as np
+
 
 def stable_hash(key: str, bits: int = 64) -> int:
     """Deterministic hash of a string onto ``bits`` bits (SHA-1 based).
@@ -32,6 +34,16 @@ def stable_hash(key: str, bits: int = 64) -> int:
     return int.from_bytes(digest[:8], "big") % (1 << bits)
 
 
+def partition_key(key: Any) -> str:
+    """The string a partition key (a value or a tuple of values) hashes
+    as: its ``repr`` once every NumPy scalar in it is its Python value, so
+    ``np.int64(5)`` read from a column and ``5`` built in Python land on
+    the same side of every split and ring."""
+    if type(key) is tuple:
+        return repr(tuple(v.item() if isinstance(v, np.generic) else v for v in key))
+    return repr(key.item() if isinstance(key, np.generic) else key)
+
+
 class ConsistentHashRing:
     """Consistent hashing with virtual nodes.
 
@@ -40,11 +52,10 @@ class ConsistentHashRing:
     node smooth the load distribution.
     """
 
-    def __init__(self, replicas: int = 64, bits: int = 64):
+    def __init__(self, replicas: int = 64):
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         self.replicas = replicas
-        self.bits = bits
         self._ring: list[tuple[int, str]] = []  # sorted (point, node)
         self._nodes: set[str] = set()
 
@@ -53,7 +64,7 @@ class ConsistentHashRing:
             raise ValueError(f"node {node!r} already in ring")
         self._nodes.add(node)
         for i in range(self.replicas):
-            point = stable_hash(f"{node}#{i}", self.bits)
+            point = stable_hash(f"{node}#{i}")
             self._ring.append((point, node))
         self._ring.sort()
 
@@ -67,7 +78,7 @@ class ConsistentHashRing:
         """The node owning ``key``."""
         if not self._ring:
             raise LookupError("ring has no nodes")
-        point = stable_hash(key, self.bits)
+        point = stable_hash(key)
         index = bisect_right(self._ring, (point, "￿"))
         if index == len(self._ring):
             index = 0

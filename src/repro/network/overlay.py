@@ -182,9 +182,8 @@ class Overlay:
         dst: str,
         bandwidth: float | None = None,
         latency: float | None = None,
-        symmetric: bool = True,
     ) -> Link:
-        """Create (or replace) a link; by default also the reverse link."""
+        """Create (or replace) a link and its reverse."""
         self._require(src)
         self._require(dst)
         link = Link(
@@ -194,10 +193,9 @@ class Overlay:
             latency=self.default_latency if latency is None else latency,
         )
         self.links[(src, dst)] = link
-        if symmetric:
-            self.links[(dst, src)] = Link(
-                dst, src, bandwidth=link.bandwidth, latency=link.latency
-            )
+        self.links[(dst, src)] = Link(
+            dst, src, bandwidth=link.bandwidth, latency=link.latency
+        )
         return link
 
     def link(self, src: str, dst: str) -> Link:

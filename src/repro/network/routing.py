@@ -11,12 +11,11 @@ the appropriate locations."
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.tuples import StreamTuple
 from repro.network.catalog import IntraParticipantCatalog
 from repro.network.dht import stable_hash
 from repro.network.overlay import Message, Overlay
+from repro.network.transport import TUPLE_BYTES
 
 
 class EventRouter:
@@ -25,34 +24,24 @@ class EventRouter:
     Args:
         overlay: the overlay network carrying "tuples" messages.
         catalog: the intra-participant catalog holding stream locations.
-        partitioner: maps (stream, tuple, locations) to the target node
-            when a stream is partitioned across several nodes; the
-            default hashes the tuple's values across the locations.
+
+    A stream partitioned across several nodes sends each event to the
+    location its hashed values pick; every event message is
+    :data:`~repro.network.transport.TUPLE_BYTES` long.
     """
 
-    def __init__(
-        self,
-        overlay: Overlay,
-        catalog: IntraParticipantCatalog,
-        partitioner: Callable[[str, StreamTuple, list[str]], str] | None = None,
-    ):
+    def __init__(self, overlay: Overlay, catalog: IntraParticipantCatalog):
         self.overlay = overlay
         self.catalog = catalog
-        self.partitioner = partitioner or self._hash_partitioner
         self.events_routed = 0
         self.events_forwarded = 0
-
-    @staticmethod
-    def _hash_partitioner(stream: str, tup: StreamTuple, locations: list[str]) -> str:
-        key = f"{stream}:{sorted(tup.values.items())!r}"
-        return locations[stable_hash(key) % len(locations)]
 
     def register_stream(self, stream: str, schema_name: str, default_node: str) -> None:
         """Register a new stream and assign its default location."""
         self.catalog.define("stream", stream, schema_name)
         self.catalog.set_stream_location(stream, [default_node])
 
-    def route(self, entry_node: str, stream: str, tup: StreamTuple, size: int = 100) -> str:
+    def route(self, entry_node: str, stream: str, tup: StreamTuple) -> str:
         """Deliver one labeled event.
 
         The source hands the event to ``entry_node``; that node consults
@@ -61,16 +50,17 @@ class EventRouter:
         the target — events arriving at the right node stay local).
         Returns the node that received the event.
         """
-        location = self.catalog.stream_location(stream)
-        target = self.partitioner(stream, tup, location.nodes)
+        locations = self.catalog.stream_location(stream).nodes
+        key = f"{stream}:{sorted(tup.values.items())!r}"
+        target = locations[stable_hash(key) % len(locations)]
         self.events_routed += 1
         if entry_node != target:
-            message = Message("tuples", {"stream": stream, "tuples": [tup]}, size=size)
+            message = Message("tuples", {"stream": stream, "tuples": [tup]}, size=TUPLE_BYTES)
             self.overlay.send(entry_node, target, message)
             self.events_forwarded += 1
         else:
             # Local delivery: hand to the node's handler directly.
-            message = Message("tuples", {"stream": stream, "tuples": [tup]}, size=size)
+            message = Message("tuples", {"stream": stream, "tuples": [tup]}, size=TUPLE_BYTES)
             message.src = entry_node
             message.dst = target
             self.overlay.node(target).deliver(message)

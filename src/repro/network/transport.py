@@ -43,20 +43,23 @@ class StreamMessage:
     transports are comparable tuple-for-tuple.
     """
 
-    __slots__ = ("stream", "size", "enqueued_at", "delivered_at")
+    __slots__ = ("stream", "size", "delivered_at")
 
     tuple_count = 1
 
-    def __init__(self, stream: str, size: int, enqueued_at: float = 0.0):
+    def __init__(self, stream: str, size: int):
         if size <= 0:
             raise ValueError("message size must be positive")
         self.stream = stream
         self.size = size
-        self.enqueued_at = enqueued_at
         self.delivered_at: float | None = None
 
     def __repr__(self) -> str:
         return f"StreamMessage({self.stream}, {self.size}B)"
+
+
+TUPLE_BYTES = 100          # one tuple's payload on the simulated Aurora* overlay
+MESSAGE_HEADER_BYTES = 40  # the framing of one Aurora* tuple-batch message
 
 
 def train_frame_size(tuple_count: int, tuple_bytes: int, header_bytes: int) -> int:
@@ -89,12 +92,9 @@ class TupleTrainMessage(StreamMessage):
         tuple_count: int,
         tuple_bytes: int,
         header_bytes: int = 24,
-        enqueued_at: float = 0.0,
     ):
         super().__init__(
-            stream,
-            size=train_frame_size(tuple_count, tuple_bytes, header_bytes),
-            enqueued_at=enqueued_at,
+            stream, size=train_frame_size(tuple_count, tuple_bytes, header_bytes)
         )
         self.tuple_count = tuple_count
 
@@ -105,36 +105,27 @@ class TupleTrainMessage(StreamMessage):
 class TransportStats:
     """Per-run delivery statistics shared by both transports.
 
-    Counts live in a :class:`~repro.obs.registry.MetricsRegistry` under
-    the ``transport.*`` namespace; the dict-shaped views
-    (``delivered_bytes`` and friends) are built on demand from the
-    registry handles, so existing readers keep working unchanged.  Pass
-    a shared registry (plus identifying labels such as ``src=``/``dst=``)
-    to fold a transport's counters into a node-wide observability
-    snapshot; with no registry the stats own a private one.
+    Counts live in the stats' own
+    :class:`~repro.obs.registry.MetricsRegistry` under the
+    ``transport.*`` namespace; the dict-shaped views (``delivered_bytes``
+    and friends) are built on demand from the registry handles.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None, **labels: str):
-        if registry is None or not registry.enabled:
-            # Delivery accounting is functional state (experiments and
-            # the HA machinery read it), not optional telemetry — a
-            # disabled shared registry must not silence it.
-            registry = MetricsRegistry()
-        self.registry = registry
-        self.labels = labels
+    def __init__(self):
+        registry = self.registry = MetricsRegistry()
         self._by_stream: dict[str, tuple[Counter, Counter, Counter]] = {}
-        self._overhead = registry.counter("transport.overhead_bytes", **labels)
-        self._connections = registry.counter("transport.connections_used", **labels)
-        self._dropped = registry.counter("transport.dropped_messages", **labels)
+        self._overhead = registry.counter("transport.overhead_bytes")
+        self._connections = registry.counter("transport.connections_used")
+        self._dropped = registry.counter("transport.dropped_messages")
 
     def _stream_handles(self, stream: str) -> tuple[Counter, Counter, Counter]:
         handles = self._by_stream.get(stream)
         if handles is None:
-            registry, labels = self.registry, self.labels
+            registry = self.registry
             handles = self._by_stream[stream] = (
-                registry.counter("transport.delivered.bytes", stream=stream, **labels),
-                registry.counter("transport.delivered.messages", stream=stream, **labels),
-                registry.counter("transport.delivered.tuples", stream=stream, **labels),
+                registry.counter("transport.delivered.bytes", stream=stream),
+                registry.counter("transport.delivered.messages", stream=stream),
+                registry.counter("transport.delivered.tuples", stream=stream),
             )
         return handles
 
@@ -200,8 +191,6 @@ class MultiplexedTransport:
             specification"); unknown streams default to weight 1.
         framing_overhead: extra bytes per message for the mux frame
             header (small; there is only one connection).
-        registry: optional shared metrics registry for the stats; extra
-            keyword labels (e.g. ``src=``, ``dst=``) tag its counters.
     """
 
     def __init__(
@@ -210,8 +199,6 @@ class MultiplexedTransport:
         weights: dict[str, float] | None = None,
         framing_overhead: int = 4,
         loss_hook: Callable[[StreamMessage], bool] | None = None,
-        registry: MetricsRegistry | None = None,
-        **stat_labels: str,
     ):
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
@@ -230,7 +217,7 @@ class MultiplexedTransport:
         self._queues: dict[str, deque[tuple[float, StreamMessage]]] = {}
         self._last_finish: dict[str, float] = {}
         self._virtual_time = 0.0
-        self.stats = TransportStats(registry, **stat_labels)
+        self.stats = TransportStats()
         self.stats.connections_used = 1
 
     def weight(self, stream: str) -> float:
@@ -279,6 +266,9 @@ class MultiplexedTransport:
         return self.stats
 
 
+SETUP_OVERHEAD = 120  # handshake bytes of one per-stream connection
+
+
 class PerStreamTransport:
     """One connection per stream, sharing the pipe equally.
 
@@ -286,7 +276,9 @@ class PerStreamTransport:
         bandwidth: total payload bandwidth of the node pair.
         header_overhead: per-message protocol header bytes on every
             connection (TCP/IP-scale, larger than a mux frame).
-        setup_overhead: handshake bytes charged once per connection.
+
+    Each connection is charged :data:`SETUP_OVERHEAD` handshake bytes
+    once.
 
     Bandwidth sharing is processor sharing among *backlogged*
     connections: at any instant each active connection transmits at
@@ -298,25 +290,21 @@ class PerStreamTransport:
         self,
         bandwidth: float,
         header_overhead: int = 40,
-        setup_overhead: int = 120,
         loss_hook: Callable[[StreamMessage], bool] | None = None,
-        registry: MetricsRegistry | None = None,
-        **stat_labels: str,
     ):
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         self.bandwidth = bandwidth
         self.header_overhead = header_overhead
-        self.setup_overhead = setup_overhead
         self.loss_hook = loss_hook
         self._queues: dict[str, deque[StreamMessage]] = {}
-        self.stats = TransportStats(registry, **stat_labels)
+        self.stats = TransportStats()
 
     def enqueue(self, message: StreamMessage) -> None:
         if message.stream not in self._queues:
             self._queues[message.stream] = deque()
             self.stats.connections_used += 1
-            self.stats.overhead_bytes += self.setup_overhead
+            self.stats.overhead_bytes += SETUP_OVERHEAD
         self._queues[message.stream].append(message)
 
     def backlog(self, stream: str) -> int:

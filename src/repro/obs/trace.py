@@ -483,11 +483,9 @@ class Tracer:
             )
         )
 
-    def event_block(
-        self, column: TraceColumn, name: str, at: np.ndarray, node: str = ""
-    ) -> None:
+    def event_block(self, column: TraceColumn, name: str, at: np.ndarray) -> None:
         """Whole-train :meth:`event`: one leaf span under every context."""
-        self.sink.record_block(column.trace_ids, column.span_ids, name, node, at)
+        self.sink.record_block(column.trace_ids, column.span_ids, name, "", at)
 
     def start_trace(
         self, name: str, node: str = "", at: float = 0.0

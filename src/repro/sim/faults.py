@@ -36,6 +36,15 @@ DROP = "drop"            # target: (src, dst); drop window opens
 UNDROP = "undrop"        # target: (src, dst); drop window closes
 SKEW = "skew"            # target: (node,); param: heartbeat skew seconds (0 clears)
 
+# Bounds of a random plan.
+CHAIN_MAX_CRASHES = 3         # crashes per chain plan
+CHAIN_MAX_PARTITIONS = 2      # partitions per chain plan
+CHAIN_MAX_DOWN_STEPS = 12     # tuple steps per chain outage
+CHAIN_MAX_BLOCKED_STEPS = 15  # tuple steps per chain partition
+OVERLAY_MAX_CRASHES = 2       # crashes per overlay plan
+OVERLAY_MAX_SKEWS = 2         # heartbeat clock skews per overlay plan
+OVERLAY_MAX_DROP_WINDOWS = 2  # heartbeat-drop windows per overlay plan
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -90,10 +99,6 @@ def generate_chain_plan(
     edges: list[tuple[str, str]],
     n_steps: int,
     k: int,
-    max_crashes: int = 3,
-    max_partitions: int = 2,
-    max_down_steps: int = 12,
-    max_blocked_steps: int = 15,
 ) -> FaultPlan:
     """A random crash/partition schedule for a :class:`ServerChain`.
 
@@ -113,12 +118,12 @@ def generate_chain_plan(
 
     down: dict[str, list[tuple[float, float]]] = {name: [] for name in servers}
     all_down: list[tuple[float, float]] = []
-    n_crashes = rng.randint(1, max_crashes)
+    n_crashes = rng.randint(1, CHAIN_MAX_CRASHES)
     for _ in range(n_crashes * 3):  # retry budget for rejected candidates
         if sum(len(v) for v in down.values()) >= n_crashes:
             break
         start = rng.randint(1, n_steps - 4)
-        duration = rng.randint(1, max_down_steps)
+        duration = rng.randint(1, CHAIN_MAX_DOWN_STEPS)
         end = min(start + duration, n_steps - 2)
         server = rng.choice(servers)
         if _overlaps(down[server], start - 1, end + 1):
@@ -131,12 +136,12 @@ def generate_chain_plan(
         events.append(FaultEvent(end, RESTART, (server,)))
 
     blocked: dict[tuple[str, str], list[tuple[float, float]]] = {e: [] for e in edges}
-    n_partitions = rng.randint(0, max_partitions)
+    n_partitions = rng.randint(0, CHAIN_MAX_PARTITIONS)
     for _ in range(n_partitions * 3):
         if sum(len(v) for v in blocked.values()) >= n_partitions:
             break
         start = rng.randint(1, n_steps - 4)
-        duration = rng.randint(2, max_blocked_steps)
+        duration = rng.randint(2, CHAIN_MAX_BLOCKED_STEPS)
         end = min(start + duration, n_steps - 2)
         edge = edges[rng.randrange(len(edges))]
         if _overlaps(blocked[edge], start - 1, end + 1):
@@ -153,9 +158,6 @@ def generate_overlay_plan(
     nodes: list[str],
     horizon: float,
     detection_deadline: float,
-    max_crashes: int = 2,
-    max_skews: int = 2,
-    max_drop_windows: int = 2,
     max_skew_amount: float | None = None,
     crashable: list[str] | None = None,
 ) -> FaultPlan:
@@ -176,8 +178,8 @@ def generate_overlay_plan(
     crash_targets = list(crashable) if crashable else list(nodes)
 
     down: dict[str, list[tuple[float, float]]] = {name: [] for name in nodes}
-    for _ in range(rng.randint(1, max_crashes) * 3):
-        if sum(len(v) for v in down.values()) >= max_crashes:
+    for _ in range(rng.randint(1, OVERLAY_MAX_CRASHES) * 3):
+        if sum(len(v) for v in down.values()) >= OVERLAY_MAX_CRASHES:
             break
         start = rng.uniform(detection_deadline, latest - 4.5 * detection_deadline)
         duration = rng.uniform(3.0 * detection_deadline, 4.0 * detection_deadline)
@@ -191,7 +193,7 @@ def generate_overlay_plan(
         events.append(FaultEvent(start, CRASH, (node,)))
         events.append(FaultEvent(end, RESTART, (node,)))
 
-    for _ in range(rng.randint(0, max_skews)):
+    for _ in range(rng.randint(0, OVERLAY_MAX_SKEWS)):
         start = rng.uniform(0.0, latest / 2)
         end = rng.uniform(start + detection_deadline, latest)
         node = rng.choice(nodes)
@@ -201,7 +203,7 @@ def generate_overlay_plan(
         events.append(FaultEvent(start, SKEW, (node,), param=amount))
         events.append(FaultEvent(end, SKEW, (node,), param=0.0))
 
-    for _ in range(rng.randint(0, max_drop_windows)):
+    for _ in range(rng.randint(0, OVERLAY_MAX_DROP_WINDOWS)):
         start = rng.uniform(0.0, latest / 2)
         end = rng.uniform(start, latest)
         src = rng.choice(nodes)

@@ -379,12 +379,12 @@ class OverlayScenarioResult:
         return not self.violations
 
 
-def run_overlay_scenario(
-    seed: int,
-    horizon: float = 20.0,
-    interval: float = 0.1,
-    miss_threshold: int = 3,
-) -> OverlayScenarioResult:
+OVERLAY_HORIZON = 20.0    # virtual seconds of one heartbeat-world run
+HEARTBEAT_INTERVAL = 0.1  # the monitor's heartbeat period
+MISS_THRESHOLD = 3        # missed heartbeats that declare a node failed
+
+
+def run_overlay_scenario(seed: int) -> OverlayScenarioResult:
     """One heartbeat-world schedule: crashes, skews and heartbeat drops
     against a 3-node Aurora* pipeline.
 
@@ -420,14 +420,16 @@ def run_overlay_scenario(
     for name in ("n1", "n2", "n3"):
         system.add_node(name)
     system.deploy({"b1": "n1", "b2": "n2", "b3": "n3"})
-    monitor = HeartbeatMonitor(system, interval=interval, miss_threshold=miss_threshold)
-    deadline = interval * miss_threshold
+    monitor = HeartbeatMonitor(
+        system, interval=HEARTBEAT_INTERVAL, miss_threshold=MISS_THRESHOLD
+    )
+    deadline = HEARTBEAT_INTERVAL * MISS_THRESHOLD
 
     watched = sorted({pair[1] for pair in monitor.watch_pairs()})
     plan = generate_overlay_plan(
         seed=seed,
         nodes=sorted(system.nodes),
-        horizon=horizon,
+        horizon=OVERLAY_HORIZON,
         detection_deadline=deadline,
         max_skew_amount=deadline / 2,
         crashable=watched,
@@ -450,12 +452,12 @@ def run_overlay_scenario(
 
     monitor.start()
     system.schedule_source(
-        "src", make_stream([{"v": i} for i in range(40)], spacing=horizon / 50)
+        "src", make_stream([{"v": i} for i in range(40)], spacing=OVERLAY_HORIZON / 50)
     )
-    system.run(until=horizon)
+    system.run(until=OVERLAY_HORIZON)
 
     violations = []
-    bound = deadline + 2 * interval + deadline / 2
+    bound = deadline + 2 * HEARTBEAT_INTERVAL + deadline / 2
     for node, fail_time, already_declared in crash_checks:
         if already_declared:
             continue

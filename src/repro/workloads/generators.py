@@ -33,6 +33,10 @@ __all__ = [
     "NetworkFlowSource",
 ]
 
+READING_NOISE = 0.5       # std. dev. of a reading's random-walk step
+QUOTE_VOLATILITY = 0.002  # std. dev. of a quote's log-price step
+FLOW_SKEW = 1.2           # Zipf skew of a flow record's source host
+
 
 class _Source:
     """Shared machinery: seeded RNG + tuple assembly."""
@@ -234,8 +238,7 @@ class FlashCrowdSource(RateCurveSource):
     :class:`KeyedPopulation` whose hot set rotates over time, so the
     same partition never stays hot for the whole run.
 
-    Rows carry ``{"key": <population key>, "req": <index>}`` plus
-    whatever ``extra_row`` adds.
+    Rows carry ``{"key": <population key>, "req": <index>}``.
     """
 
     def __init__(
@@ -245,7 +248,6 @@ class FlashCrowdSource(RateCurveSource):
         crowds: list[tuple[float, float]],
         population: KeyedPopulation,
         seed: int = 0,
-        extra_row: Callable[[int], dict] | None = None,
     ):
         if crowd_rate < base_rate:
             raise ValueError("crowd_rate must be >= base_rate")
@@ -254,7 +256,6 @@ class FlashCrowdSource(RateCurveSource):
                 raise ValueError(f"empty crowd window ({start}, {end})")
         self.crowds = sorted(crowds)
         self.population = population
-        self.extra_row = extra_row
 
         def rate(t: float) -> float:
             for start, end in self.crowds:
@@ -267,10 +268,7 @@ class FlashCrowdSource(RateCurveSource):
 
     def _row(self, i: int) -> dict:
         key = self.population.sample(self.rng, at=self._clock)
-        row = {"key": key, "req": i}
-        if self.extra_row is not None:
-            row.update(self.extra_row(i))
-        return row
+        return {"key": key, "req": i}
 
     def generate(self, duration: float, start_time: float = 0.0) -> list[StreamTuple]:
         # Same thinning loop as RateCurveSource, but the row factory
@@ -298,14 +296,12 @@ class SensorSource(_Source):
         rate: float,
         skew: float = 0.0,
         seed: int = 0,
-        noise: float = 0.5,
     ):
         super().__init__(seed)
         if n_sensors < 1:
             raise ValueError("need at least one sensor")
         self.n_sensors = n_sensors
         self.rate = rate
-        self.noise = noise
         self.population = KeyedPopulation(n_sensors, skew=skew)
         self.weights = self.population.weights
         self._values = [20.0 + self.rng.random() * 5.0 for _ in range(n_sensors)]
@@ -316,7 +312,7 @@ class SensorSource(_Source):
         tuples = []
         for i in range(count):
             sensor = self.population.sample(self.rng)
-            self._values[sensor] += self.rng.gauss(0.0, self.noise)
+            self._values[sensor] += self.rng.gauss(0.0, READING_NOISE)
             tuples.append(
                 StreamTuple(
                     {"sensor": sensor, "value": round(self._values[sensor], 3)},
@@ -342,7 +338,6 @@ class SensorFleetSource(_Source):
         skew: float = 1.0,
         churn_every: float = 0.0,
         seed: int = 0,
-        noise: float = 0.5,
     ):
         super().__init__(seed)
         if n_devices < 1:
@@ -350,7 +345,6 @@ class SensorFleetSource(_Source):
         if churn_every < 0:
             raise ValueError("churn_every must be non-negative")
         self.rate = rate
-        self.noise = noise
         self.churn_every = churn_every
         self.population = KeyedPopulation(n_devices, skew=skew)
         self._next_id = n_devices
@@ -379,7 +373,7 @@ class SensorFleetSource(_Source):
                 self._next_id += 1
                 next_churn += self.churn_every
             device = self.population.sample(self.rng)
-            self._values[device] += self.rng.gauss(0.0, self.noise)
+            self._values[device] += self.rng.gauss(0.0, READING_NOISE)
             tuples.append(
                 StreamTuple(
                     {"device": device, "value": round(self._values[device], 3)},
@@ -398,14 +392,12 @@ class StockQuoteSource(_Source):
         rate: float,
         skew: float = 1.0,
         seed: int = 0,
-        volatility: float = 0.002,
     ):
         super().__init__(seed)
         if not symbols:
             raise ValueError("need at least one symbol")
         self.symbols = list(symbols)
         self.rate = rate
-        self.volatility = volatility
         self.population = KeyedPopulation(self.symbols, skew=skew)
         self.weights = self.population.weights
         self._prices = {
@@ -418,7 +410,7 @@ class StockQuoteSource(_Source):
         tuples = []
         for i in range(count):
             sym = self.population.sample(self.rng)
-            self._prices[sym] *= math.exp(self.rng.gauss(0.0, self.volatility))
+            self._prices[sym] *= math.exp(self.rng.gauss(0.0, QUOTE_VOLATILITY))
             tuples.append(
                 StreamTuple(
                     {
@@ -437,14 +429,14 @@ class NetworkFlowSource(_Source):
 
     PROTOCOLS = ("tcp", "udp", "icmp")
 
-    def __init__(self, n_hosts: int, rate: float, skew: float = 1.2, seed: int = 0):
+    def __init__(self, n_hosts: int, rate: float, seed: int = 0):
         super().__init__(seed)
         if n_hosts < 2:
             raise ValueError("need at least two hosts")
         self.n_hosts = n_hosts
         self.rate = rate
         self.population = KeyedPopulation(
-            [f"10.0.0.{i}" for i in range(n_hosts)], skew=skew
+            [f"10.0.0.{i}" for i in range(n_hosts)], skew=FLOW_SKEW
         )
         self.weights = self.population.weights
 

@@ -65,6 +65,9 @@ from repro.workloads.slo import (
 
 Traffic = dict[str, list[StreamTuple]]
 
+TRACE_RATE = 0.05  # every scenario's tracer sampling rate
+TICK = 0.25        # probe / hook cadence in virtual seconds
+
 
 # -- faults ------------------------------------------------------------------
 
@@ -175,11 +178,6 @@ class Scenario:
             load window makes the shedder react to sub-second
             backlog the way a production admission controller would).
         shedding: whether a load shedder is installed at all.
-        trace_rate: tracer sampling rate (0 disables latency SLOs).
-        tick: probe / hook cadence in virtual seconds.
-        recovery_backlog: queued-work level counting as "recovered".
-        drain_grace: extra probing time after ``duration`` while the
-            backlog drains (defaults to ``2 * duration``).
         elasticity: optional :class:`ElasticitySpec`; when set, the
             runner installs an :class:`ElasticityController` over the
             engine and drives it from the probe tick, so hot boxes
@@ -201,10 +199,6 @@ class Scenario:
     shedder_target: float = 1.0
     load_window: float = 0.1
     shedding: bool = True
-    trace_rate: float = 0.05
-    tick: float = 0.25
-    recovery_backlog: float = 0.05
-    drain_grace: float = 0.0
     setup: Callable[["ScenarioRunner"], None] | None = None
     on_tick: Callable[["ScenarioRunner", float], None] | None = None
     on_finish: Callable[["ScenarioRunner"], None] | None = None
@@ -213,15 +207,16 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.tick <= 0:
-            raise ValueError("tick must be positive")
-        if self.drain_grace <= 0:
-            self.drain_grace = 2.0 * self.duration
         for fault in self.faults:
             if fault.end > self.duration:
                 raise ValueError(
                     f"fault {fault!r} extends past duration {self.duration:g}"
                 )
+
+    @property
+    def drain_grace(self) -> float:
+        """Extra probing time after ``duration`` while the backlog drains."""
+        return 2.0 * self.duration
 
 
 @dataclass
@@ -278,11 +273,7 @@ class ScenarioRunner:
         self.outages: set[str] = set()
         network, qos_specs = scenario.build()
         self.network = network
-        tracer = (
-            Tracer(self.sink, sample_rate=scenario.trace_rate)
-            if scenario.trace_rate > 0
-            else None
-        )
+        tracer = Tracer(self.sink, sample_rate=TRACE_RATE)
         shedder = (
             LoadShedder(target_load=scenario.shedder_target, seed=seed + 17)
             if scenario.shedding
@@ -374,9 +365,9 @@ class ScenarioRunner:
             order += 1
             events.append((fault.end, 0, order, "clear", fault))
             order += 1
-        ticks = max(1, round(scenario.duration / scenario.tick))
+        ticks = max(1, round(scenario.duration / TICK))
         for k in range(1, ticks + 1):
-            events.append((k * scenario.tick, 1, order, "tick", None))
+            events.append((k * TICK, 1, order, "tick", None))
             order += 1
         events.sort(key=lambda e: (e[0], e[1], e[2]))
 
@@ -411,7 +402,7 @@ class ScenarioRunner:
         when = scenario.duration
         deadline = scenario.duration + scenario.drain_grace
         while not self.engine.idle and when < deadline:
-            when += scenario.tick
+            when += TICK
             self.engine.run_until(when)
             self._probe()
         self.engine.run_until_idle()
@@ -424,7 +415,6 @@ class ScenarioRunner:
             probes=self.probes,
             faults=[fault.window() for fault in scenario.faults],
             duration=scenario.duration,
-            recovery_backlog=scenario.recovery_backlog,
         )
         report = evaluate_slos(
             scenario.name, scenario.slos, self.registry, self.sink, timeline

@@ -308,38 +308,3 @@ class TestEngineFusion:
         assert [v["A"] for v, _ts in as_trains[0]] == [
             i + 1 for i in range(16) if i % 7 != 0
         ]
-
-    def test_defuse_all_and_one(self):
-        net = pipeline(2)
-        net.add_box("x", Filter(lambda t: True))
-        net.add_box("y", Map(lambda v: v))
-        net.connect("in:other", "x")
-        net.connect("x", "y")
-        net.connect("y", "out:other_sink")
-        engine = AuroraEngine(net)
-        assert sorted(engine.fused_runs()) == [["f0", "f1"], ["x", "y"]]
-        engine.defuse("f1")  # by interior/tail member id
-        assert engine.fused_runs() == [["x", "y"]]
-        engine.defuse()
-        assert engine.fused_runs() == []
-        # invalidate_caches re-runs the pass: fusion is reversible.
-        engine.invalidate_caches()
-        assert sorted(engine.fused_runs()) == [["f0", "f1"], ["x", "y"]]
-
-    def test_mid_run_defuse_preserves_outputs(self):
-        tuples = [{"A": i} for i in range(60)]
-
-        def run(defuse_at):
-            engine = AuroraEngine(pipeline(4), train_size=6)
-            engine.push_many("src", make_stream(tuples))
-            for step in range(1000):
-                if step == defuse_at:
-                    engine.defuse()
-                if engine.step() == 0.0:
-                    break
-            engine.flush()
-            return [t["A"] for t in engine.outputs["sink"]]
-
-        baseline = run(defuse_at=10_000)  # never defused
-        assert run(defuse_at=0) == baseline
-        assert run(defuse_at=2) == baseline

@@ -273,30 +273,3 @@ def test_replay_is_the_per_tuple_engine():
         assert per_tuple["steps"] == reference["steps"], seed
         assert per_tuple["stats"] == reference["stats"], seed
         assert per_tuple["snapshot"] == run_config(seed, True)["snapshot"], seed
-
-
-def test_mid_run_defuse_and_refuse_random_networks():
-    """Defusing mid-run (and re-fusing via invalidate_caches) never
-    changes what is delivered."""
-    for seed in range(0, N_SEEDS, 7):
-        def run(toggle):
-            rng = random.Random(seed)
-            net = random_network(rng)
-            engine = AuroraEngine(net, train_size=4)
-            for idx, name in enumerate(sorted(net.inputs)):
-                rows = [{"G": i % 3, "A": i * (idx + 1)} for i in range(40)]
-                engine.push_many(name, make_stream(rows, spacing=0.002))
-            steps = 0
-            while engine.step() > 0.0:
-                steps += 1
-                if toggle and steps % 3 == 0:
-                    engine.defuse()
-                if toggle and steps % 5 == 0:
-                    engine.invalidate_caches()
-            engine.flush()
-            return {
-                name: [(t.values, t.timestamp) for t in tuples]
-                for name, tuples in engine.outputs.items()
-            }
-
-        assert run(toggle=True) == run(toggle=False), seed

@@ -3,7 +3,7 @@ engine's hot loop and every scheduler read about queue state.
 
 Two kinds of test.  *Agreement*: after every public engine call, over
 random networks and the hand-built corners (spill, connection points,
-``drain_boxes``, ``flush``, ``defuse``, elastic split / merge), the index
+``drain_boxes``, ``flush``, elastic split / merge), the index
 equals its from-scratch definition — ``Box.queued()`` per box,
 ``QueryNetwork.total_queued()`` in sum.  *Cost*: a step on a wide
 network with one short active path looks at a bounded number of arcs,
@@ -25,9 +25,11 @@ from repro.core.query import Arc, QueryNetwork
 from repro.core.scheduler import SCHEDULERS
 from repro.core.storage import StorageManager
 from repro.core.tuples import StreamTuple, make_stream
+from repro.reference import replay
 
 from tests.core.test_engine_fixes import reference_counts
 from tests.core.test_fusion_property import random_network
+from tests.core.test_reference import rows_of
 
 STEP_COST_BOXES = int(os.environ.get("STEP_COST_BOXES", "200"))
 
@@ -42,7 +44,7 @@ class Checked:
 
     CALLS = (
         "push", "push_many", "push_train", "step", "run_until_idle",
-        "drain_boxes", "flush", "flush_box", "defuse", "invalidate_caches",
+        "drain_boxes", "flush", "flush_box", "invalidate_caches",
     )
 
     def __init__(self, engine):
@@ -90,8 +92,6 @@ def test_index_is_the_queues_over_random_networks(mode):
                         engine.push(name, tup)
                 for _ in range(rng.randint(0, 3)):
                     engine.step()
-            if chunk == 1:
-                engine.defuse()
             engine.run_until_idle()
         engine.flush()
         assert engine.idle and engine.queued_total == 0
@@ -138,7 +138,8 @@ def test_index_excludes_what_a_choked_connection_point_holds():
     assert len(engine.outputs["sink"]) == 6
 
 
-def test_index_is_the_queues_through_drain_flush_and_defuse():
+def filter_chain():
+    """src -> f0 -> f1 -> f2 -> sink: one superbox."""
     net = QueryNetwork()
     for box_id in ("f0", "f1", "f2"):
         net.add_box(box_id, Filter(lambda t: True))
@@ -146,11 +147,14 @@ def test_index_is_the_queues_through_drain_flush_and_defuse():
     net.connect("f0", "f1")
     net.connect("f1", "f2")
     net.connect("f2", "out:sink")
-    engine = Checked(AuroraEngine(net, train_size=3))
+    return net
+
+
+def test_index_is_the_queues_through_drain_and_flush():
+    engine = Checked(AuroraEngine(filter_chain(), train_size=3))
     assert engine.fused_runs() == [["f0", "f1", "f2"]]
     engine.push_many("src", make_stream(rows(10)))
     engine.step()
-    engine.defuse("f1")
     engine.step()
     assert engine.drain_boxes(["f0"]) == 4  # what two trains of three left behind
     engine.push_many("src", make_stream(rows(5, 10)))
@@ -158,6 +162,28 @@ def test_index_is_the_queues_through_drain_flush_and_defuse():
     engine.push_many("src", make_stream(rows(5, 15)))
     engine.flush()
     assert len(engine.outputs["sink"]) == 20
+
+
+def test_drain_boxes_runs_a_fused_head_through_its_superbox():
+    """Draining the head of a superbox empties it through the superbox:
+    the index stays the queues after every call, nothing is left at the
+    interior members, and the run is still the replay of its log."""
+    engine = Checked(AuroraEngine(filter_chain(), train_size=3))
+    engine.engine.decision_log = log = []
+    engine.push_many("src", make_stream(rows(10)))
+    engine.step()
+    assert engine.queued_counts == {"f0": 7}
+    assert engine.drain_boxes(["f0"]) == 7
+    assert engine.idle and len(engine.outputs["sink"]) == 10
+    # The step's train of three, then the drain's one train of seven.
+    trains = [entry for entry in log if entry[0] == "train"]
+    assert [(t[1], t[2], t[3]) for t in trains] == [("f0", 3, ["f0", "f1", "f2"]),
+                                                   ("f0", 7, ["f0", "f1", "f2"])]
+    engine.flush()
+    result = replay(filter_chain(), log)
+    assert rows_of(engine.outputs) == rows_of(result.outputs)
+    assert engine.clock == result.clock
+    assert engine.steps == result.steps
 
 
 def test_index_is_the_queues_across_an_elastic_split_and_merge():

@@ -3,8 +3,8 @@
 ``QueryNetwork``'s mutators bump ``revision``; the engine and the
 Aurora* system revalidate what they derive from the network's shape on
 their next call.  Here a live engine is rewritten through the mutators
-alone and must behave exactly like the same script wrapped in the old
-``defuse()`` -> mutate -> ``invalidate_caches()`` bracket, and an
+alone and must behave exactly like the same script followed by an
+explicit ``invalidate_caches()`` after every rewrite, and an
 Aurora* deployment must show the right ``boxes_on()`` straight after
 every kind of change, with no refresh call anywhere.
 """
@@ -51,8 +51,6 @@ def rewrite_script(bracketed):
     seen = {"runs": [sorted(engine.fused_runs())], "queued": []}
 
     def rewrite(mutate):
-        if bracketed:
-            engine.defuse()
         mutate()
         if bracketed:
             engine.invalidate_caches()

@@ -12,6 +12,7 @@ from repro.distributed.connection_points import (
     split_connection_point,
 )
 from repro.distributed.system import AuroraStarSystem
+from repro.network.transport import TUPLE_BYTES
 
 
 def build_system():
@@ -52,7 +53,7 @@ class TestSplitConnectionPoint:
         feed(system, 20)
         split_connection_point(system, "tap", "remote")
         system.run()
-        assert system.link_bytes("home", "remote") >= 20 * system.tuple_bytes
+        assert system.link_bytes("home", "remote") >= 20 * TUPLE_BYTES
 
     def test_validations(self):
         system = build_system()

@@ -16,6 +16,7 @@ from repro.distributed.policy import (
     hottest_box,
 )
 from repro.distributed.system import AuroraStarSystem
+from repro.network.transport import TUPLE_BYTES
 
 
 def chain_system(costs=(0.001, 0.001, 0.001)):
@@ -82,7 +83,7 @@ class TestBandwidthDelta:
         delta = bandwidth_delta(system, "b", "n2")
         rate = box_input_rate(system, "b")
         # Both b's input arc and output arc start crossing the overlay.
-        assert delta == pytest.approx(2 * rate * system.tuple_bytes, rel=0.05)
+        assert delta == pytest.approx(2 * rate * TUPLE_BYTES, rel=0.05)
 
     def test_moving_box_toward_consumer_saves_bandwidth(self):
         system = chain_system()
@@ -101,7 +102,7 @@ class TestBandwidthDelta:
         delta = bandwidth_delta(system, "a", "n2")
         rate = box_input_rate(system, "a")
         # Moving "a" away from the ingress adds the source crossing too.
-        assert delta == pytest.approx(2 * rate * system.tuple_bytes, rel=0.05)
+        assert delta == pytest.approx(2 * rate * TUPLE_BYTES, rel=0.05)
 
 
 class TestChooseOffloadCandidate:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.transport import (
+    SETUP_OVERHEAD,
     MultiplexedTransport,
     PerStreamTransport,
     StreamMessage,
@@ -40,7 +41,7 @@ class TestConservation:
         stats = transport.run(duration)
         wire_bytes = sum(stats.delivered_bytes.values()) + stats.overhead_bytes
         # Setup overhead is control-plane, excluded from the data pipe.
-        setup = stats.connections_used * transport.setup_overhead
+        setup = stats.connections_used * SETUP_OVERHEAD
         assert wire_bytes - setup <= 1000.0 * duration + 1e-6
 
     @given(loads=streams_strategy)
