@@ -2,7 +2,7 @@
 
     python benchmarks/check_step_cost.py [--seed N]
 
-Two checks on the end-to-end harness, both counts (nothing is timed, so
+Three checks on the end-to-end harness, all counts (nothing is timed, so
 the step cannot flake):
 
 1. Every target in ``benchmarks/e2e/trace.py::PATCHES`` still resolves.
@@ -14,6 +14,11 @@ the step cannot flake):
    registry's ``engine.scheduler.decisions`` total of the same run).  An
    idle ``step()`` — a call that pays ``choose()`` to be told the queued
    index is empty — shows up as an excess.
+3. The simulated plane's twin: ``aurora_star_chain`` at smoke size
+   fires no ``AuroraNode._work`` event that finds nothing queued (a
+   wake-up that is provably next runs inside the handler that made it
+   due instead), and runs at most two simulator events per box-tuple
+   (its arrival and its train completion).
 
 The same workload is also run once under ``--trace 1`` so the patches
 are exercised for real; its ``core.engine.step.calls`` is printed, not
@@ -84,6 +89,37 @@ def steps_and_decisions(seed: int) -> tuple[int, int]:
     return calls[0], int(workload.result.registry.total("engine.scheduler.decisions"))
 
 
+def node_wake_ups(seed: int) -> tuple[int, int, int, int]:
+    """``aurora_star_chain`` at smoke size: (``_work`` events, those that
+    found nothing queued, simulator events, box-tuples)."""
+    from benchmarks.e2e.workloads import AuroraStarChain
+    from repro.sim.simulator import Simulator
+
+    real, counts = Simulator.schedule, [0, 0]
+
+    def schedule(sim, delay, fn, *args):
+        if getattr(fn, "__name__", None) == "_work":
+            work = fn
+
+            def fn():
+                counts[0] += 1
+                counts[1] += work.__self__._choose_box() is None
+                work()
+
+        return real(sim, delay, fn, *args)
+
+    workload = AuroraStarChain(seed, smoke=True)
+    workload.setup()
+    Simulator.schedule = schedule
+    try:
+        workload.run()
+    finally:
+        Simulator.schedule = real
+    system = workload.system
+    box_tuples = sum(node.tuples_processed for node in system.nodes.values())
+    return counts[0], counts[1], system.sim.events_processed, box_tuples
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -95,8 +131,14 @@ def main() -> int:
     print(f"AuroraEngine.step calls {steps}, engine.scheduler.decisions {decided}")
     if steps != decided:
         print(f"{steps - decided} step() calls made no decision (idle steps)")
+    work, idle, events, box_tuples = node_wake_ups(seed)
+    print(f"aurora_star_chain: {work} _work events, {idle} found nothing queued; "
+          f"{events} simulator events for {box_tuples} box-tuples")
+    node_ok = idle == 0 and events <= 2 * box_tuples
+    if not node_ok:
+        print("idle node wake-ups or more than two events per box-tuple")
     print(f"traced core.engine.step.calls {traced_step_calls(seed)}")
-    return 1 if missing or steps != decided else 0
+    return 1 if missing or steps != decided or not node_ok else 0
 
 
 if __name__ == "__main__":

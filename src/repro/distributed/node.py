@@ -100,26 +100,24 @@ class AuroraNode:
             return
         for tup in tuples:
             arc.push(tup)
-        self.kick()
+        self._wake()
 
     def _on_tuples(self, message: Message) -> None:
         """Handle a remote tuple batch: {"arc": arc_id, "tuples": [...]}."""
         payload = message.payload
-        arc = self.system.network.arcs.get(payload["arc"])
+        system = self.system
+        arc = system.network.arcs.get(payload["arc"])
         if arc is None:
             return  # arc was removed by a network transformation
         kind, ref = arc.target
         if kind == "out":
             for tup in payload["tuples"]:
-                self.system.deliver_output(str(ref), tup)
+                system.deliver_output(str(ref), tup)
             return
         # The consumer may have migrated after the message was sent;
         # forward to wherever it lives now.
-        owner = self.system.place(str(kind))
-        if owner != self.name:
-            self.system.nodes[owner].enqueue_local(arc, payload["tuples"])
-            return
-        self.enqueue_local(arc, payload["tuples"])
+        owner = system.nodes[system.place(str(kind))]
+        system._handle(owner.enqueue_local, arc, payload["tuples"])
 
     # -- scheduling loop ----------------------------------------------------------
 
@@ -131,15 +129,48 @@ class AuroraNode:
         start = max(self.system.sim.now, self.busy_until)
         self.system.sim.schedule_at(start, self._work)
 
+    def _wake(self) -> None:
+        """:meth:`kick`, unless the wake-up it would schedule is provably
+        the next event to fire: then it is owed to the running handler,
+        which calls ``_work()`` itself when it returns
+        (:meth:`AuroraStarSystem._handle`).
+
+        Ties break by insertion order, so a ``_work`` scheduled now at
+        ``now`` fires after every event already pending at ``now`` and
+        before every event scheduled later.  With none pending at
+        ``now`` (and the node idle, so ``kick`` would pick ``now``) it is
+        the very next event, and running it when the handler returns
+        changes no order, clock or float.
+        """
+        system = self.system
+        woken = system._woken
+        if woken is not None and not (self._work_scheduled or self.failed):
+            sim = system.sim
+            now = sim.now
+            if self.busy_until <= now:
+                next_time = sim.peek_time()
+                if next_time is None or next_time > now:
+                    self._work_scheduled = True
+                    woken.append(self)
+                    return
+        self.kick()
+
     def _choose_box(self) -> Box | None:
         """Longest-queue-first among this node's runnable boxes."""
         best: Box | None = None
         best_queued = 0
-        for box_id in self.system.hosted_boxes(self.name):
-            if box_id in self.system.migrating:
+        system = self.system
+        migrating = system.migrating
+        boxes = system.network.boxes
+        for box_id in system.hosted_boxes(self.name):
+            if box_id in migrating:
                 continue
-            box = self.system.network.boxes[box_id]
-            queued = box.queued()
+            box = boxes[box_id]
+            # Box.queued() without its generator: a node queues rows, never
+            # columnar segments, so an arc holds len(queue) tuples.
+            queued = 0
+            for arc in box.input_arcs.values():
+                queued += len(arc.queue)
             if queued > best_queued:
                 best, best_queued = box, queued
         return best
@@ -218,7 +249,7 @@ class AuroraNode:
     def _complete(self, box: Box, emissions: list[tuple[int, StreamTuple]]) -> None:
         if self.failed:
             return
-        self.route_emissions(box, emissions)  # kicks the next work event
+        self.system._handle(self.route_emissions, box, emissions)  # wakes the next train
 
     # -- egress -----------------------------------------------------------------
 
@@ -240,10 +271,15 @@ class AuroraNode:
                     arc.push(tup)
                 else:
                     remote_batches.setdefault((owner, arc.id), []).append(tup)
-        self.kick()
+        self._wake()
+        if not remote_batches:
+            return
         system = self.system
         tracing = system._tracing
-        for (owner, arc_id), tuples in sorted(remote_batches.items()):
+        batches = remote_batches.items()
+        if len(batches) > 1:
+            batches = sorted(batches)
+        for (owner, arc_id), tuples in batches:
             size = train_frame_size(len(tuples), TUPLE_BYTES, MESSAGE_HEADER_BYTES)
             handles = self._m_frames.get(owner)
             if handles is None:

@@ -91,6 +91,9 @@ class AuroraStarSystem:
         # placement that matters to it.
         self._placement_revision = 0
         self._hosted: tuple[tuple, dict[str, list[str]]] = ((), {})
+        # Nodes whose next wake-up the running handler owes, in wake
+        # order (AuroraNode._wake); None outside _handle().
+        self._woken: list[AuroraNode] | None = None
 
     # -- topology ---------------------------------------------------------------
 
@@ -214,9 +217,34 @@ class AuroraStarSystem:
         """Schedule timestamped tuples to be pushed at their timestamps."""
         count = 0
         for tup in tuples:
-            self.sim.schedule_at(max(tup.timestamp, self.sim.now), self.push, input_name, tup)
+            self.sim.schedule_at(max(tup.timestamp, self.sim.now), self._arrive, input_name, tup)
             count += 1
         return count
+
+    def _arrive(self, input_name: str, tup: StreamTuple) -> None:
+        """A scheduled source arrival: :meth:`push` as an event handler."""
+        self._handle(self.push, input_name, tup)
+
+    def _handle(self, handler, *args) -> None:
+        """Run ``handler(*args)`` as the whole of a simulator event, then
+        the node wake-ups it made due at once, in wake order.
+
+        A node woken inside the handler whose ``_work`` event would fire
+        next (see :meth:`AuroraNode._wake`) is owed instead of
+        scheduled: nothing can fire between the handler's return and
+        that event, so running ``_work()`` here is the same step without
+        the event.  Nested calls join the outer handler.
+        """
+        if self._woken is not None:
+            handler(*args)
+            return
+        self._woken = woken = []
+        try:
+            handler(*args)
+        finally:
+            self._woken = None
+        for node in woken:
+            node._work()
 
     # -- tuple movement -------------------------------------------------------------
 
@@ -282,7 +310,9 @@ class AuroraStarSystem:
             emissions = box.operator.flush()
             if emissions:
                 box.tuples_out += len(emissions)
-                node.route_emissions(box, emissions)
+                # The queue is drained here, so a wake-up this routing
+                # makes is the next event: owed, not scheduled.
+                self._handle(node.route_emissions, box, emissions)
             self.run()
 
     # -- metrics ----------------------------------------------------------------------

@@ -285,7 +285,7 @@ class Overlay:
             link.bytes_sent += message.size
             departure = serialization_end + link.latency
         departure += fault_delay
-        if any(self.nodes[n].failed for n in path[1:-1]):
+        if len(path) > 2 and any(self.nodes[n].failed for n in path[1:-1]):
             # A failed relay swallows the message mid-path.
             self.sim.schedule_at(departure, self._drop_relayed)
         else:

@@ -133,23 +133,38 @@ class Simulator:
 
         Stops when the queue is empty, when the next event would occur
         after ``until``, or after ``max_events`` events.  When stopping
-        at ``until``, the clock is advanced to ``until`` so subsequent
-        scheduling is relative to the stop time.
+        at ``until``, the clock is advanced to ``until`` (never moved
+        back) so subsequent scheduling is relative to the stop time.
+
+        One loop over the heap top: the same events, clock and trace as
+        calling :meth:`peek_time` then :meth:`step` per event, without
+        the two calls.
         """
-        processed = 0
-        while True:
-            if max_events is not None and processed >= max_events:
-                return
-            next_time = self.peek_time()
-            if next_time is None:
-                if until is not None:
-                    self.now = max(self.now, until)
-                return
-            if until is not None and next_time > until:
-                self.now = until
-                return
-            self.step()
-            processed += 1
+        queue = self._queue
+        pop = heapq.heappop
+        budget = -1 if max_events is None else max(max_events, 0)
+        while budget:
+            if not queue:
+                break
+            time, seq, event = queue[0]
+            if event.cancelled:
+                pop(queue)
+                continue
+            if until is not None and time > until:
+                break
+            pop(queue)
+            event.fired = True
+            self._pending_count -= 1
+            self.now = time
+            if self._record_trace:
+                self.trace.append((time, seq, getattr(event.fn, "__name__", repr(event.fn))))
+            event.fn(*event.args)
+            self.events_processed += 1
+            budget -= 1
+        else:
+            return  # max_events reached: the clock stays at the last event
+        if until is not None and until > self.now:
+            self.now = until
 
     @property
     def pending(self) -> int:

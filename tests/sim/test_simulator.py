@@ -176,6 +176,58 @@ class TestRunBounds:
         sim.run(until=7.0)
         assert sim.now == 7.0
 
+    def test_run_until_in_the_past_keeps_clock_with_event_pending(self):
+        # Regression: with an event pending after ``until`` the loop
+        # used to set ``now = until`` even when that moved it backwards.
+        sim = Simulator()
+        fired = []
+        sim.schedule(10.0, fired.append, "x")
+        sim.run(until=6.0)
+        sim.run(until=3.0)
+        assert sim.now == 6.0 and fired == []
+        sim.run()
+        assert sim.now == 10.0 and fired == ["x"]
+
+    def test_run_until_in_the_past_keeps_clock_with_queue_empty(self):
+        sim = Simulator()
+        sim.run(until=6.0)
+        sim.run(until=3.0)
+        assert sim.now == 6.0
+
+    def test_run_matches_peek_then_step(self):
+        """The one-loop ``run`` fires what ``peek_time`` + ``step`` would:
+        same order, clock, trace and counts, cancelled events skipped."""
+
+        def drive(use_run):
+            sim = Simulator(record_trace=True)
+            order = []
+
+            def tick(n):
+                order.append((sim.now, n))
+                if n % 3 == 0:
+                    sim.schedule(0.0, tick, n + 100)
+                if n < 20:
+                    sim.schedule(0.5 * (n % 4), tick, n + 1)
+
+            for i in range(5):
+                sim.schedule(float(i % 2), tick, 10 * i)
+            sim.schedule(0.7, tick, -1).cancel()
+            if use_run:
+                sim.run(until=4.0)
+                sim.run(max_events=7)
+                sim.run()
+            else:
+                while sim.peek_time() is not None and sim.peek_time() <= 4.0:
+                    sim.step()
+                sim.now = max(sim.now, 4.0)
+                for _ in range(7):
+                    sim.step()
+                while sim.step():
+                    pass
+            return order, sim.now, sim.events_processed, sim.pending, sim.trace_text()
+
+        assert drive(True) == drive(False)
+
     def test_max_events_bound(self):
         sim = Simulator()
         for _ in range(10):
