@@ -71,6 +71,12 @@ from repro.obs.trace import TraceColumn
 _FAST_KINDS = frozenset("ifb")  # int64 / float64 / bool_ vectorize natively
 
 
+def column_value(col: np.ndarray, i: int) -> Any:
+    """One column element as the Python value ``tolist()`` would yield."""
+    v = col[i]
+    return v.item() if col.dtype.kind != "O" else v
+
+
 def as_column(values: Sequence[Any]) -> np.ndarray:
     """Encode one field's values as a column array.
 

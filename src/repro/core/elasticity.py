@@ -842,7 +842,7 @@ class ElasticityController:
             for name in self._COUNTERS
         }
         self._m_lost = self.metrics.counter("elasticity.tuples_lost")
-        self._m_decisions: dict[tuple[str, str], Counter] = {}
+        self._m_decisions = self.metrics.labelled("elasticity.decisions", "action", "box")
 
     @classmethod
     def from_spec(
@@ -970,13 +970,7 @@ class ElasticityController:
             "rollback": "rollbacks",
         }[action]
         self._m[counter].inc()
-        key = (action, group.box_id)
-        handle = self._m_decisions.get(key)
-        if handle is None:
-            handle = self._m_decisions[key] = self.metrics.counter(
-                "elasticity.decisions", action=action, box=group.box_id
-            )
-        handle.inc()
+        self._m_decisions[action, group.box_id].inc()
         group.last_action = now
         if self.tracer is not None and self.tracer.active:
             self.tracer.start_trace(f"elasticity:{action}:{group.box_id}", at=now)

@@ -147,9 +147,9 @@ class AuroraEngine:
         self._m_tuples = self.metrics.counter("engine.tuples_processed")
         self._m_emitted = self.metrics.counter("engine.tuples_emitted")
         self._m_train_hist = self.metrics.histogram("engine.train.tuples")
-        self._m_ingest: dict[str, Counter] = {}
-        self._m_delivered: dict[str, Counter] = {}
-        self._m_shed: dict[str, Counter] = {}
+        self._m_ingest = self.metrics.labelled("engine.ingest.tuples", "input")
+        self._m_delivered = self.metrics.labelled("engine.delivered.tuples", "stream")
+        self._m_shed = self.metrics.labelled("engine.shed.dropped", "input")
 
         self.clock = 0.0
         self.steps = 0
@@ -317,15 +317,7 @@ class AuroraEngine:
         self._input_reach_cache[input_name] = result
         return result
 
-    # -- observability handle caches ------------------------------------------
-
-    def _counter_for(
-        self, cache: dict[str, Counter], name: str, label: str, value: str
-    ) -> Counter:
-        handle = cache.get(value)
-        if handle is None:
-            handle = cache[value] = self.metrics.counter(name, **{label: value})
-        return handle
+    # -- observability handles -------------------------------------------------
 
     def _bind(self, route: "_Route", slot: str) -> Counter:
         """First use of one of a route's per-box counters: a box that
@@ -337,9 +329,7 @@ class AuroraEngine:
 
     def record_shed(self, input_name: str, count: int = 1) -> None:
         """Account shedder drops at an input (called by the shedder)."""
-        self._counter_for(
-            self._m_shed, "engine.shed.dropped", "input", input_name
-        ).inc(count)
+        self._m_shed[input_name].inc(count)
 
     # -- ingestion -------------------------------------------------------------
 
@@ -363,9 +353,7 @@ class AuroraEngine:
             )
         if not admitted:
             return False
-        self._counter_for(
-            self._m_ingest, "engine.ingest.tuples", "input", input_name
-        ).inc()
+        self._m_ingest[input_name].inc()
         if self._tracing:
             # Ingestion is authoritative: stamp a fresh context for
             # sampled tuples and clear any stale one left over from a
@@ -401,9 +389,7 @@ class AuroraEngine:
         counts, target = self.queued_counts, arc.target[0]
         counts[target] = counts.get(target, 0) + n
         self.queued_total += n
-        self._counter_for(
-            self._m_ingest, "engine.ingest.tuples", "input", input_name
-        ).inc(n)
+        self._m_ingest[input_name].inc(n)
 
     def push_train(self, input_name: str, train: ColumnarTrain) -> int:
         """Admit a whole columnar train on a named input stream.
@@ -969,9 +955,7 @@ class AuroraEngine:
                     if tup.trace is not None:
                         event(tup.trace, f"deliver:{output_name}", at=tup.timestamp)
         self.qos_monitor.record_output_batch(output_name, latencies)
-        self._counter_for(
-            self._m_delivered, "engine.delivered.tuples", "stream", output_name
-        ).inc(len(batch))
+        self._m_delivered[output_name].inc(len(batch))
 
     def drain_boxes(self, box_ids: Iterable[str]) -> int:
         """Synchronously run the given boxes until their queues are empty.

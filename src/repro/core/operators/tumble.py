@@ -34,17 +34,12 @@ from repro.core.aggregates import (
 from repro.core.columnar import (
     ColumnarTrain,
     as_column,
+    column_value,
     group_rows,
 )
 from repro.core.operators.base import Emission, Operator, TrainEmission
 from repro.core.tuples import StreamTuple, key_getter
 from repro.obs.trace import TraceColumn
-
-
-def _col_pyval(col: np.ndarray, i: int) -> Any:
-    """One column element as the Python value ``tolist()`` would yield."""
-    v = col[i]
-    return v.item() if col.dtype.kind != "O" else v
 
 
 def _prepend_row(
@@ -365,7 +360,7 @@ class Tumble(Operator):
         idx = 0
         closure = None
         if self._run_key is not None:
-            first_key = tuple(_col_pyval(c, 0) for c in cols)
+            first_key = tuple(column_value(c, 0) for c in cols)
             if first_key == self._run_key:
                 # The carried open window extends through run 0.
                 self._run_state = segment_fold(
@@ -402,7 +397,7 @@ class Tumble(Operator):
             out.add_tuple(closure)
         # The trailing run stays open.
         s_last = int(starts[-1])
-        self._run_key = tuple(_col_pyval(c, s_last) for c in cols)
+        self._run_key = tuple(column_value(c, s_last) for c in cols)
         self._run_state = segment_fold(agg, agg.initial(), vals, s_last, m)
         self._run_first = train.tuple_at(a + s_last)
 
@@ -432,7 +427,7 @@ class Tumble(Operator):
         for gi in range(len(gstarts)):
             gs, ge = int(gstarts[gi]), int(gends[gi])
             rows = order[gs:ge]
-            key = tuple(_col_pyval(c, int(rows[0])) for c in cols)
+            key = tuple(column_value(c, int(rows[0])) for c in cols)
             entry = windows.get(key)
             if entry is None:
                 state, count, first = agg.initial(), 0, None

@@ -27,9 +27,11 @@ from repro.core.aggregates import (
 from repro.core.columnar import (
     ColumnarTrain,
     as_column,
+    column_value,
     group_rows,
 )
 from repro.core.operators.base import Emission, Operator, TrainEmission
+from repro.core.operators.tumble import Tumble
 from repro.core.tuples import StreamTuple
 
 #: Aggregates whose sliding-window results are expressible as segment
@@ -37,11 +39,6 @@ from repro.core.tuples import StreamTuple
 _SLIDE_KERNEL_AGGS = frozenset(
     {"cnt", "sum", "max", "min", "avg", "first", "last"}
 )
-
-
-def _col_pyval(col: np.ndarray, i: int) -> Any:
-    v = col[i]
-    return v.item() if col.dtype.kind != "O" else v
 
 
 class XSection(Operator):
@@ -108,10 +105,8 @@ class XSection(Operator):
         self._groups[key] = (seen + 1, still_open)
         return emissions
 
-    def _make_result(self, key: tuple, state: Any, first: StreamTuple) -> StreamTuple:
-        values = dict(zip(self.groupby, key))
-        values[self.result_attr] = self.agg.result(state)
-        return first.derive(values)
+    # A closed window becomes a tuple exactly as a Tumble's does.
+    _make_result = Tumble._make_result
 
     def flush(self) -> list[Emission]:
         emissions: list[Emission] = []
@@ -220,7 +215,7 @@ class Slide(Operator):
         for gi in range(len(gstarts)):
             gs, ge = int(gstarts[gi]), int(gends[gi])
             rows = order[gs:ge]
-            key = tuple(_col_pyval(c, int(rows[0])) for c in cols)
+            key = tuple(column_value(c, int(rows[0])) for c in cols)
             buffer = self._buffers.get(key)
             carried = list(buffer) if buffer else []
             gvals = svals[gs:ge]

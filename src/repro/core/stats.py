@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.query import QueryNetwork
-from repro.obs.registry import MetricsRegistry
 
 
 class EWMA:
@@ -98,24 +97,6 @@ class RateEstimator:
 
     def __len__(self) -> int:
         return self._total
-
-
-def publish_network_stats(network: QueryNetwork, registry: MetricsRegistry) -> None:
-    """Publish every box's measured statistics as registry gauges.
-
-    Gauges carry the current value of the same per-box statistics that
-    :func:`summarize_network` tabulates (tuples in/out, selectivity,
-    average processing time) plus per-arc queue depths, so stats
-    monitors and exporters read one source of truth.
-    """
-    for box_id, box in network.boxes.items():
-        registry.gauge("box.tuples_in", box=box_id).set(box.tuples_in)
-        registry.gauge("box.tuples_out", box=box_id).set(box.tuples_out)
-        registry.gauge("box.selectivity", box=box_id).set(box.selectivity)
-        registry.gauge("box.average_time", box=box_id).set(box.average_time)
-    for arc_id, arc in network.arcs.items():
-        registry.gauge("arc.queue_depth", arc=arc_id).set(arc.queued_tuples())
-    registry.gauge("network.queued_tuples").set(network.total_queued())
 
 
 def summarize_network(network: QueryNetwork) -> str:

@@ -88,7 +88,9 @@ class AuroraNode:
         metrics = system.metrics
         self._m_tuples = metrics.counter("node.tuples_processed", node=name)
         self._m_trains = metrics.counter("node.trains", node=name)
-        self._m_frames: dict[str, tuple] = {}
+        self._m_frames = metrics.labelled("transport.frames", "dst", src=name)
+        self._m_frame_tuples = metrics.labelled("transport.tuples", "dst", src=name)
+        self._m_frame_bytes = metrics.labelled("transport.bytes", "dst", src=name)
         self.failed = False
         self._work_scheduled = False
 
@@ -100,60 +102,33 @@ class AuroraNode:
             return
         for tup in tuples:
             arc.push(tup)
-        self._wake()
+        self.kick()
 
     def _on_tuples(self, message: Message) -> None:
         """Handle a remote tuple batch: {"arc": arc_id, "tuples": [...]}."""
         payload = message.payload
-        system = self.system
-        arc = system.network.arcs.get(payload["arc"])
+        arc = self.system.network.arcs.get(payload["arc"])
         if arc is None:
             return  # arc was removed by a network transformation
-        kind, ref = arc.target
-        if kind == "out":
-            for tup in payload["tuples"]:
-                system.deliver_output(str(ref), tup)
-            return
-        # The consumer may have migrated after the message was sent;
-        # forward to wherever it lives now.
-        owner = system.nodes[system.place(str(kind))]
-        system._handle(owner.enqueue_local, arc, payload["tuples"])
+        # The consumer may have migrated after the message was sent:
+        # enqueue_arc hands the tuples to wherever it lives now.
+        self.system.enqueue_arc(arc, payload["tuples"])
 
     # -- scheduling loop ----------------------------------------------------------
 
     def kick(self) -> None:
-        """Ensure a work event is pending (idempotent)."""
+        """Ensure a work event is pending (idempotent).
+
+        An idle node's wake-up that would be the next event is owed to
+        the running callback instead (:meth:`Simulator.owe`)."""
         if self.failed or self._work_scheduled:
             return
         self._work_scheduled = True
-        start = max(self.system.sim.now, self.busy_until)
-        self.system.sim.schedule_at(start, self._work)
-
-    def _wake(self) -> None:
-        """:meth:`kick`, unless the wake-up it would schedule is provably
-        the next event to fire: then it is owed to the running handler,
-        which calls ``_work()`` itself when it returns
-        (:meth:`AuroraStarSystem._handle`).
-
-        Ties break by insertion order, so a ``_work`` scheduled now at
-        ``now`` fires after every event already pending at ``now`` and
-        before every event scheduled later.  With none pending at
-        ``now`` (and the node idle, so ``kick`` would pick ``now``) it is
-        the very next event, and running it when the handler returns
-        changes no order, clock or float.
-        """
-        system = self.system
-        woken = system._woken
-        if woken is not None and not (self._work_scheduled or self.failed):
-            sim = system.sim
-            now = sim.now
-            if self.busy_until <= now:
-                next_time = sim.peek_time()
-                if next_time is None or next_time > now:
-                    self._work_scheduled = True
-                    woken.append(self)
-                    return
-        self.kick()
+        sim = self.system.sim
+        if self.busy_until > sim.now:
+            sim.schedule_at(self.busy_until, self._work)
+        elif not sim.owe(self._work):
+            sim.schedule_at(sim.now, self._work)
 
     def _choose_box(self) -> Box | None:
         """Longest-queue-first among this node's runnable boxes."""
@@ -249,7 +224,7 @@ class AuroraNode:
     def _complete(self, box: Box, emissions: list[tuple[int, StreamTuple]]) -> None:
         if self.failed:
             return
-        self.system._handle(self.route_emissions, box, emissions)  # wakes the next train
+        self.route_emissions(box, emissions)  # wakes the next train
 
     # -- egress -----------------------------------------------------------------
 
@@ -271,7 +246,7 @@ class AuroraNode:
                     arc.push(tup)
                 else:
                     remote_batches.setdefault((owner, arc.id), []).append(tup)
-        self._wake()
+        self.kick()
         if not remote_batches:
             return
         system = self.system
@@ -281,17 +256,9 @@ class AuroraNode:
             batches = sorted(batches)
         for (owner, arc_id), tuples in batches:
             size = train_frame_size(len(tuples), TUPLE_BYTES, MESSAGE_HEADER_BYTES)
-            handles = self._m_frames.get(owner)
-            if handles is None:
-                metrics = system.metrics
-                handles = self._m_frames[owner] = (
-                    metrics.counter("transport.frames", src=self.name, dst=owner),
-                    metrics.counter("transport.tuples", src=self.name, dst=owner),
-                    metrics.counter("transport.bytes", src=self.name, dst=owner),
-                )
-            handles[0].inc()
-            handles[1].inc(len(tuples))
-            handles[2].inc(size)
+            self._m_frames[owner].inc()
+            self._m_frame_tuples[owner].inc(len(tuples))
+            self._m_frame_bytes[owner].inc(size)
             if tracing:
                 now = system.sim.now
                 self._stamp(tuples, f"transport:{self.name}->{owner}", now, now)

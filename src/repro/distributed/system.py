@@ -25,7 +25,7 @@ from repro.network.transport import (
     TUPLE_BYTES,
     train_frame_size,
 )
-from repro.obs.registry import Counter, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sim import Simulator
 
@@ -71,8 +71,8 @@ class AuroraStarSystem:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self._tracing = tracer is not None and tracer.active
-        self._m_ingest: dict[str, Counter] = {}
-        self._m_delivered: dict[str, Counter] = {}
+        self._m_ingest = self.metrics.labelled("system.ingest.tuples", "input")
+        self._m_delivered = self.metrics.labelled("system.delivered.tuples", "stream")
         # Ingress binding: the node where a source physically delivers
         # its events (Section 4.2).  When the consumer of an input arc
         # lives elsewhere, tuples cross the overlay from the ingress
@@ -91,9 +91,6 @@ class AuroraStarSystem:
         # placement that matters to it.
         self._placement_revision = 0
         self._hosted: tuple[tuple, dict[str, list[str]]] = ((), {})
-        # Nodes whose next wake-up the running handler owes, in wake
-        # order (AuroraNode._wake); None outside _handle().
-        self._woken: list[AuroraNode] | None = None
 
     # -- topology ---------------------------------------------------------------
 
@@ -185,12 +182,7 @@ class AuroraStarSystem:
             raise KeyError(f"network has no input {input_name!r}")
         if tup.timestamp == 0.0 and self.sim.now > 0.0:
             tup = tup.with_metadata(timestamp=self.sim.now)
-        handle = self._m_ingest.get(input_name)
-        if handle is None:
-            handle = self._m_ingest[input_name] = self.metrics.counter(
-                "system.ingest.tuples", input=input_name
-            )
-        handle.inc()
+        self._m_ingest[input_name].inc()
         if self._tracing and tup.trace is None:
             # Only fresh tuples start traces: a tuple arriving over a
             # Medusa bridge already carries its cross-participant trace.
@@ -217,34 +209,9 @@ class AuroraStarSystem:
         """Schedule timestamped tuples to be pushed at their timestamps."""
         count = 0
         for tup in tuples:
-            self.sim.schedule_at(max(tup.timestamp, self.sim.now), self._arrive, input_name, tup)
+            self.sim.schedule_at(max(tup.timestamp, self.sim.now), self.push, input_name, tup)
             count += 1
         return count
-
-    def _arrive(self, input_name: str, tup: StreamTuple) -> None:
-        """A scheduled source arrival: :meth:`push` as an event handler."""
-        self._handle(self.push, input_name, tup)
-
-    def _handle(self, handler, *args) -> None:
-        """Run ``handler(*args)`` as the whole of a simulator event, then
-        the node wake-ups it made due at once, in wake order.
-
-        A node woken inside the handler whose ``_work`` event would fire
-        next (see :meth:`AuroraNode._wake`) is owed instead of
-        scheduled: nothing can fire between the handler's return and
-        that event, so running ``_work()`` here is the same step without
-        the event.  Nested calls join the outer handler.
-        """
-        if self._woken is not None:
-            handler(*args)
-            return
-        self._woken = woken = []
-        try:
-            handler(*args)
-        finally:
-            self._woken = None
-        for node in woken:
-            node._work()
 
     # -- tuple movement -------------------------------------------------------------
 
@@ -276,12 +243,7 @@ class AuroraStarSystem:
             self.sim.now - tup.timestamp
         )
         self.tuples_delivered += 1
-        handle = self._m_delivered.get(output_name)
-        if handle is None:
-            handle = self._m_delivered[output_name] = self.metrics.counter(
-                "system.delivered.tuples", stream=output_name
-            )
-        handle.inc()
+        self._m_delivered[output_name].inc()
         if self._tracing and tup.trace is not None:
             self.tracer.event(
                 tup.trace, f"deliver:{output_name}", at=self.sim.now
@@ -312,7 +274,7 @@ class AuroraStarSystem:
                 box.tuples_out += len(emissions)
                 # The queue is drained here, so a wake-up this routing
                 # makes is the next event: owed, not scheduled.
-                self._handle(node.route_emissions, box, emissions)
+                self.sim.call(node.route_emissions, box, emissions)
             self.run()
 
     # -- metrics ----------------------------------------------------------------------

@@ -24,9 +24,9 @@ duplicates.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
-from repro.obs.registry import NULL_COUNTER, NULL_GAUGE, Counter, MetricsRegistry
+from repro.obs.registry import NULL_COUNTER, NULL_GAUGE, MetricsRegistry
 from repro.obs.trace import Tracer
 
 
@@ -154,6 +154,18 @@ class WindowOp(ServerOp):
         return WindowOp(self.size, self.agg)
 
 
+def run_through(
+    tup: HATuple, stages: Iterable[Callable[[HATuple], list[HATuple]]]
+) -> list[HATuple]:
+    """Pass one tuple through a pipeline of stages (a server's ops, a
+    virtual machine's ops, a chain of virtual machines): every output of
+    a stage feeds the next, in order."""
+    batch = [tup]
+    for stage in stages:
+        batch = [out for item in batch for out in stage(item)]
+    return batch
+
+
 class HAServer:
     """One server: a deterministic pipeline plus the k-safety bookkeeping.
 
@@ -228,7 +240,7 @@ class HAServer:
             self.absorbed.get(sender, {}), tup.high
         )
         self.tuples_processed += 1
-        outputs = self._run_pipeline(tup)
+        outputs = run_through(tup, [op.process for op in self.ops])
         logged = []
         for out in outputs:
             lineage = dict(out.lineage)
@@ -240,15 +252,6 @@ class HAServer:
             self.next_seq += 1
             logged.append(stamped)
         return logged
-
-    def _run_pipeline(self, tup: HATuple) -> list[HATuple]:
-        batch = [tup]
-        for op in self.ops:
-            next_batch: list[HATuple] = []
-            for item in batch:
-                next_batch.extend(op.process(item))
-            batch = next_batch
-        return batch
 
     def dependency_floor(self) -> dict[str, int]:
         """Per-origin seq of the earliest tuple this server still needs.
@@ -357,11 +360,12 @@ class ServerChain:
         self.tracer = tracer
         self._tracing = tracer is not None and tracer.active
         self._m_data = self.metrics.counter("ha.data_messages")
-        self._m_flow = self.metrics.counter("ha.flow_messages")
-        self._m_ack = self.metrics.counter("ha.ack_messages")
+        # The flow protocol (repro.ha.flow) counts its own messages.
+        self.flow_counter = self.metrics.counter("ha.flow_messages")
+        self.ack_counter = self.metrics.counter("ha.ack_messages")
         self._m_heartbeats = self.metrics.counter("ha.heartbeats_sent")
         self._m_wire_drops = self.metrics.counter("ha.wire_drops")
-        self._m_delivered: dict[str, Counter] = {}
+        self._m_delivered = self.metrics.labelled("ha.delivered.tuples", "terminal")
         self.servers: dict[str, HAServer] = {}
         self.sources: dict[str, SourceNode] = {}
         self.edges: dict[str, list[str]] = {}
@@ -386,48 +390,28 @@ class ServerChain:
         # wire (counted in wire_drops).  None means deliver everything.
         self.transmit_hook: Callable[[str, str, HATuple], bool] | None = None
 
-    # The paper's comparison currency, registry-backed.  Setters keep
-    # the historical ``chain.flow_messages += 1`` call sites working.
+    # The paper's comparison currency, registry-backed: counted on the
+    # handles, read here.
 
     @property
     def data_messages(self) -> int:
         return self._m_data.value
 
-    @data_messages.setter
-    def data_messages(self, value: int) -> None:
-        self._m_data.value = value
-
     @property
     def flow_messages(self) -> int:
-        return self._m_flow.value
-
-    @flow_messages.setter
-    def flow_messages(self, value: int) -> None:
-        self._m_flow.value = value
+        return self.flow_counter.value
 
     @property
     def ack_messages(self) -> int:
-        return self._m_ack.value
-
-    @ack_messages.setter
-    def ack_messages(self, value: int) -> None:
-        self._m_ack.value = value
+        return self.ack_counter.value
 
     @property
     def heartbeats_sent(self) -> int:
         return self._m_heartbeats.value
 
-    @heartbeats_sent.setter
-    def heartbeats_sent(self, value: int) -> None:
-        self._m_heartbeats.value = value
-
     @property
     def wire_drops(self) -> int:
         return self._m_wire_drops.value
-
-    @wire_drops.setter
-    def wire_drops(self, value: int) -> None:
-        self._m_wire_drops.value = value
 
     # -- construction -------------------------------------------------------------
 
@@ -481,6 +465,13 @@ class ServerChain:
     def downstreams(self, name: str) -> list[str]:
         return list(self.edges.get(name, []))
 
+    def terminal(self) -> str:
+        """The chain's one terminal server (ValueError unless exactly one)."""
+        terminals = [name for name in self.servers if self.is_terminal(name)]
+        if len(terminals) != 1:
+            raise ValueError(f"expected one terminal server, found {terminals}")
+        return terminals[0]
+
     def is_terminal(self, name: str) -> bool:
         """Terminal servers deliver their outputs to applications."""
         return name in self.servers and not self.edges.get(name)
@@ -522,7 +513,7 @@ class ServerChain:
             # out to several destinations.
             self.tracer.event(tup.trace, f"wire:{src}->{dst}", node=src)
         if self.transmit_hook is not None and not self.transmit_hook(src, dst, tup):
-            self.wire_drops += 1
+            self._m_wire_drops.inc()
             return
         if dst in self.servers and self.servers[dst].failed:
             # The receiver is down: the connection fails and the tuple
@@ -530,10 +521,10 @@ class ServerChain:
             # recovery).  Queueing it instead would let it sit on a
             # partitioned link and arrive *ahead* of the replay,
             # tripping the receiver's in-order duplicate filter.
-            self.data_messages += 1
+            self._m_data.inc()
             return
         self.in_flight[(src, dst)].append(tup)
-        self.data_messages += 1
+        self._m_data.inc()
 
     # -- partitions (fault injection) ----------------------------------------------
 
@@ -595,12 +586,7 @@ class ServerChain:
             self.app_absorbed.get(terminal, {}), out.high
         )
         self.delivered.setdefault(terminal, []).append(out)
-        handle = self._m_delivered.get(terminal)
-        if handle is None:
-            handle = self._m_delivered[terminal] = self.metrics.counter(
-                "ha.delivered.tuples", terminal=terminal
-            )
-        handle.inc()
+        self._m_delivered[terminal].inc()
         if self._tracing and out.trace is not None:
             self.tracer.event(out.trace, f"deliver:{terminal}", node=terminal)
 
@@ -644,7 +630,7 @@ class ServerChain:
                 if downstream.failed:
                     detections.append((src, dst))
                 else:
-                    self.heartbeats_sent += 1
+                    self._m_heartbeats.inc()
         return detections
 
     def total_log_size(self) -> int:

@@ -108,7 +108,7 @@ class FlowProtocol:
                 if (source_name, dst) in chain.blocked_edges:
                     continue  # partitioned: this round's message is lost
                 message = FlowMessage(round_id)
-                chain.flow_messages += 1
+                chain.flow_counter.inc()
                 frontier.append((dst, message))
 
         while frontier:
@@ -130,7 +130,7 @@ class FlowProtocol:
             for succ in successors:
                 if (dst, succ) in chain.blocked_edges:
                     continue  # partitioned: records die unacked (safe)
-                chain.flow_messages += 1
+                chain.flow_counter.inc()
                 frontier.append((succ, merged.copy()))
 
         return self._apply_acks()
@@ -207,7 +207,7 @@ class FlowProtocol:
 
     def _ack(self, record: FlowRecord) -> None:
         """Back-channel message to the origin (one overlay message)."""
-        self.chain.ack_messages += 1
+        self.chain.ack_counter.inc()
         self.chain._pending_acks.setdefault(record.origin, []).append(
             (record.recorded_at, record.floor_seq)
         )

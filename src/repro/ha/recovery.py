@@ -206,7 +206,7 @@ def run_failure_experiment(
 
     def drive(chain: ServerChain, inject_failure: bool):
         protocol = FlowProtocol(chain)
-        term = _unique_terminal(chain)
+        term = chain.terminal()
         peak_log = 0
         recovery = RecoveryStats()
         for i in range(n_tuples):
@@ -239,10 +239,3 @@ def run_failure_experiment(
         data_messages=chain.data_messages,
         peak_log_size=peak_log,
     )
-
-
-def _unique_terminal(chain: ServerChain) -> str:
-    terminals = [name for name in chain.servers if chain.is_terminal(name)]
-    if len(terminals) != 1:
-        raise ValueError(f"expected one terminal server, found {terminals}")
-    return terminals[0]

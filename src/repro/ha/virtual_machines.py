@@ -24,7 +24,7 @@ replication messages grow linearly with K.
 
 from __future__ import annotations
 
-from repro.ha.chain import HATuple, ServerOp, latest_lineage, merge_lineage
+from repro.ha.chain import HATuple, ServerOp, latest_lineage, merge_lineage, run_through
 
 
 class VMStage:
@@ -43,12 +43,7 @@ class VMStage:
         self.replication_messages += 1
         self.retained.append(tup)
         self.tuples_processed += 1
-        batch = [tup]
-        for op in self.ops:
-            next_batch: list[HATuple] = []
-            for item in batch:
-                next_batch.extend(op.process(item))
-            batch = next_batch
+        batch = run_through(tup, [op.process for op in self.ops])
         self._truncate()
         return batch
 
@@ -103,13 +98,7 @@ class VirtualMachineChain:
         return len(self.stages)
 
     def push(self, tup: HATuple) -> None:
-        batch = [tup]
-        for stage in self.stages:
-            next_batch: list[HATuple] = []
-            for item in batch:
-                next_batch.extend(stage.ingest(item))
-            batch = next_batch
-        self.delivered.extend(batch)
+        self.delivered.extend(run_through(tup, [stage.ingest for stage in self.stages]))
 
     @property
     def replication_messages(self) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from repro.obs.registry import Counter, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 
 
 class StreamMessage:
@@ -113,27 +113,18 @@ class TransportStats:
 
     def __init__(self):
         registry = self.registry = MetricsRegistry()
-        self._by_stream: dict[str, tuple[Counter, Counter, Counter]] = {}
-        self._overhead = registry.counter("transport.overhead_bytes")
-        self._connections = registry.counter("transport.connections_used")
-        self._dropped = registry.counter("transport.dropped_messages")
-
-    def _stream_handles(self, stream: str) -> tuple[Counter, Counter, Counter]:
-        handles = self._by_stream.get(stream)
-        if handles is None:
-            registry = self.registry
-            handles = self._by_stream[stream] = (
-                registry.counter("transport.delivered.bytes", stream=stream),
-                registry.counter("transport.delivered.messages", stream=stream),
-                registry.counter("transport.delivered.tuples", stream=stream),
-            )
-        return handles
+        self._bytes = registry.labelled("transport.delivered.bytes", "stream")
+        self._messages = registry.labelled("transport.delivered.messages", "stream")
+        self._tuples = registry.labelled("transport.delivered.tuples", "stream")
+        self.overhead = registry.counter("transport.overhead_bytes")
+        self.connections = registry.counter("transport.connections_used")
+        self.dropped = registry.counter("transport.dropped_messages")
 
     def record(self, message: StreamMessage) -> None:
-        size_c, messages_c, tuples_c = self._stream_handles(message.stream)
-        size_c.inc(message.size)
-        messages_c.inc()
-        tuples_c.inc(message.tuple_count)
+        stream = message.stream
+        self._bytes[stream].inc(message.size)
+        self._messages[stream].inc()
+        self._tuples[stream].inc(message.tuple_count)
 
     # Dict-shaped views kept for the many existing readers; only streams
     # that actually delivered something appear (never-delivered streams
@@ -141,45 +132,33 @@ class TransportStats:
 
     @property
     def delivered_bytes(self) -> dict[str, int]:
-        return {s: h[0].value for s, h in sorted(self._by_stream.items())}
+        return {s: h.value for s, h in sorted(self._bytes.items())}
 
     @property
     def delivered_messages(self) -> dict[str, int]:
-        return {s: h[1].value for s, h in sorted(self._by_stream.items())}
+        return {s: h.value for s, h in sorted(self._messages.items())}
 
     @property
     def delivered_tuples(self) -> dict[str, int]:
-        return {s: h[2].value for s, h in sorted(self._by_stream.items())}
+        return {s: h.value for s, h in sorted(self._tuples.items())}
 
     @property
     def overhead_bytes(self) -> int:
-        return self._overhead.value
-
-    @overhead_bytes.setter
-    def overhead_bytes(self, value: int) -> None:
-        self._overhead.value = value
+        return self.overhead.value
 
     @property
     def connections_used(self) -> int:
-        return self._connections.value
-
-    @connections_used.setter
-    def connections_used(self, value: int) -> None:
-        self._connections.value = value
+        return self.connections.value
 
     @property
     def dropped_messages(self) -> int:
-        return self._dropped.value
-
-    @dropped_messages.setter
-    def dropped_messages(self, value: int) -> None:
-        self._dropped.value = value
+        return self.dropped.value
 
     def share(self, stream: str) -> float:
         """Fraction of total delivered payload bytes carried by ``stream``."""
-        total = sum(h[0].value for h in self._by_stream.values())
-        handles = self._by_stream.get(stream)
-        return handles[0].value / total if total and handles else 0.0
+        total = sum(h.value for h in self._bytes.values())
+        handle = self._bytes.get(stream)
+        return handle.value / total if total and handle else 0.0
 
 
 class MultiplexedTransport:
@@ -218,7 +197,7 @@ class MultiplexedTransport:
         self._last_finish: dict[str, float] = {}
         self._virtual_time = 0.0
         self.stats = TransportStats()
-        self.stats.connections_used = 1
+        self.stats.connections.inc()
 
     def weight(self, stream: str) -> float:
         return self.weights.get(stream, 1.0)
@@ -258,11 +237,11 @@ class MultiplexedTransport:
             now += transmit_time
             self._virtual_time = max(self._virtual_time, start_tag)
             if self.loss_hook is not None and self.loss_hook(message):
-                self.stats.dropped_messages += 1
+                self.stats.dropped.inc()
                 continue
             message.delivered_at = now
             self.stats.record(message)
-            self.stats.overhead_bytes += self.framing_overhead
+            self.stats.overhead.inc(self.framing_overhead)
         return self.stats
 
 
@@ -303,8 +282,8 @@ class PerStreamTransport:
     def enqueue(self, message: StreamMessage) -> None:
         if message.stream not in self._queues:
             self._queues[message.stream] = deque()
-            self.stats.connections_used += 1
-            self.stats.overhead_bytes += SETUP_OVERHEAD
+            self.stats.connections.inc()
+            self.stats.overhead.inc(SETUP_OVERHEAD)
         self._queues[message.stream].append(message)
 
     def backlog(self, stream: str) -> int:
@@ -348,9 +327,9 @@ class PerStreamTransport:
                     message = self._queues[stream].popleft()
                     del remaining[stream]
                     if self.loss_hook is not None and self.loss_hook(message):
-                        self.stats.dropped_messages += 1
+                        self.stats.dropped.inc()
                         continue
                     message.delivered_at = now
                     self.stats.record(message)
-                    self.stats.overhead_bytes += self.header_overhead
+                    self.stats.overhead.inc(self.header_overhead)
         return self.stats

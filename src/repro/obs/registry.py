@@ -156,6 +156,24 @@ class _NullHistogram(Histogram):
         pass
 
 
+class LabelledCounters(dict):
+    """``{label value: Counter}`` for one counter name, made by
+    :meth:`MetricsRegistry.labelled`: each handle is created on its
+    first lookup (``mapping[value]``), so a label value that is never
+    counted exports no series.  ``get`` never creates.  With several
+    labels the key is the tuple of their values, in order."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key) -> Counter:
+        handle = self[key] = self._make(key)
+        return handle
+
+
 NULL_COUNTER = _NullCounter()
 NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
@@ -191,6 +209,16 @@ class MetricsRegistry:
         if handle is None:
             handle = self._counters[key] = Counter(name, labels)
         return handle
+
+    def labelled(self, name: str, *labels: str, **fixed: str) -> LabelledCounters:
+        """The handles of counter ``name`` keyed by the values of
+        ``labels`` (a tuple of values for several), every one of them
+        also carrying the ``fixed`` labels: the owner's cache for a
+        counter it updates per stream, input or peer."""
+        single = len(labels) == 1
+        return LabelledCounters(lambda key: self.counter(
+            name, **fixed, **dict(zip(labels, (key,) if single else key))
+        ))
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         if not self.enabled:

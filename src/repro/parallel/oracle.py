@@ -5,7 +5,8 @@ The parallel plane is a performance backend.  ``run_dual`` runs the
 and checks that they delivered the same thing:
 
 - **per-stream multiset equality** — every output stream must carry
-  the same bag of ``(timestamp, values)`` tuples.  Multisets, not
+  the same bag of ``(timestamp, values)`` tuples
+  (:func:`repro.reference.output_diff`).  Multisets, not
   sequences: wall-clock interleaving across *independent* streams is
   allowed to differ, but per-arc FIFO order (single producer per arc,
   FIFO IPC queues) plus tree-shaped scenario topologies make even the
@@ -32,25 +33,12 @@ from typing import Any, Mapping
 from repro.core.tuples import StreamTuple
 from repro.parallel.blueprints import blueprint
 from repro.parallel.coordinator import ParallelSystem
-from repro.reference import execute
+from repro.reference import execute, output_diff, output_key
 
 # Scenarios the equivalence suite runs by default (>= 3 registered SLO
 # scenarios, per the oracle gate): a CaseFilter routing tree, a sensor
 # filter chain, two independent tenant chains, and a Tumble aggregate.
 ORACLE_SCENARIOS = ("diurnal_checkout", "iot_fleet", "tenant_mix", "fin_ticks")
-
-
-def output_key(tup: StreamTuple) -> tuple:
-    """Multiset identity of one delivered tuple: timestamp + values.
-
-    Values are keyed by ``repr`` so float payloads compare exactly (both
-    backends run the identical operator code on identical inputs, so
-    bit-equal floats are the expectation, not an approximation).
-    """
-    return (
-        repr(tup.timestamp),
-        tuple(sorted((k, repr(v)) for k, v in tup.values.items())),
-    )
 
 
 def stream_multisets(outputs: Mapping[str, Any]) -> dict[str, Counter]:
@@ -144,20 +132,17 @@ def run_dual(
     )
     mismatches: list[str] = []
 
-    ref_bags = stream_multisets(ref_outputs)
-    par_bags = stream_multisets(par_outputs)
     outputs_match = True
-    for stream in sorted(set(ref_bags) | set(par_bags)):
-        ref_bag = ref_bags.get(stream, Counter())
-        par_bag = par_bags.get(stream, Counter())
-        if ref_bag != par_bag:
+    for stream in sorted(set(ref_outputs) | set(par_outputs)):
+        expected = ref_outputs.get(stream, [])
+        delivered = par_outputs.get(stream, [])
+        missing, extra = output_diff(expected, delivered)
+        if missing or extra:
             outputs_match = False
-            missing = sum((ref_bag - par_bag).values())
-            extra = sum((par_bag - ref_bag).values())
             mismatches.append(
-                f"stream {stream!r}: reference delivered {sum(ref_bag.values())}, "
-                f"parallel {sum(par_bag.values())} "
-                f"({missing} missing, {extra} unexpected)"
+                f"stream {stream!r}: reference delivered {len(expected)}, "
+                f"parallel {len(delivered)} "
+                f"({sum(missing.values())} missing, {sum(extra.values())} unexpected)"
             )
 
     counters_match = True

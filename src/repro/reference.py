@@ -7,6 +7,8 @@ Two answers to "what should this network have done?":
   order and pushed depth-first, one tuple at a time, with no clock.  The
   parallel plane's oracle (``run_dual``) and the elasticity sweep
   compare against it.
+  :func:`output_diff` is what "delivered the same" means there: the
+  same multiset of :func:`output_key` (timestamp and values) per stream.
 * :func:`replay` says what it *cost*.  Given the decision log an
   :class:`~repro.core.engine.AuroraEngine` kept (``engine.decision_log
   = []`` before the run), it re-runs the logged schedule one tuple at a
@@ -28,14 +30,42 @@ no claim runs, no batching, no fusion, no NumPy, and a
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.core.query import Arc, Box, QueryNetwork, execute
 from repro.core.storage import StorageManager
 from repro.core.tuples import StreamTuple
 
-__all__ = ["BoxStats", "Replay", "box_stats", "execute", "replay"]
+__all__ = [
+    "BoxStats", "Replay", "box_stats", "execute", "output_diff", "output_key", "replay",
+]
+
+
+def output_key(tup: StreamTuple) -> tuple:
+    """Multiset identity of one delivered tuple: timestamp + values.
+
+    Values are keyed by ``repr`` so float payloads compare exactly (the
+    runs compared execute identical operator code on identical inputs,
+    so bit-equal floats are the expectation, not an approximation).
+    Timestamps survive every rewrite: tuples are rerouted, not rebuilt.
+    """
+    return (
+        repr(tup.timestamp),
+        tuple(sorted((k, repr(v)) for k, v in tup.values.items())),
+    )
+
+
+def output_diff(
+    expected: Iterable[StreamTuple], delivered: Iterable[StreamTuple]
+) -> tuple[Counter, Counter]:
+    """``(missing, extra)``: the :func:`output_key` multisets one stream's
+    delivered tuples lack and add against the expected ones (both empty
+    when the stream delivered the same)."""
+    want = Counter(map(output_key, expected))
+    got = Counter(map(output_key, delivered))
+    return want - got, got - want
 
 
 class BoxStats(NamedTuple):

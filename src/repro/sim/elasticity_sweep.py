@@ -6,8 +6,10 @@ re-splits, merges happening mid-stream) must be *indistinguishable* from
 the reference semantics (:func:`repro.reference.execute` over the same
 pipeline, untouched) —
 
-* per-stream output multisets equal (the split-equivalence contract the
-  PR 1 property tests established for static splits), and
+* per-stream output multisets equal
+  (:func:`repro.reference.output_diff`, on timestamp and values: the
+  split-equivalence contract the PR 1 property tests established for
+  static splits), and
 * per-box counter reconciliation: the lifetime ``engine.box.tuples_in``
   total over the elastic box and every replica it ever had equals the
   reference box's count, and the router's in/routed/out counts agree —
@@ -31,7 +33,6 @@ smoke job via ``ELASTICITY_SEEDS``, 50 by default and nightly) and by
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -49,17 +50,7 @@ from repro.core.query import QueryNetwork
 from repro.core.scheduler import LongestQueueScheduler
 from repro.core.tuples import StreamTuple
 from repro.distributed.system import AuroraStarSystem
-from repro.reference import execute
-
-
-def output_key(tup: StreamTuple) -> tuple:
-    """Multiset element for one output tuple (values only, sorted).
-
-    Timestamps/seq survive rewrites untouched (tuples are rerouted, not
-    rebuilt), but comparing values keeps the contract identical to the
-    PR 7 oracle's.
-    """
-    return tuple(sorted((k, repr(v)) for k, v in tup.values.items()))
+from repro.reference import execute, output_diff
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +265,10 @@ def run_engine_seed(seed: int) -> SeedReport:
     if report.merges == 0:
         report.fail("vacuous seed: controller never merged")
 
-    sink = Counter(output_key(t) for t in engine.outputs["sink"])
     ref_net, _ = build_pipeline(seed)
-    ref_sink = Counter(output_key(t) for t in execute(ref_net, {"src": tuples})["sink"])
-    missing = ref_sink - sink
-    extra = sink - ref_sink
+    missing, extra = output_diff(
+        execute(ref_net, {"src": tuples})["sink"], engine.outputs["sink"]
+    )
     report.missing = sum(missing.values())
     report.extra = sum(extra.values())
     if missing or extra:
@@ -386,11 +376,10 @@ def run_crash_seed(seed: int) -> SeedReport:
     if report.splits + report.resplits == 0:
         report.fail("vacuous crash seed: controller never split")
 
-    sink = Counter(output_key(t) for t in system.outputs.get("sink", []))
     ref_net, _ = build_pipeline(seed, stateless_only=True)
-    ref_sink = Counter(output_key(t) for t in execute(ref_net, {"src": tuples})["sink"])
-    missing = ref_sink - sink
-    extra = sink - ref_sink
+    missing, extra = output_diff(
+        execute(ref_net, {"src": tuples})["sink"], system.outputs.get("sink", [])
+    )
     report.missing = sum(missing.values())
     report.extra = sum(extra.values())
     if report.extra:

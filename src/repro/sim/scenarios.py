@@ -150,20 +150,13 @@ class ScenarioResult:
         return "\n".join(self.trace)
 
 
-def _terminal_of(chain: ServerChain) -> str:
-    terminals = [name for name in chain.servers if chain.is_terminal(name)]
-    if len(terminals) != 1:
-        raise ValueError(f"expected one terminal server, found {terminals}")
-    return terminals[0]
-
-
 def _drive_baseline(spec: ScenarioSpec) -> "random.Counter":
     """Failure-free run of the same inputs: the k-safety reference."""
     from collections import Counter
 
     chain = TOPOLOGIES[spec.topology](spec.k)
     protocol = FlowProtocol(chain)
-    terminal = _terminal_of(chain)
+    terminal = chain.terminal()
     for i in range(spec.n_steps):
         chain.push("src", i)
         chain.pump()
@@ -186,7 +179,7 @@ def run_chain_scenario(
     baseline = _drive_baseline(spec)
 
     chain = TOPOLOGIES[spec.topology](spec.k)
-    terminal = _terminal_of(chain)
+    terminal = chain.terminal()
     if plan is None:
         plan = generate_chain_plan(
             seed=spec.seed,

@@ -11,6 +11,11 @@ For fault-injection and replay testing the simulator can record an
 runs of the same seeded scenario must produce byte-identical traces —
 this is the determinism contract the scenario runner
 (:mod:`repro.sim.scenarios`) and the regression tests rely on.
+
+A callback may *owe* a call instead of scheduling it (:meth:`Simulator.owe`):
+when a call scheduled now at ``now`` would be the next event to fire,
+the simulator runs it as soon as the callback returns, which is the
+same step without the event.
 """
 
 from __future__ import annotations
@@ -80,6 +85,9 @@ class Simulator:
         self._pending_count = 0
         self.trace: list[tuple[float, int, str]] = []
         self._record_trace = record_trace
+        # What the running callback owes, in owing order (owe()); None
+        # outside a callback.
+        self._owed: list[tuple[Callable[..., Any], tuple]] | None = None
 
     def enable_trace(self) -> None:
         """Start recording the event trace (idempotent)."""
@@ -103,6 +111,51 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
         return self.schedule(time - self.now, fn, *args)
 
+    def owe(self, fn: Callable[..., Any], *args: Any) -> bool:
+        """Owe ``fn(*args)`` to the running callback if a call scheduled
+        now at ``now`` would be the next event to fire; returns whether
+        it was owed (if not, schedule it).
+
+        Ties break by insertion order, so such an event fires after
+        every event already pending at ``now`` and before every event
+        scheduled later: with none pending at ``now``, running it when
+        the callback returns (after what it owed before) changes no
+        order, clock or float.  Outside a callback nothing is owed.
+        """
+        owed = self._owed
+        if owed is None:
+            return False
+        next_time = self.peek_time()
+        if next_time is not None and next_time <= self.now:
+            return False
+        owed.append((fn, args))
+        return True
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` now as an event callback would run: what it
+        owes runs when it returns.  Inside a callback it joins that
+        callback.  Outside one, the caller must run the simulator next,
+        as the event loop would have."""
+        if self._owed is not None:
+            fn(*args)
+            return
+        self._owed = []
+        try:
+            fn(*args)
+            self._pay()
+        finally:
+            self._owed = None
+
+    def _pay(self) -> None:
+        """Run the owed calls in owing order; a call may owe more."""
+        owed = self._owed
+        index = 0
+        while index < len(owed):
+            fn, args = owed[index]
+            index += 1
+            fn(*args)
+        owed.clear()
+
     def peek_time(self) -> float | None:
         """Virtual time of the next pending event, or None if idle."""
         while self._queue and self._queue[0][2].cancelled:
@@ -112,21 +165,11 @@ class Simulator:
         return self._queue[0][0]
 
     def step(self) -> bool:
-        """Run the next pending event.  Returns False if the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)[2]
-            if event.cancelled:
-                continue
-            event.fired = True
-            self._pending_count -= 1
-            self.now = event.time
-            if self._record_trace:
-                label = getattr(event.fn, "__name__", repr(event.fn))
-                self.trace.append((event.time, event.seq, label))
-            event.fn(*event.args)
-            self.events_processed += 1
-            return True
-        return False
+        """Run the next pending event (and what it owes).  Returns False
+        if the queue is empty."""
+        fired = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed > fired
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events in time order.
@@ -135,11 +178,18 @@ class Simulator:
         after ``until``, or after ``max_events`` events.  When stopping
         at ``until``, the clock is advanced to ``until`` (never moved
         back) so subsequent scheduling is relative to the stop time.
-
-        One loop over the heap top: the same events, clock and trace as
-        calling :meth:`peek_time` then :meth:`step` per event, without
-        the two calls.
+        What each event's callback owes (:meth:`owe`) runs when it
+        returns, before the next event and inside ``max_events``' count
+        of one.
         """
+        outer = self._owed
+        self._owed = owed = []
+        try:
+            self._run(until, max_events, owed)
+        finally:
+            self._owed = outer
+
+    def _run(self, until: float | None, max_events: int | None, owed: list) -> None:
         queue = self._queue
         pop = heapq.heappop
         budget = -1 if max_events is None else max(max_events, 0)
@@ -159,6 +209,8 @@ class Simulator:
             if self._record_trace:
                 self.trace.append((time, seq, getattr(event.fn, "__name__", repr(event.fn))))
             event.fn(*event.args)
+            if owed:
+                self._pay()
             self.events_processed += 1
             budget -= 1
         else:

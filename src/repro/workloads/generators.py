@@ -64,15 +64,9 @@ class UniformSource(_Source):
         ]
 
 
-class PoissonSource(_Source):
-    """Poisson arrivals with a row factory."""
-
-    def __init__(self, rate: float, make_row: Callable[[int], dict], seed: int = 0):
-        super().__init__(seed)
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate
-        self.make_row = make_row
+class PoissonSource(UniformSource):
+    """Poisson arrivals with a row factory: a :class:`UniformSource`'s
+    rate and rows, with exponential gaps."""
 
     def generate(self, duration: float, start_time: float = 0.0) -> list[StreamTuple]:
         tuples = []

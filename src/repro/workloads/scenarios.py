@@ -371,7 +371,7 @@ class ScenarioRunner:
             order += 1
         events.sort(key=lambda e: (e[0], e[1], e[2]))
 
-        outage_counters: dict[str, object] = {}
+        outage_dropped = self.registry.labelled("workload.outage.dropped", "input")
         for when, _priority, _order, kind, payload in events:
             self.engine.run_until(when)
             if kind == "apply":
@@ -387,12 +387,7 @@ class ScenarioRunner:
             else:
                 assert isinstance(payload, StreamTuple)
                 if kind in self.outages:
-                    handle = outage_counters.get(kind)
-                    if handle is None:
-                        handle = outage_counters[kind] = self.registry.counter(
-                            "workload.outage.dropped", input=kind
-                        )
-                    handle.inc()  # type: ignore[attr-defined]
+                    outage_dropped[kind].inc()
                     continue
                 self.engine.push(kind, payload)
 

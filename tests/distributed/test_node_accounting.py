@@ -9,8 +9,8 @@ below were recorded before the superbox stage loop left the node and
 are compared with ``==``, never ``approx``.
 
 ``events`` is the one literal that moved since: a node runs the
-wake-up that would fire next inside the handler that made it due
-instead of scheduling it (``AuroraNode._wake``), which removes events
+wake-up that would fire next when the event that made it due returns
+instead of scheduling it (``Simulator.owe``), which removes events
 (890 before, 581 after) and changes no other value below.
 """
 

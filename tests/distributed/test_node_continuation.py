@@ -1,14 +1,15 @@
 """A node's owed wake-up is the scheduled one, minus the event.
 
 When the ``_work`` event that :meth:`AuroraNode.kick` would schedule is
-provably the next event to fire, the node runs it when the handler that
-made it due returns (``AuroraNode._wake``, ``AuroraStarSystem._handle``).
-These tests run generated deployments twice, once as built and once
-with ``_wake`` monkeypatched to ``kick`` (every wake-up an event), and
-hold the two runs equal on everything a run reports, float for float.
-Arrivals sit on a coarse time grid so that they tie with each other
-and with train completions, which is where the same-instant fallback
-(schedule, as before) has to take over.
+provably the next event to fire, the simulator runs it when the
+callback that made it due returns (:meth:`Simulator.owe`), whatever
+that callback is: an arrival, a train completion, a box slide's
+completion or a node's recovery.  These tests run generated deployments
+twice, once as built and once with ``owe`` refusing every call (every
+wake-up an event), and hold the two runs equal on everything a run
+reports, float for float.  Arrivals sit on a coarse time grid so that
+they tie with each other and with train completions, which is where
+the same-instant fallback (schedule) has to take over.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from repro.core.operators.tumble import Tumble
 from repro.core.operators.union import Union
 from repro.core.query import QueryNetwork
 from repro.core.tuples import StreamTuple
-from repro.distributed.node import AuroraNode
+from repro.distributed.sliding import slide_box
 from repro.distributed.system import AuroraStarSystem
+from repro.sim import Simulator
 
 GRID = 0.0005  # arrival grid (virtual seconds)
 COSTS = (0.0001, 0.0002, 0.0004)
@@ -65,11 +67,35 @@ def deployments(draw):
     # An output subscriber that schedules at ``now``: a same-instant
     # event a source arrival's wake-up must not jump.
     echo = draw(st.booleans())
-    return boxes, nodes, placement, arrivals, ingress, echo
+    # Scheduled events that wake nodes outside the data path: a box
+    # slide mid-run, and a node outage.
+    slide = None
+    if n_nodes > 1 and draw(st.booleans()):
+        box_id = draw(st.sampled_from([box[0] for box in boxes]))
+        target = draw(st.sampled_from([n[0] for n in nodes if n[0] != placement[box_id]]))
+        slide = (box_id, target, draw(st.integers(0, 24)))
+    outage = None
+    if draw(st.booleans()):
+        down = draw(st.integers(0, 20))
+        outage = (draw(st.sampled_from([n[0] for n in nodes])), down,
+                  down + draw(st.integers(1, 8)))
+    return boxes, nodes, placement, arrivals, ingress, echo, slide, outage
+
+
+REWRITING: list[bool] = []  # non-empty while a slide or outage event runs
+
+
+def rewrite(fn, *args) -> None:
+    """A scheduled slide or outage event; marks the wake-ups it makes."""
+    REWRITING.append(True)
+    try:
+        fn(*args)
+    finally:
+        REWRITING.pop()
 
 
 def build(spec) -> AuroraStarSystem:
-    boxes, nodes, placement, arrivals, ingress, echo = spec
+    boxes, nodes, placement, arrivals, ingress, echo, slide, outage = spec
     net = QueryNetwork("generated")
     read = set()
     for box_id, kind, param, cost, sources in boxes:
@@ -103,28 +129,38 @@ def build(spec) -> AuroraStarSystem:
             StreamTuple({"k": i % 3, "v": 7 * i + tick}, timestamp=tick * GRID)
             for i, tick in enumerate(ticks)
         ])
+    sim = system.sim
+    if slide is not None:
+        box_id, target, tick = slide
+        sim.schedule_at(tick * GRID, rewrite, slide_box, system, box_id, target)
+    if outage is not None:
+        name, down, up = outage
+        sim.schedule_at(down * GRID, rewrite, system.nodes[name].fail)
+        sim.schedule_at(up * GRID, rewrite, system.nodes[name].recover)
     return system
 
 
 def run(spec, scheduled: bool):
-    """(everything the run reports, events, direct wake-ups, fallbacks).
+    """(everything the run reports, events, ``owe`` outcomes by branch:
+    owed, refused inside a callback, owed by a slide or an outage).
 
-    ``scheduled`` replaces the continuation with ``kick``: the wake-up
-    is always an event, as before the continuation existed."""
-    branches = {"direct": 0, "fallback": 0}
-    wake = AuroraNode._wake
+    ``scheduled`` makes ``owe`` refuse every call: the wake-up is always
+    an event, as before the simulator owed calls."""
+    branches = {"direct": 0, "fallback": 0, "rewrite": 0}
+    owe = Simulator.owe
 
-    def counted(node):
-        system = node.system
-        due = (system._woken is not None and not node._work_scheduled
-               and not node.failed and node.busy_until <= system.sim.now)
-        owed = len(system._woken or ())
-        wake(node)
-        if due:
-            branches["direct" if len(system._woken) > owed else "fallback"] += 1
+    def counted(sim, fn, *args):
+        inside = sim._owed is not None
+        owed = owe(sim, fn, *args)
+        if owed:
+            branches["direct"] += 1
+            branches["rewrite"] += bool(REWRITING)
+        elif inside:
+            branches["fallback"] += 1
+        return owed
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(AuroraNode, "_wake", AuroraNode.kick if scheduled else counted)
+        patch.setattr(Simulator, "owe", (lambda *_: False) if scheduled else counted)
         system = build(spec)
         system.run()
         system.flush()
@@ -143,17 +179,18 @@ def run(spec, scheduled: bool):
         "metrics": system.metrics.snapshot(),
         "now": system.sim.now,
     }
-    return report, system.sim.events_processed, branches["direct"], branches["fallback"]
+    return report, system.sim.events_processed, branches
 
 
-def check_exact(spec) -> tuple[int, int]:
-    report, events, direct, fallback = run(spec, scheduled=False)
-    want, want_events, _, _ = run(spec, scheduled=True)
+def check_exact(spec) -> dict[str, int]:
+    report, events, branches = run(spec, scheduled=False)
+    want, want_events, _ = run(spec, scheduled=True)
     assert report == want
-    # Each direct wake-up is exactly one event fewer (so strictly fewer
-    # events whenever a node went idle), and nothing else moves.
-    assert want_events - events == direct
-    return direct, fallback
+    # Each owed wake-up is exactly one event fewer (so never more
+    # events than the scheduled run), and nothing else moves.
+    assert events <= want_events
+    assert want_events - events == branches["direct"]
+    return branches
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,14 +199,24 @@ def test_owed_wake_up_is_exact(spec):
     check_exact(spec)
 
 
+def find_branch(branch: str) -> dict[str, int]:
+    spec = find(deployments(), lambda s: run(s, scheduled=False)[2][branch] > 0,
+                settings=settings(max_examples=200, database=None, deadline=None))
+    return check_exact(spec)
+
+
 @pytest.mark.parametrize("branch", ["direct", "fallback"])
 def test_corpus_takes_both_branches(branch):
-    """Non-vacuity: the generator reaches deployments that run a wake-up
-    directly and ones where a same-instant event forces the schedule."""
-    index = 0 if branch == "direct" else 1
-    spec = find(deployments(), lambda s: run(s, scheduled=False)[2 + index] > 0,
-                settings=settings(max_examples=200, database=None, deadline=None))
-    assert check_exact(spec)[index] > 0
+    """Non-vacuity: the generator reaches deployments that owe a
+    wake-up (run directly) and ones where a same-instant event forces
+    the schedule."""
+    assert find_branch(branch)[branch] > 0
+
+
+def test_corpus_owes_wake_ups_from_slides_and_recoveries():
+    """Non-vacuity: a slide's completion or a node's recovery (not an
+    arrival or a train completion) owes a wake-up somewhere."""
+    assert find_branch("rewrite")["rewrite"] > 0
 
 
 def test_chain_fed_slower_than_it_serves_runs_two_events_per_box_tuple():

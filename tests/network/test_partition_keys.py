@@ -18,12 +18,14 @@ from repro.distributed.adaptive import AdaptiveSplitPredicate
 from repro.distributed.policy import hash_fraction_predicate
 from repro.network.dht import partition_key
 
-# (Python value, the NumPy scalar holding it)
+# (Python value, the NumPy scalar holding it).  A text's Python value
+# is read back from its scalar: ``np.str_`` drops trailing NULs, so
+# ``np.str_("03\x00")`` holds ``"03"``.
 value_pairs = st.one_of(
     st.integers(-(2**63), 2**63 - 1).map(lambda v: (v, np.int64(v))),
     st.floats(allow_nan=False).map(lambda v: (v, np.float64(v))),
     st.booleans().map(lambda v: (v, np.bool_(v))),
-    st.text(max_size=6).map(lambda v: (v, np.str_(v))),
+    st.text(max_size=6).map(np.str_).map(lambda s: (str(s), s)),
 )
 python_values = st.one_of(
     st.integers(), st.floats(allow_nan=False), st.booleans(), st.text(max_size=6),
