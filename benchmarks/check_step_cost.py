@@ -1,8 +1,9 @@
-"""CI gate: a scheduling step is never paid to learn "nothing queued".
+"""CI gate: a scheduling step is never paid to learn "nothing queued",
+and an arrival that is already due pays no call of its own.
 
     python benchmarks/check_step_cost.py [--seed N]
 
-Three checks on the end-to-end harness, all counts (nothing is timed, so
+Four checks on the end-to-end harness, all counts (nothing is timed, so
 the step cannot flake):
 
 1. Every target in ``benchmarks/e2e/trace.py::PATCHES`` still resolves.
@@ -19,6 +20,12 @@ the step cannot flake):
    wake-up that is provably next runs inside the handler that made it
    due instead), and runs at most two simulator events per box-tuple
    (its arrival and its train completion).
+4. Due arrivals enter together: the same ``scenario_flash_crowd`` run
+   makes at most one ``AuroraEngine.push`` / ``push_many`` call per
+   scheduling decision or control event (fault transition, probe
+   tick), plus one, and no per-tuple ``LoadShedder.admit`` call.  A
+   runner that pushes arrival by arrival makes one call per arrival,
+   about three times that bound.
 
 The same workload is also run once under ``--trace 1`` so the patches
 are exercised for real; its ``core.engine.step.calls`` is printed, not
@@ -67,26 +74,40 @@ def traced_step_calls(seed: int) -> int:
     return int(result["metrics"]["core.engine.step.calls"]["value"])
 
 
-def steps_and_decisions(seed: int) -> tuple[int, int]:
-    """``AuroraEngine.step`` calls and scheduling decisions of the same
-    scenario at the same size and seed, untraced."""
+def flash_crowd_counts(seed: int) -> dict[str, int]:
+    """``scenario_flash_crowd`` at smoke size, untraced: calls of
+    ``AuroraEngine.step``, ``push`` and ``push_many`` and of
+    ``LoadShedder.admit``, scheduling decisions, and the runner's
+    control events (fault transitions and probe ticks)."""
     from benchmarks.e2e.workloads import ScenarioFlashCrowd
     from repro.core.engine import AuroraEngine
+    from repro.core.shedder import LoadShedder
+    from repro.workloads.scenarios import TICK
 
-    real, calls = AuroraEngine.step, [0]
+    targets = [(AuroraEngine, "step"), (AuroraEngine, "push"),
+               (AuroraEngine, "push_many"), (LoadShedder, "admit")]
+    counts = dict.fromkeys((name for _owner, name in targets), 0)
 
-    def counted(engine):
-        calls[0] += 1
-        return real(engine)
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
 
     workload = ScenarioFlashCrowd(seed, smoke=True)
     workload.setup()
-    AuroraEngine.step = counted
+    reals = [(owner, name, getattr(owner, name)) for owner, name in targets]
+    for owner, name, real in reals:
+        setattr(owner, name, counted(name, real))
     try:
         workload.run()
     finally:
-        AuroraEngine.step = real
-    return calls[0], int(workload.result.registry.total("engine.scheduler.decisions"))
+        for owner, name, real in reals:
+            setattr(owner, name, real)
+    scenario = workload.scenario
+    counts["decisions"] = int(workload.result.registry.total("engine.scheduler.decisions"))
+    counts["control"] = 2 * len(scenario.faults) + max(1, round(scenario.duration / TICK))
+    return counts
 
 
 def node_wake_ups(seed: int) -> tuple[int, int, int, int]:
@@ -127,10 +148,21 @@ def main() -> int:
     missing = unresolved_patches()
     for line in missing:
         print(f"PATCHES target does not resolve: {line}")
-    steps, decided = steps_and_decisions(seed)
+    counts = flash_crowd_counts(seed)
+    steps, decided = counts["step"], counts["decisions"]
     print(f"AuroraEngine.step calls {steps}, engine.scheduler.decisions {decided}")
     if steps != decided:
         print(f"{steps - decided} step() calls made no decision (idle steps)")
+    ingest = counts["push"] + counts["push_many"]
+    bound = decided + counts["control"] + 1
+    print(f"ingest calls {ingest} (push {counts['push']}, push_many "
+          f"{counts['push_many']}), bound {bound} = {decided} decisions + "
+          f"{counts['control']} control events + 1; LoadShedder.admit calls "
+          f"{counts['admit']}")
+    ingest_ok = ingest <= bound and counts["admit"] == 0
+    if not ingest_ok:
+        print("arrivals enter one by one (more ingest calls than the bound, "
+              "or per-tuple shedder admission)")
     work, idle, events, box_tuples = node_wake_ups(seed)
     print(f"aurora_star_chain: {work} _work events, {idle} found nothing queued; "
           f"{events} simulator events for {box_tuples} box-tuples")
@@ -138,7 +170,7 @@ def main() -> int:
     if not node_ok:
         print("idle node wake-ups or more than two events per box-tuple")
     print(f"traced core.engine.step.calls {traced_step_calls(seed)}")
-    return 1 if missing or steps != decided or not node_ok else 0
+    return 1 if missing or steps != decided or not node_ok or not ingest_ok else 0
 
 
 if __name__ == "__main__":

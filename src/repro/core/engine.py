@@ -15,8 +15,7 @@ over its cut of the network and keeps only the routing.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
-from operator import attrgetter
+from itertools import compress, islice
 from typing import Any, Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -361,8 +360,7 @@ class AuroraEngine:
             tup.trace = self.tracer.start_trace(
                 f"source:{input_name}", at=tup.timestamp
             )
-        for hop in hops:
-            self._hand_off(hop, [tup])
+        self._emit({0: hops}, ((0, [tup]),))
         return True
 
     def _train_arc(self, input_name: str) -> Arc | None:
@@ -445,52 +443,54 @@ class AuroraEngine:
         """Admit a batch; returns the number of tuples admitted.
 
         A :class:`ColumnarTrain` is :meth:`push_train`'s.  A row list
-        takes the per-tuple :meth:`push` at an ingestion barrier
-        (:meth:`_train_arc`, ``batch_execution`` off) or under an
-        observer — a shedder and a tracer decide tuple by tuple there,
-        and observed *trains* are ``push_train``'s business; otherwise
-        the same clock/stamp chain runs with the arc and queue lookups
-        hoisted out of the loop.
+        takes the per-tuple :meth:`push` only at an ingestion barrier
+        (:meth:`_train_arc`, ``batch_execution`` off).  Everywhere else
+        it is admitted in one call that decides exactly what ``push``
+        tuple by tuple would: the enqueue clocks are the running max
+        over every *offered* row, a shedder makes the same draws in the
+        same order (:meth:`LoadShedder.admit_train`), a tracer offers the
+        admitted rows in order, and one ``ingest`` entry goes to the
+        decision log.
         """
         if isinstance(tuples, ColumnarTrain):
             return self.push_train(input_name, tuples)
-        self._sync()
+        if self._revision != self.network.revision:  # _sync's test, inlined
+            self._sync()
         arc = self._train_arc(input_name)
-        if (
-            arc is None
-            or not self.batch_execution
-            or self.shedder is not None
-            or self._tracing
-        ):
+        if arc is None or not self.batch_execution:
             return sum(self.push(input_name, tup) for tup in tuples)
-        if self.decision_log is not None:
-            tuples = list(tuples)
-            self.decision_log.append(("ingest", input_name, tuples, None))
-        queue = arc.queue
-        queue_times = arc.queue_times
+        rows = tuples if isinstance(tuples, list) else list(tuples)
+        if not rows:
+            return 0
         clock = self.clock
-        admitted = 0
-        for tup in tuples:
+        times: list[float] = []
+        stamp = times.append
+        for tup in rows:
             if tup.timestamp > clock:
                 clock = tup.timestamp
-            queue.append(tup)
-            queue_times.append(clock)
-            admitted += 1
+            stamp(clock)
         self.clock = clock
-        arc.tuples_transferred += admitted
-        self._note_ingested(input_name, arc, admitted)
-        return admitted
-
-    def _drop_queued(self, box_id: str, n: int) -> None:
-        """Account ``n`` tuples consumed at a box in the queued index."""
-        counts = self.queued_counts
-        had = counts.get(box_id, 0)
-        if had > n:
-            counts[box_id] = had - n
-            self.queued_total -= n
-        elif had:
-            del counts[box_id]
-            self.queued_total -= had
+        keep = None if self.shedder is None else self.shedder.admit_train(
+            self, input_name, len(rows)
+        )
+        mask = None if keep is None else keep.tolist()
+        if self.decision_log is not None:
+            self.decision_log.append(("ingest", input_name, rows, mask))
+        if mask is not None:
+            rows = list(compress(rows, mask))
+            times = list(compress(times, mask))
+        if self._tracing:
+            # Ingestion is authoritative, as in push().
+            start_trace = self.tracer.start_trace
+            source = f"source:{input_name}"
+            for tup in rows:
+                tup.trace = start_trace(source, at=tup.timestamp)
+        n = len(rows)
+        arc.queue.extend(rows)
+        arc.queue_times.extend(times)
+        arc.tuples_transferred += n
+        self._note_ingested(input_name, arc, n)
+        return n
 
     # -- execution ---------------------------------------------------------------
     #
@@ -498,8 +498,8 @@ class AuroraEngine:
     # push it toward the output.  A box is a run of one stage and a row
     # list is the degenerate encoding of a train, so there is one train
     # runner next to the per-tuple reference; only the accounting fold
-    # (_fold_rows / _fold_train) and the enqueue leaf of _hand_off exist
-    # once per encoding.
+    # (_fold_rows / _fold_train) and the enqueue leaf onto a plain arc
+    # (_emit for rows, _hand_off for a train) exist once per encoding.
 
     def step(self) -> float:
         """One scheduling decision.  Returns virtual seconds consumed (0 if idle)."""
@@ -519,13 +519,15 @@ class AuroraEngine:
         if self.push_trains:
             consumed += self._push_downstream(box_id)
         storage = self.storage
-        io = storage.rebalance(self.network, self.queued_total)
-        if log is not None:
-            log.append((
-                "rebalance", storage.memory_budget, storage.write_cost, storage.read_cost,
-            ))
-        self.clock += io
-        consumed += io
+        if log is not None or not storage.settled(self.queued_total):
+            io = storage.rebalance(self.network, self.queued_total)
+            if log is not None:
+                log.append((
+                    "rebalance", storage.memory_budget, storage.write_cost,
+                    storage.read_cost,
+                ))
+            self.clock += io
+            consumed += io
         self.steps += 1
         if self.shedder is not None and self.steps % 50 == 0:
             self.shedder.update(self)
@@ -536,9 +538,11 @@ class AuroraEngine:
 
         Claims are made at the head stage — more than one when fan-in
         interleaves arcs — and every claimed batch is threaded through
-        all stages in one pass (:meth:`_thread`).  Obs and the queued
-        index are updated once per train from the per-stage counter
-        deltas, so every execution mode exports identical totals.
+        all stages in one pass (:meth:`_thread`), which tallies each
+        stage's tuples in and out as it computes them.  Obs and the
+        queued index are updated once per train from those tallies (the
+        claims of a fan-in train add up into one train), so every
+        execution mode exports identical totals.
         """
         budget = self.train_size if limit is None else limit
         routes = self._routes
@@ -550,8 +554,9 @@ class AuroraEngine:
                 "train", box_id, budget,
                 None if chain is None else chain.member_ids(), self.cpu_capacity,
             ))
-        head = route.box
-        before = list(map(_traffic, stages))
+        # Per stage, the tuples in and out of this train (_thread tallies).
+        ins = [0] * len(stages)
+        outs = [0] * len(stages)
         if self.batch_execution:
             # The scheduler only needs a positive work signal, not the
             # exact float chain (no contract compares step() returns).
@@ -562,28 +567,36 @@ class AuroraEngine:
                     break
                 port, batch, times, first_read = claim
                 budget -= len(batch)
-                self._thread(stages, chain, batch, times, first_read, port)
+                self._thread(stages, chain, batch, times, first_read, port, ins, outs)
                 if route.lone is not None:
                     break  # a lone arc gives all it has in one claim
             consumed = self.clock - start
         else:
-            consumed = self._run_train_scalar(route, budget)
-        for box, (seen, emitted) in zip(stages, before):
-            n = box.tuples_in - seen
+            consumed = self._run_train_scalar(route, budget, ins, outs)
+        for box, n, emitted in zip(stages, ins, outs):
             if not n:
                 continue
             stage = routes[box.id]
             (stage.tuples_in or self._bind(stage, "tuples_in")).inc(n)
-            emitted = box.tuples_out - emitted
             if emitted:
                 (stage.tuples_out or self._bind(stage, "tuples_out")).inc(emitted)
                 self._m_emitted.inc(emitted)
             self._m_tuples.inc(n)
             self._m_train_hist.observe(n)
-        self._drop_queued(box_id, head.tuples_in - before[0][0])
+        # The queued index: the head stage consumed ins[0] at box_id.
+        counts = self.queued_counts
+        had = counts.get(box_id, 0)
+        if had > ins[0]:
+            counts[box_id] = had - ins[0]
+            self.queued_total -= ins[0]
+        elif had:
+            del counts[box_id]
+            self.queued_total -= had
         return consumed
 
-    def _run_train_scalar(self, route: "_Route", budget: int) -> float:
+    def _run_train_scalar(
+        self, route: "_Route", budget: int, ins: list[int], outs: list[int]
+    ) -> float:
         """The per-tuple reference path: one full engine round per tuple."""
         box = route.box
         consumed = 0.0
@@ -603,6 +616,7 @@ class AuroraEngine:
             consumed += cost
             box.busy_time += cost
             box.tuples_in += 1
+            ins[0] += 1
             self.tuples_processed += 1
             if tracing and tup.trace is not None:
                 # Re-stamp before process() so emissions inherit the
@@ -613,7 +627,8 @@ class AuroraEngine:
                 )
             emissions = box.operator.process(tup, port=port)
             box.tuples_out += len(emissions)
-            self._emit(route, [(out_port, [out]) for out_port, out in emissions])
+            outs[0] += len(emissions)
+            self._emit(route.ports, [(out_port, [out]) for out_port, out in emissions])
             box.latency_sum += self.clock - enqueued_at
             box.latency_count += 1
             budget -= 1
@@ -658,7 +673,9 @@ class AuroraEngine:
                         train, times = self._dequeue_segments(arc, n)
                         return port, train, times, n
                 arc.materialize_segments()
-            n = min(budget, len(arc.queue))  # claim_run's lone-arc rule
+            n = len(arc.queue)  # claim_run's lone-arc rule
+            if n > budget:
+                n = budget
         else:
             box = route.box
             for arc in box.input_arcs.values():
@@ -710,6 +727,8 @@ class AuroraEngine:
         times: Any,
         first_read: int,
         port: int,
+        ins: list[int],
+        outs: list[int],
     ) -> None:
         """Thread one claimed batch through every stage; emit from the tail.
 
@@ -722,8 +741,11 @@ class AuroraEngine:
         ``queue_times`` stamping, no storage charges), while the clock,
         per-stage statistics and trace spans advance in exactly the sums
         and order the unfused member-by-member train push produces.
-        ``chain``'s kernel lists are read here, at call time: profilers
-        swap entries after construction.
+        Each stage's tuples in and out are added to ``ins`` / ``outs``
+        (by stage index) where they are computed, for
+        :meth:`_run_train` to account once per train.  ``chain``'s
+        kernel lists are read here, at call time: profilers swap entries
+        after construction.
         """
         tracing = self._tracing
         last = len(stages) - 1
@@ -739,7 +761,12 @@ class AuroraEngine:
                 if tracing and batch.traces is not None:
                     batch = self._stamp_spans(box, batch, ends, cost)
             else:
-                sampled = tracing and any(map(_trace_of, batch))
+                sampled = False  # any sampled row?  (a scan: claims are short)
+                if tracing:
+                    for tup in batch:
+                        if tup.trace is not None:
+                            sampled = True
+                            break
                 self.clock, latency, ends = _fold_rows(
                     self.clock, cost, count, times, first_read,
                     self.storage.read_cost, sampled,
@@ -748,6 +775,7 @@ class AuroraEngine:
                     self._stamp_spans(box, batch, ends, cost)
             box.busy_time += count * cost
             box.tuples_in += count
+            ins[index] += count
             box.latency_sum += latency
             box.latency_count += count
             self.tuples_processed += count
@@ -761,8 +789,9 @@ class AuroraEngine:
                 out = chain.interior_kernels[index](batch)
             batch = out
             box.tuples_out += len(batch)
+            outs[index] += len(batch)
             # Interior hand-off: every tuple is logically enqueued at
-            # this stage's train-end clock (the stamp _hand_off would
+            # this stage's train-end clock (the stamp _emit would
             # have written), and nothing spills in between.
             first_read = len(batch)
             times = (
@@ -774,7 +803,7 @@ class AuroraEngine:
             if columnar and operator.supports_columnar else None
         )
         if emissions is not None:
-            box.tuples_out += sum(len(train) for _port, train in emissions)
+            emitted = sum(len(train) for _port, train in emissions)
         else:
             # Operator barrier (stateful or opaque, or the column kernel
             # declined this claim): materialize and run the
@@ -782,9 +811,14 @@ class AuroraEngine:
             if columnar:
                 batch = batch.to_tuples()
             rows = operator.process_batch(batch, port=port)
-            box.tuples_out += len(rows)
-            emissions = _by_port(rows)
-        self._emit(self._routes[box.id], emissions)
+            emitted = len(rows)
+            if operator.n_outputs == 1:  # every emission is on port 0
+                emissions = ((0, [tup for _port, tup in rows]),)
+            else:
+                emissions = _by_port(rows)
+        box.tuples_out += emitted
+        outs[last] += emitted
+        self._emit(self._routes[box.id].ports, emissions)
 
     def _stamp_spans(
         self, box: Box, batch: ColumnarTrain | list[StreamTuple], ends: Any, cost: float
@@ -836,60 +870,74 @@ class AuroraEngine:
         consumed = 0.0
         if box_id in runs:
             box_id, consumed = self._advance_run(box_id)
-        frontier = deque(routes[box_id].downstream)
-        seen = set(frontier)
-        while frontier:
-            current = frontier.popleft()
+        # Breadth first: the loop walks the list as it grows, so the list
+        # holds every box ever reached, and ``seen`` — built only when a
+        # successor has successors of its own — starts as its set.
+        frontier = list(routes[box_id].downstream)
+        seen: set[str] | None = None
+        for current in frontier:
             if current not in counts:
                 continue
             consumed += self._run_train(current)
             if current in runs:
                 current, extra = self._advance_run(current)
                 consumed += extra
-            for succ in routes[current].downstream:
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
+            downstream = routes[current].downstream
+            if downstream:
+                if seen is None:
+                    seen = set(frontier)
+                for succ in downstream:
+                    if succ not in seen:
+                        seen.add(succ)
+                        frontier.append(succ)
         return consumed
 
     def _emit(
         self,
-        route: "_Route",
+        ports: dict[int, tuple["_Hop", ...]],
         emissions: Iterable[tuple[int, ColumnarTrain | list[StreamTuple]]],
     ) -> None:
-        """Route ``(port, batch)`` emissions to every arc on their ports.
+        """Route ``(port, batch)`` emissions to every arc on their ports
+        (a route's ``ports``), stamped with the current clock — for a
+        train's emissions, the train-end clock.
 
         Per-port emission order is preserved (each arc is fed from a
         single source port, so per-arc queue order matches the per-tuple
-        path).
+        path).  A row list on a plain arc extends its queue here;
+        connection points, outputs and whole trains take
+        :meth:`_hand_off`.
         """
-        ports = route.ports
+        counts = self.queued_counts
         for out_port, batch in emissions:
             if not batch:
                 continue
             hops = ports.get(out_port, ())
-            if (
-                len(hops) > 1
-                and self._tracing
-                and isinstance(batch, ColumnarTrain)
-                and batch.traces is not None
-            ):
+            rows = not isinstance(batch, ColumnarTrain)
+            if not rows and len(hops) > 1 and self._tracing and batch.traces is not None:
                 # A sampled tuple fanned out to several arcs is ONE
                 # object on the row path, re-stamped by each consumer in
                 # turn; only shared rows reproduce that lineage.
                 batch = batch.to_tuples()
+                rows = True
             for hop in hops:
-                self._hand_off(hop, batch)
+                arc, kind, _ref, connection_point = hop
+                if not rows or connection_point is not None or kind == "out":
+                    self._hand_off(hop, batch)
+                    continue
+                n = len(batch)
+                arc.queue.extend(batch)
+                arc.queue_times.extend([self.clock] * n)
+                arc.tuples_transferred += n
+                counts[kind] = counts.get(kind, 0) + n
+                self.queued_total += n
 
     def _hand_off(self, hop: "_Hop", batch: ColumnarTrain | list[StreamTuple]) -> None:
-        """Hand a row list or a whole train to one arc, stamped with the
-        current clock (for a train's emissions: the train-end clock).
+        """Hand a batch :meth:`_emit` does not enqueue itself to one arc.
 
         Connection-point arcs take tuples one by one — history
         recording, subscribers and choking are per-tuple affairs — so a
-        train materializes here; ``out`` arcs deliver; every other arc
-        enqueues the batch whole: rows extend the queue, a train is ONE
-        queue entry.
+        train materializes here; ``out`` arcs deliver; a whole train on
+        a plain arc is ONE queue entry.
         """
         n = len(batch)
         arc, kind, ref, connection_point = hop
@@ -912,14 +960,9 @@ class AuroraEngine:
             arc.tuples_transferred += n
             self._deliver(ref, batch)
             return
-        if isinstance(batch, ColumnarTrain):
-            # Read-only broadcast: every tuple in the segment is stamped
-            # with the same clock.
-            arc.append_train(batch, np.broadcast_to(self.clock, (n,)))
-        else:
-            arc.queue.extend(batch)
-            arc.queue_times.extend([self.clock] * n)
-            arc.tuples_transferred += n
+        # Read-only broadcast: every tuple in the segment is stamped
+        # with the same clock.
+        arc.append_train(batch, np.broadcast_to(self.clock, (n,)))
         counts[kind] = counts.get(kind, 0) + n
         self.queued_total += n
 
@@ -1078,9 +1121,9 @@ class AuroraEngine:
             box.tuples_out += len(emissions)
             route = self._routes[box.id]
             if self.batch_execution:
-                self._emit(route, _by_port(emissions))
+                self._emit(route.ports, _by_port(emissions))
             else:
-                self._emit(route, [(port, [tup]) for port, tup in emissions])
+                self._emit(route.ports, [(port, [tup]) for port, tup in emissions])
 
     # -- load signals -------------------------------------------------------------
 
@@ -1197,10 +1240,6 @@ class _Route:
 # float additions in the same order: the row fold as a Python loop that
 # can interleave spilled-read charges, the train fold as strictly
 # sequential ``ufunc.accumulate`` chains (repro.core.columnar).
-
-
-_traffic = attrgetter("tuples_in", "tuples_out")
-_trace_of = attrgetter("trace")  # a TraceContext (truthy) or None
 
 
 def _fold_rows(

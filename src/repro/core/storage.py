@@ -56,6 +56,11 @@ class StorageManager:
         self._m_unspilled = registry.counter("storage.tuples_unspilled")
         self._m_io_time = registry.gauge("storage.io_time")
 
+    def settled(self, queued: int) -> bool:
+        """True when :meth:`rebalance` with ``queued`` tuples queued would
+        do nothing: nothing is spilled and nothing needs to be."""
+        return not self._spilled and queued <= self.memory_budget
+
     def spilled_on(self, arc: Arc) -> int:
         """Tuples of ``arc``'s queue currently accounted as on disk."""
         return self._spilled.get(arc.id, 0)
@@ -75,10 +80,9 @@ class StorageManager:
         """
         if queued is None:
             queued = network.total_queued()
-        if not self._spilled and queued <= self.memory_budget:
-            # Nothing spilled and nothing to spill: skip the victim walk
-            # and the redundant gauge write (this is every step of an
-            # uncongested run).
+        if self.settled(queued):
+            # Skip the victim walk and the redundant gauge write (this is
+            # every step of an uncongested run).
             return 0.0
         overflow = queued - sum(self._spilled.values()) - self.memory_budget
         charged = 0.0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from typing import Callable
 
 from repro.core.tuples import StreamTuple
@@ -159,21 +160,28 @@ class RateCurveSource(_Source):
         return self.rate_fn(t)
 
     def generate(self, duration: float, start_time: float = 0.0) -> list[StreamTuple]:
-        tuples = []
+        # ``-log(1.0 - random()) / peak`` is ``rng.expovariate(peak)``'s
+        # own formula (CPython 3.10 to 3.13; tests/workloads pins it),
+        # with the lookups hoisted out of the loop.
+        draw, log = self.rng.random, math.log
+        rate_fn, make_row = self.rate_fn, self.make_row
+        peak = self.peak_rate
+        ceiling = peak + 1e-9
+        end = start_time + duration
+        tuples: list[StreamTuple] = []
         t = start_time
         i = 0
         while True:
-            t += self.rng.expovariate(self.peak_rate)
-            if t >= start_time + duration:
+            t += -log(1.0 - draw()) / peak
+            if t >= end:
                 return tuples
-            rate = self.rate_fn(t)
-            if rate > self.peak_rate + 1e-9:
+            rate = rate_fn(t)
+            if rate > ceiling:
                 raise ValueError(
-                    f"rate_fn({t:.3f}) = {rate:.3f} exceeds peak_rate "
-                    f"{self.peak_rate:.3f}"
+                    f"rate_fn({t:.3f}) = {rate:.3f} exceeds peak_rate {peak:.3f}"
                 )
-            if self.rng.random() < rate / self.peak_rate:
-                tuples.append(StreamTuple(self.make_row(i), timestamp=t))
+            if draw() < rate / peak:
+                tuples.append(StreamTuple(make_row(i), timestamp=t))
                 i += 1
 
 
@@ -250,33 +258,45 @@ class FlashCrowdSource(RateCurveSource):
                 raise ValueError(f"empty crowd window ({start}, {end})")
         self.crowds = sorted(crowds)
         self.population = population
+        # The windows' union as flat [start, end, start, end, ...] edges:
+        # t is in some window exactly when an odd number of edges is <= t.
+        edges: list[float] = []
+        for start, end in self.crowds:
+            if edges and start <= edges[-1]:
+                edges[-1] = max(edges[-1], end)
+            else:
+                edges += (start, end)
+        rates = (base_rate, crowd_rate)  # outside, inside a window
+        self._edges, self._rates = edges, rates
 
         def rate(t: float) -> float:
-            for start, end in self.crowds:
-                if start <= t < end:
-                    return crowd_rate
-            return base_rate
+            return rates[bisect_right(edges, t) & 1]
 
         super().__init__(rate, crowd_rate, self._row, seed=seed)
-        self._clock = 0.0
 
-    def _row(self, i: int) -> dict:
-        key = self.population.sample(self.rng, at=self._clock)
-        return {"key": key, "req": i}
+    def _row(self, i: int, at: float) -> dict:
+        return {"key": self.population.sample(self.rng, at=at), "req": i}
 
     def generate(self, duration: float, start_time: float = 0.0) -> list[StreamTuple]:
-        # Same thinning loop as RateCurveSource, but the row factory
-        # needs the arrival time (hot-key rotation is time-driven).
-        tuples = []
+        # RateCurveSource's thinning loop with ``rate_fn(t)`` read from
+        # the same edges and rates inline (no call per candidate) and the
+        # arrival time passed to the row (hot-key rotation is
+        # time-driven).  Rows are built fresh, so the tuples take them as
+        # they are.
+        draw, log = self.rng.random, math.log
+        row, from_parts = self._row, StreamTuple.from_parts
+        edges, rates = self._edges, self._rates
+        peak = self.peak_rate
+        end = start_time + duration
+        tuples: list[StreamTuple] = []
         t = start_time
         i = 0
         while True:
-            t += self.rng.expovariate(self.peak_rate)
-            if t >= start_time + duration:
+            t += -log(1.0 - draw()) / peak
+            if t >= end:
                 return tuples
-            if self.rng.random() < self.rate_fn(t) / self.peak_rate:
-                self._clock = t
-                tuples.append(StreamTuple(self._row(i), timestamp=t))
+            if draw() < rates[bisect_right(edges, t) & 1] / peak:
+                tuples.append(from_parts(row(i, t), t))
                 i += 1
 
 

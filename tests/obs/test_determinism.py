@@ -97,6 +97,52 @@ class TestScalarBatchDeterminism:
             )
             assert scalar == batched, f"diverged at sample_rate={rate}"
 
+    def test_fan_in_train_of_many_claims_byte_identical(self, monkeypatch):
+        """A train at a fan-in box takes one claim per run of one arc; the
+        claims add up into one train, so per-box counters and the
+        ``engine.train.tuples`` histogram see what the per-tuple engine,
+        which takes the train tuple by tuple, sees."""
+        trains, claims = [], []
+        real_run, real_claim = AuroraEngine._run_train, AuroraEngine._claim
+
+        def run_train(engine, box_id, limit=None):
+            trains.append(box_id)
+            return real_run(engine, box_id, limit)
+
+        def claim(engine, route, budget):
+            taken = real_claim(engine, route, budget)
+            if taken is not None:
+                claims.append(route.box.id)
+            return taken
+
+        def run(batch):
+            net = QueryNetwork()
+            net.add_box("u", Union(2, cost_per_tuple=0.0005))
+            net.add_box("m", Map(lambda v: {"A": v["A"] + 1}, cost_per_tuple=0.001))
+            net.connect("in:a", ("u", 0))
+            net.connect("in:b", ("u", 1))
+            net.connect("u", "m")
+            net.connect("m", "out:sink")
+            registry = MetricsRegistry()
+            tracer = Tracer(sample_rate=0.5)
+            engine = AuroraEngine(
+                net, train_size=9, batch_execution=batch,
+                scheduling_overhead=0.003, metrics=registry, tracer=tracer,
+            )
+            # Interleaved arrivals: u's two arcs alternate in enqueue
+            # clock, so a claim there is one tuple long.
+            for i, tup in enumerate(workload(SEED + 4)):
+                engine.push("ab"[i % 2], tup)
+            engine.run_until_idle()
+            engine.flush()
+            return dumps(snapshot(registry, sink=tracer.sink))
+
+        scalar = run(batch=False)
+        monkeypatch.setattr(AuroraEngine, "_run_train", run_train)
+        monkeypatch.setattr(AuroraEngine, "_claim", claim)
+        assert run(batch=True) == scalar
+        assert claims.count("u") > 2 * trains.count("u")
+
     def test_same_seed_reruns_byte_identical(self):
         stream = workload(SEED + 3)
         a = run_instrumented(build_network, stream, batch=True)

@@ -156,6 +156,54 @@ class TestRateCurveEnvelope:
             FlashCrowdSource(10.0, 50.0, [(2.0, 1.0)], pop)
 
 
+class TestThinningDraws:
+    """The thinning loops draw exactly what the textbook loop draws.
+
+    They inline ``expovariate`` as ``-log(1.0 - random()) / rate`` and
+    test flash-crowd windows by bisecting their edges; this reference
+    calls ``random.Random.expovariate`` and the rate curve itself, so
+    it pins both on whichever Python runs it.
+    """
+
+    @staticmethod
+    def reference(source, duration, make_row):
+        rng, tuples, t, i = source.rng, [], 0.0, 0
+        while True:
+            t += rng.expovariate(source.peak_rate)
+            if t >= duration:
+                return tuples
+            if rng.random() < source.rate_fn(t) / source.peak_rate:
+                tuples.append((t, make_row(i, t)))
+                i += 1
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_flash_crowd_stream_is_the_reference_stream(self, seed):
+        def make(windows):
+            pop = KeyedPopulation(30, skew=1.1, rotate_every=0.5)
+            return FlashCrowdSource(60.0, 500.0, windows, pop, seed=seed)
+
+        # Overlapping and touching windows, listed out of order.
+        windows = [(2.0, 2.5), (0.5, 1.0), (0.8, 1.2), (2.5, 2.7)]
+        reference = make(windows)
+        expected = self.reference(
+            reference, 3.0,
+            lambda i, t: {"key": reference.population.sample(reference.rng, at=t), "req": i},
+        )
+        stream = make(windows).generate(duration=3.0)
+        assert [(t.timestamp, t.values) for t in stream] == expected
+        assert reference.rate_at(0.9) == reference.rate_at(2.6) == 500.0
+        assert reference.rate_at(1.2) == reference.rate_at(2.7) == 60.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rate_curve_stream_is_the_reference_stream(self, seed):
+        def make():
+            return DiurnalSource(50.0, 250.0, row, period=4.0, peak_at=2.0, seed=seed)
+
+        expected = self.reference(make(), 4.0, lambda i, t: row(i))
+        stream = make().generate(duration=4.0)
+        assert [(t.timestamp, t.values) for t in stream] == expected
+
+
 class TestFleetChurn:
     def test_fleet_membership_moves(self):
         source = SensorFleetSource(10, 100.0, churn_every=0.1, seed=3)
